@@ -238,7 +238,13 @@ def cmd_scheffe(args) -> int:
     with open(args.data, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        body = np.array([[float(x) for x in row] for row in reader if row])
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise UsageError(f"{args.data} line {lineno}: {exc}") from exc
+        body = np.array([r for r in rows if r])
     if body.ndim != 2 or body.shape[1] < 2:
         raise UsageError("scheffe data must have >= 2 columns (covariates + response)")
     X, y = body[:, :-1], body[:, -1]

@@ -20,7 +20,7 @@ from .domain import Field, IndexSet, same_domain
 from .errors import DegenerateDataError, ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, lower_excursion, shift_threshold, upper_excursion
 from .preimage import KPolicy, oracle_preimage, plugin_preimage, resolve_k
-from .quantile import QuantileEstimate, iid_exact_quantile, mc_oracle_quantile
+from .quantile import QuantileEstimate, _check_alpha, iid_exact_quantile, mc_oracle_quantile
 
 
 @dataclass(frozen=True)
@@ -267,32 +267,35 @@ def t_pvalues(data) -> np.ndarray:
             f"zero-variance column(s): {np.flatnonzero(sd == 0.0).tolist()}"
         )
     stat = np.sqrt(N) * np.abs(data.mean(axis=0)) / sd
-    return 2.0 * (1.0 - t_cdf(stat, N - 1))
+    return 2.0 * t_cdf(-stat, N - 1)
 
 
-def hommel_adjust(p: np.ndarray) -> np.ndarray:
-    """Hommel-adjusted p-values, rowwise over a (B, J) matrix."""
+def _simes_top_rejects(ps: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarray:
+    """Per sorted row: does Simes reject on its m largest p-values?"""
+    k = np.arange(1 - ps.shape[1], 1) + m[:, None]  # rank in the top m, <= 0 outside
+    return np.any((k >= 1) & (ps <= k * alpha / np.maximum(m, 1)[:, None]), axis=1)
+
+
+def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Hommel rejection masks at one alpha, rowwise over a (B, J) matrix.
+
+    On a sorted row, p_(j) <= alpha (0-based j) makes the Simes test on the
+    m largest p-values reject for all m >= max(J-j, ceil((J-1-j) alpha /
+    (alpha - p_(j)))), so Hommel's h is the least such m minus one.  The
+    Simes comparison itself at h and h + 1 absorbs rounding in the ceil.
+    Rejects p <= alpha / h, or everything when h = 0; O(J log J) per row.
+    """
     p = np.atleast_2d(np.asarray(p, dtype=float))
-    B, n = p.shape
-    if n == 0:
-        return p.copy()
-    order = np.argsort(p, axis=1)
-    ps = np.take_along_axis(p, order, axis=1)
-    i = np.arange(1, n + 1)
-    pa = np.min(n * ps / i, axis=1, keepdims=True) * np.ones((B, n))
-    q = pa.copy()
-    for m in range(n - 1, 1, -1):
-        i2 = np.arange(n - m + 1, n)
-        denom = np.arange(2, m + 1)
-        q1 = np.min(m * ps[:, i2] / denom, axis=1, keepdims=True)
-        i1 = np.arange(0, n - m + 1)
-        q[:, i1] = np.minimum(m * ps[:, i1], q1)
-        q[:, i2] = q[:, [n - m]]
-        pa = np.maximum(pa, q)
-    adj_sorted = np.maximum(pa, ps)
-    adj = np.empty_like(adj_sorted)
-    np.put_along_axis(adj, order, adj_sorted, axis=1)
-    return adj
+    n = p.shape[1]
+    ps = np.sort(p, axis=1)
+    above = np.arange(n - 1, -1, -1)  # J - 1 - j; fmax maps its 0/0 to 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.fmax(above + 1, np.ceil(above * alpha / (alpha - ps)))
+    least = np.min(np.where(ps <= alpha, need, np.inf), axis=1, initial=np.inf)
+    h = np.minimum(least - 1, n).astype(int)
+    h = h - _simes_top_rejects(ps, h, alpha)
+    h = h + ((h < n) & ~_simes_top_rejects(ps, h + 1, alpha))
+    return p <= np.where(h > 0, alpha / np.maximum(h, 1), np.inf)[:, None]
 
 
 def hommel(pvalues, alpha: float) -> IndexSet:
@@ -300,9 +303,8 @@ def hommel(pvalues, alpha: float) -> IndexSet:
     p = np.asarray(pvalues, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ParameterError("p-values must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    return IndexSet.from_mask(hommel_adjust(p)[0] <= alpha)
+    _check_alpha(alpha)
+    return IndexSet.from_mask(hommel_reject_mask(p, alpha)[0])
 
 
 def bh_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
@@ -323,6 +325,5 @@ def bh(pvalues, alpha: float) -> IndexSet:
     p = np.asarray(pvalues, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ParameterError("p-values must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     return IndexSet.from_mask(bh_reject_mask(p, alpha)[0])

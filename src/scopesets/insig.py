@@ -16,7 +16,7 @@ import numpy as np
 from .dist import binom_tail, t_cdf
 from .domain import IndexSet
 from .errors import ParameterError
-from .hypotests import bh, hommel, t_pvalues
+from .hypotests import bh, hommel
 from .preimage import KPolicy, resolve_k
 from .quantile import iid_quantile, storey_m0
 
@@ -42,7 +42,7 @@ def iv_qhat(M: int, m: int, q_hat: float, df: float) -> float:
     """P[at least m of M iid t-statistics exceed q_hat in absolute value]."""
     if not 1 <= m <= M:
         raise ParameterError(f"need 1 <= m <= M, got m={m}, M={M}")
-    p = 2.0 * (1.0 - t_cdf(q_hat, df))
+    p = 2.0 * t_cdf(-q_hat, df)
     return binom_tail(M, min(1.0, max(0.0, p)), m)
 
 
@@ -96,7 +96,7 @@ def insig_report(
     m1 = len(discoveries)
     heights = np.abs(tstat)
 
-    pvals = t_pvalues(data)
+    pvals = 2.0 * t_cdf(-heights, N - 1)
     m0 = storey_m0(pvals)
 
     iv_q = {(J, 1): iv_qhat(J, 1, q_hat, df)}
@@ -104,11 +104,8 @@ def insig_report(
         iv_q[(J - m1, 1)] = iv_qhat(J - m1, 1, q_hat, df)
     if m0 >= 1:
         iv_q[(m0, 1)] = iv_qhat(m0, 1, q_hat, df)
-    obs = iv_obs(heights, discoveries, J, 1, df)
-    iv_o = {} if obs is None else {(J, 1): obs}
-    min_height = (
-        float(np.min(heights[discoveries.members])) if m1 else None
-    )
+    min_height = float(np.min(heights[discoveries.members])) if m1 else None
+    iv_o = {} if min_height is None else {(J, 1): iv_qhat(J, 1, min_height, df)}
 
     counts = {
         "scope": m1,

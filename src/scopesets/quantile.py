@@ -130,31 +130,27 @@ def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.
     neg_idx, pos_idx = neg_pos
     stats = np.empty(reps)
     chunk = max(1, min(reps, int(4e6 / max(1, union.size))))
-    start = 0
-    ci = 0
-    while start < reps:
+    if isinstance(cov, str) and cov == "iid_normal":
+        draw = lambda gen, n: gen.standard_normal((n, union.size))
+    elif isinstance(cov, tuple) and cov[0] == "iid_t":
+        draw = lambda gen, n: gen.standard_t(float(cov[1]), (n, union.size))
+    else:
+        corr = np.asarray(cov, dtype=float)[np.ix_(union, union)]
+        # eigenvalue square root, once per call: tolerates singular matrices
+        w, v = np.linalg.eigh(corr)
+        if np.any(w < -1e-8):
+            raise ParameterError("correlation matrix is not positive semidefinite")
+        factor = (v * np.sqrt(np.clip(w, 0.0, None))).T
+        draw = lambda gen, n: gen.standard_normal((n, union.size)) @ factor
+    for ci, start in enumerate(range(0, reps, chunk)):
         n = min(chunk, reps - start)
-        gen = rng.child(ci).generator()
-        if isinstance(cov, str) and cov == "iid_normal":
-            g = gen.standard_normal((n, union.size))
-        elif isinstance(cov, tuple) and cov[0] == "iid_t":
-            g = gen.standard_t(float(cov[1]), (n, union.size))
-        else:
-            corr = np.asarray(cov, dtype=float)[np.ix_(union, union)]
-            # eigenvalue square root: tolerates singular correlation matrices
-            w, v = np.linalg.eigh(corr)
-            if np.any(w < -1e-8):
-                raise ParameterError("correlation matrix is not positive semidefinite")
-            factor = v * np.sqrt(np.clip(w, 0.0, None))
-            g = gen.standard_normal((n, union.size)) @ factor.T
+        g = draw(rng.child(ci).generator(), n)
         parts = []
         if neg_idx.size:
             parts.append(-g[:, neg_idx])
         if pos_idx.size:
             parts.append(g[:, pos_idx])
         stats[start : start + n] = np.concatenate(parts, axis=1).max(axis=1)
-        start += n
-        ci += 1
     return stats
 
 
@@ -182,9 +178,8 @@ def mc_oracle_quantile(
     if len(neg_set) == 0 and len(pos_set) == 0:
         return QuantileEstimate(0.0, "mc_oracle", alpha, 0, empty_sets=True)
     union = np.union1d(neg_set.members, pos_set.members)
-    lookup = {int(v): i for i, v in enumerate(union)}
-    neg_idx = np.array([lookup[int(v)] for v in neg_set.members], dtype=int)
-    pos_idx = np.array([lookup[int(v)] for v in pos_set.members], dtype=int)
+    neg_idx = np.searchsorted(union, neg_set.members)
+    pos_idx = np.searchsorted(union, pos_set.members)
     stats = np.sort(_simulate_stats(cov, union, (neg_idx, pos_idx), reps, rng))
     idx = _upper_index(alpha, reps) if tail == "upper" else _lower_index(alpha, reps)
     return QuantileEstimate(float(stats[idx - 1]), "mc_oracle", alpha, int(union.size))

@@ -23,7 +23,7 @@ import numpy as np
 from .dist import Rng, t_cdf
 from .domain import Domain, Field
 from .errors import ParameterError
-from .hypotests import bh_reject_mask, hommel_adjust
+from .hypotests import bh_reject_mask, hommel_reject_mask
 from .preimage import KPolicy, oracle_preimage, resolve_k
 from .quantile import iid_quantile
 
@@ -138,7 +138,7 @@ def _run_chunk(task):
 
     pv = None
     if baselines or any(kind == "storey" for kind, _, _ in methods):
-        pv = 2.0 * (1.0 - t_cdf(np.abs(tmat), df))
+        pv = 2.0 * t_cdf(-np.abs(tmat), df)
 
     out = {}
     for kind, _policy, label in methods:
@@ -157,7 +157,7 @@ def _run_chunk(task):
             out[(label, s)] = (int((fd == 0).sum()), float(fd.sum()), float(td.sum()))
 
     if "hommel" in baselines:
-        rej = hommel_adjust(pv) <= alpha
+        rej = hommel_reject_mask(pv, alpha)
         out[("hommel", None)] = (0, float((rej & is_null).sum()), float((rej & ~is_null).sum()))
     if "bh" in baselines:
         rej = bh_reject_mask(pv, alpha)

@@ -159,6 +159,15 @@ class TestScheffeCommand:
         est = float(table[1].split(",")[1])
         assert est == pytest.approx(1.0, abs=0.3)
 
+    def test_non_numeric_cell_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "lm.csv"
+        path.write_text("x1,y\n1.0,2.0\n3.0,abc\n4.0,5.0\n")
+        rc = main(["scheffe", "--data", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestTestsCommand:
     def test_let_matches_interval_rule(self, tmp_path):

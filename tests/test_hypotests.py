@@ -16,6 +16,7 @@ from scopesets.hypotests import (
     et,
     grt,
     hommel,
+    hommel_reject_mask,
     let_,
     lrt,
     t_pvalues,
@@ -316,6 +317,15 @@ class TestTPvalues:
         with pytest.raises(DegenerateDataError):
             t_pvalues(np.ones((5, 2)))
 
+    def test_far_tail_does_not_floor_at_zero(self):
+        # columns with t = 10, 20, 50 at df = 99; 1 - cdf would give exactly 0
+        N = 100
+        x = np.resize([1.0, -1.0], N)
+        shifts = np.array([10.0, 20.0, 50.0]) * x.std(ddof=1) / np.sqrt(N)
+        p = t_pvalues(x[:, None] + shifts)
+        assert p[0] > p[1] > p[2] > 0.0
+        np.testing.assert_allclose(p, [1.09e-16, 1.5e-36, 4.6e-72], rtol=0.05)
+
 
 def simes_rejects(p_subset, alpha):
     s = np.sort(p_subset)
@@ -373,6 +383,92 @@ class TestHommel:
             n = int(rng.integers(1, 12))
             p = rng.uniform(size=n) ** 2
             assert holm_rejections(p, 0.1).issubset(hommel(p, 0.1))
+
+
+def _hommel_adjust_reference(p):
+    """Hommel-adjusted p-values by Wright's O(J^2) loop over family sizes."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    B, n = p.shape
+    if n == 0:
+        return p.copy()
+    order = np.argsort(p, axis=1)
+    ps = np.take_along_axis(p, order, axis=1)
+    i = np.arange(1, n + 1)
+    pa = np.min(n * ps / i, axis=1, keepdims=True) * np.ones((B, n))
+    q = pa.copy()
+    for m in range(n - 1, 1, -1):
+        i2 = np.arange(n - m + 1, n)
+        denom = np.arange(2, m + 1)
+        q1 = np.min(m * ps[:, i2] / denom, axis=1, keepdims=True)
+        i1 = np.arange(0, n - m + 1)
+        q[:, i1] = np.minimum(m * ps[:, i1], q1)
+        q[:, i2] = q[:, [n - m]]
+        pa = np.maximum(pa, q)
+    adj_sorted = np.maximum(pa, ps)
+    adj = np.empty_like(adj_sorted)
+    np.put_along_axis(adj, order, adj_sorted, axis=1)
+    return adj
+
+
+class TestHommelRejectMask:
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
+    def test_matches_reference_loop(self, alpha):
+        rng = np.random.default_rng(int(alpha * 1000))
+        for J in (1, 2, 3, 5, 17, 80, 300):
+            p = rng.uniform(size=(100, J)) ** rng.uniform(0.5, 4.0, size=(100, 1))
+            np.testing.assert_array_equal(
+                hommel_reject_mask(p, alpha), _hommel_adjust_reference(p) <= alpha
+            )
+
+    def test_empty_family(self):
+        assert hommel_reject_mask(np.empty((3, 0)), 0.1).shape == (3, 0)
+
+    def test_single_hypothesis(self):
+        p = np.array([[0.05], [0.1], [0.2]])
+        np.testing.assert_array_equal(hommel_reject_mask(p, 0.1)[:, 0], [True, True, False])
+
+    def test_nothing_below_alpha(self):
+        p = np.random.default_rng(3).uniform(0.1, 1.0, size=(20, 50))
+        assert not hommel_reject_mask(p, 0.1).any()
+
+    def test_all_tiny_rejects_everything(self):
+        # h = 0: even the largest p-value clears alpha, so every Simes test rejects
+        p = np.full((4, 30), 1e-12)
+        assert hommel_reject_mask(p, 0.05).all()
+
+    def test_grid_ties_no_worse_than_reference(self):
+        # p-values on the grid k * alpha / m sit exactly on Simes thresholds,
+        # where the oracle's `<=` and rounding decide; the kernel must agree
+        # with closed testing at least as often as the adjusted-p loop does
+        rng = np.random.default_rng(2024)
+        kernel_miss = reference_miss = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 7))
+            alpha = float(rng.choice([0.01, 0.05, 0.1, 0.2]))
+            m = rng.integers(1, n + 1, size=n)
+            p = rng.integers(1, m + 1) * alpha / m
+            oracle = closed_testing_rejections(p, alpha)
+            kernel = IndexSet.from_mask(hommel_reject_mask(p, alpha)[0])
+            reference = IndexSet.from_mask(_hommel_adjust_reference(p)[0] <= alpha)
+            kernel_miss += kernel != oracle
+            reference_miss += reference != oracle
+        assert kernel_miss <= reference_miss
+
+    @pytest.mark.parametrize(
+        "k, m", [([1, 3, 2], [2, 3, 2]), ([1, 1, 3], [1, 2, 3]), ([3, 2, 1], [3, 2, 2])]
+    )
+    def test_ceil_rounding_settled_by_simes(self, k, m):
+        # 3 * 0.2 / 3 rounds above 0.2: the ceil bound alone misplaces h here
+        p = np.array(k) * 0.2 / np.array(m)
+        got = IndexSet.from_mask(hommel_reject_mask(p, 0.2)[0])
+        assert got == closed_testing_rejections(p, 0.2)
+
+    def test_large_family_smoke(self):
+        J, alpha = 100_000, 0.05
+        p = np.random.default_rng(9).uniform(size=J) ** 4
+        mask = hommel_reject_mask(p, alpha)
+        assert mask.shape == (1, J)
+        assert mask.sum() >= np.count_nonzero(p <= alpha / J)
 
 
 class TestBh:

@@ -12,6 +12,10 @@ class TestIvQhat:
     def test_zero_threshold_is_certain(self):
         assert iv_qhat(10, 3, 0.0, 99) == 1.0
 
+    def test_far_tail_stays_positive(self):
+        vals = [iv_qhat(10, 1, q, 99) for q in (10.0, 20.0, 50.0)]
+        assert vals[0] > vals[1] > vals[2] > 0.0
+
     def test_frozen_benchmark_value(self):
         # M = 80, m = 1, threshold 3.00, 99 dof: 1 - (1-p)^80 with
         # p = 2 (1 - F_t(3.00, 99))

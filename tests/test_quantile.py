@@ -159,6 +159,22 @@ class TestMcOracleQuantile:
         with pytest.raises(ParameterError):
             mc_oracle_quantile("iid_normal", IndexSet([0]), IndexSet(), 0.1, 500, Rng(0))
 
+    def test_correlation_factored_once_across_chunks(self, monkeypatch):
+        # union of 101 points: chunks of 39,603 draws, so 50,000 reps take 2
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        i = np.arange(101)
+        corr = 0.5 ** np.abs(i[:, None] - i[None, :])
+        s = IndexSet(range(101))
+        mc_oracle_quantile(corr, s, s, 0.1, 50_000, Rng(4))
+        assert calls == [(101, 101)]
+
 
 class TestMultiplierBootstrap:
     def test_single_column_matches_normal_quantile(self):
