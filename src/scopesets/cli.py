@@ -65,6 +65,17 @@ def _load_matrix(path) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise UsageError(f"could not read numeric CSV {path}: {exc}") from exc
+    return _checked_matrix(path, data)
+
+
+def _checked_matrix(path, data: np.ndarray) -> np.ndarray:
+    """Reject samples with fewer than two rows or a NaN/inf cell (0-based indices)."""
+    if data.shape[0] < 2:
+        raise UsageError(f"{path}: data must have at least two rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise UsageError(f"{path}: non-finite value at row {row}, column {col}")
     return data
 
 
@@ -138,8 +149,6 @@ def cmd_simulate(args) -> int:
 def cmd_scope(args) -> int:
     data = _load_matrix(args.data)
     N, J = data.shape
-    if N < 2:
-        raise UsageError("data must have at least two rows")
     dom = Domain(J)
     if args.level is not None:
         lower = upper = Field.constant(dom, args.level)
@@ -237,15 +246,21 @@ def cmd_scheffe(args) -> int:
 
     with open(args.data, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = []
         for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise UsageError(
+                    f"{args.data} line {lineno}: {len(row)} fields, header has {len(header)}"
+                )
             try:
                 rows.append([float(x) for x in row])
             except ValueError as exc:
                 raise UsageError(f"{args.data} line {lineno}: {exc}") from exc
-        body = np.array([r for r in rows if r])
-    if body.ndim != 2 or body.shape[1] < 2:
+        body = _checked_matrix(args.data, np.array(rows).reshape(len(rows), len(header)))
+    if body.shape[1] < 2:
         raise UsageError("scheffe data must have >= 2 columns (covariates + response)")
     X, y = body[:, :-1], body[:, -1]
     N, K = X.shape

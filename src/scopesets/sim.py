@@ -7,9 +7,11 @@ directional error), and the mean number of true detections (TD).  Hommel and
 Benjamini-Hochberg baselines run on the same samples with FD counting type-I
 errors only.
 
-Everything is driven by one seed; replications split into fixed-size chunks
-with derived child streams, so results are byte-reproducible and reduction
-order independent.
+Each replication's t-statistics are drawn from their sufficient statistics
+(Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
+Everything is driven by one seed; replications split into chunks whose size
+depends on J alone, each with a derived child stream, so results are
+byte-reproducible and identical for any thread count.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ def parse_method(token: str):
     raise ParameterError(f"unknown method token {token!r}")
 
 
-def _chunk_size(N: int, J: int) -> int:
-    # keep each (B, N, J) draw around 48 MB regardless of the machine
-    return max(8, int(6e6 / (N * J)))
+def _chunk_size(J: int) -> int:
+    # at most 1e6 values (8 MB) per (B, J) array, whatever the machine
+    return max(1, 10**6 // J)
 
 
 @dataclass
@@ -119,6 +121,17 @@ def _quantile_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     )
 
 
+def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> np.ndarray:
+    """(nb, J) t-statistics of nb iid N(mu, 1) samples of size N.
+
+    sqrt(N)*(mean - mu) is standard normal and (N-1)*s^2 an independent
+    chi-square with N-1 degrees of freedom, so both are drawn directly.
+    """
+    z = gen.standard_normal((nb, mu.size))
+    chi2 = gen.chisquare(N - 1, (nb, mu.size))
+    return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
+
+
 def _run_chunk(task):
     """One replication chunk; returns partial (cov, fd, td) sums per key.
 
@@ -131,10 +144,7 @@ def _run_chunk(task):
     is_null = mu == 0.0
     n_null = int(is_null.sum())
     gen = rng.child(ni).child(ci).generator()
-    y = gen.standard_normal((nb, N, J)) + mu
-    mean = y.mean(axis=1)
-    sd = y.std(axis=1, ddof=1)
-    tmat = np.sqrt(N) * mean / sd
+    tmat = _draw_tstats(gen, nb, N, mu)
 
     pv = None
     if baselines or any(kind == "storey" for kind, _, _ in methods):
@@ -193,6 +203,7 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> list[SimTableRow]:
 
     rows: list[SimTableRow] = []
     rng = Rng(cfg.seed)
+    B = _chunk_size(J)
     for ni, N in enumerate(cfg.N_list):
         df = N - 1
         q_tables = {s: _quantile_table(J, alpha, df, s) for s in sided_list}
@@ -205,18 +216,11 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> list[SimTableRow]:
         }
         base_acc = {b: _Accum() for b in cfg.baselines}
 
-        B = _chunk_size(N, J)
-        tasks = []
-        start = 0
-        ci = 0
-        while start < cfg.reps:
-            nb = min(B, cfg.reps - start)
-            tasks.append(
-                (rng, ni, ci, nb, N, mu, methods, ks, q_tables, sided_list,
-                 cfg.baselines, alpha)
-            )
-            start += nb
-            ci += 1
+        tasks = [
+            (rng, ni, ci, min(B, cfg.reps - start), N, mu, methods, ks, q_tables,
+             sided_list, cfg.baselines, alpha)
+            for ci, start in enumerate(range(0, cfg.reps, B))
+        ]
 
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor

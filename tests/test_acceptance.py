@@ -61,7 +61,7 @@ def test_criterion_01_model_a_oracle_row():
     elapsed = time.time() - t0
     cov_ok = all(abs(r.cov - 90.0) <= 1.5 for r in rows)
     fd_ok = all(abs(r.fd - 0.10) <= 0.02 for r in rows)
-    time_ok = elapsed < 300.0
+    time_ok = elapsed < 10.0
     detail = (
         f"model A oracle Cov={[round(r.cov, 1) for r in rows]} "
         f"FD={[round(r.fd, 3) for r in rows]} runtime={elapsed:.1f}s"

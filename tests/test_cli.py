@@ -159,14 +159,44 @@ class TestScheffeCommand:
         est = float(table[1].split(",")[1])
         assert est == pytest.approx(1.0, abs=0.3)
 
-    def test_non_numeric_cell_exits_2_naming_the_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("x1,y\n1.0,2.0\n3.0,abc\n4.0,5.0\n", "line 3"),
+            ("x,y\n1,2\n3,4,5\n", "line 3: 3 fields, header has 2"),
+            ("", "at least two rows"),
+            ("x1,y\n", "at least two rows"),
+            ("x1,y\n1.0,2.0\n3.0,nan\n4.0,5.0\n", "non-finite value at row 1, column 1"),
+        ],
+        ids=["non_numeric", "ragged", "empty", "header_only", "nan"],
+    )
+    def test_malformed_data_exits_2_naming_the_line(self, tmp_path, capsys, text, expected):
         path = tmp_path / "lm.csv"
-        path.write_text("x1,y\n1.0,2.0\n3.0,abc\n4.0,5.0\n")
+        path.write_text(text)
         rc = main(["scheffe", "--data", str(path), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "line 3" in err
+        assert err.startswith("error: ") and expected in err
         assert len(err.strip().splitlines()) == 1
+
+
+SAMPLE_ARGS = {
+    "scope": ["--level", "0", "--kappa", "3"],
+    "insig": ["--kappa", "3"],
+    "tests": ["--kind", "lrT", "--b-minus", "-1", "--b-plus", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_ARGS))
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_sample_cell_exits_2_naming_it(tmp_path, capsys, command, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{cell}\n")
+    rc = main([command, "--data", str(path), *SAMPLE_ARGS[command],
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}: non-finite value at row 2, column 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestTestsCommand:

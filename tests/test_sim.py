@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from scopesets.dist import Rng
 from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
+from scopesets import sim
 from scopesets.sim import (
     SandwichInstance,
     SimConfig,
+    _chunk_size,
+    _draw_tstats,
     model_mu,
     parse_method,
     run_simulation,
@@ -58,6 +62,55 @@ class TestParseMethod:
                 parse_method(tok)
 
 
+def _draw_tstats_reference(gen, nb, N, mu):
+    """The raw-cube draw: nb samples of N iid N(mu, 1) rows, then t per column."""
+    y = gen.standard_normal((nb, N, mu.size)) + mu
+    return np.sqrt(N) * y.mean(axis=1) / y.std(axis=1, ddof=1)
+
+
+class TestDrawTstats:
+    CASES = [(2, 0.0), (5, 0.0), (30, 0.2), (200, -0.3)]
+
+    @pytest.mark.parametrize("N,mu0", CASES)
+    def test_matches_noncentral_t(self, N, mu0):
+        mu = np.full(40, mu0)
+        t = _draw_tstats(Rng(31).generator(), 500, N, mu).ravel()
+        law = stats.t(df=N - 1) if mu0 == 0.0 else stats.nct(df=N - 1, nc=np.sqrt(N) * mu0)
+        assert stats.kstest(t, law.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("N,mu0", CASES)
+    def test_matches_raw_cube_reference(self, N, mu0):
+        mu = np.full(40, mu0)
+        t = _draw_tstats(Rng(32).generator(), 500, N, mu).ravel()
+        ref = _draw_tstats_reference(Rng(33).generator(), 500, N, mu).ravel()
+        assert stats.ks_2samp(t, ref).pvalue > 1e-3
+
+    def test_columns_keep_their_own_mean(self):
+        mu = np.array([-0.5, 0.0, 0.5])
+        t = _draw_tstats(Rng(34).generator(), 4000, 100, mu)
+        assert t.shape == (4000, 3)
+        np.testing.assert_allclose(t.mean(axis=0), 10 * mu, atol=0.1)
+
+    @pytest.mark.parametrize("J", [1, 3, 80, 1000, 12_345, 10**6, 3 * 10**6])
+    def test_chunk_bounds_values_per_array(self, J):
+        nb = _chunk_size(J)
+        assert nb >= 1
+        assert nb * J <= 10**6 or nb == 1
+
+    def test_chunks_do_not_depend_on_n(self, monkeypatch):
+        seen = {}
+        real = sim._run_chunk
+
+        def spy(task):
+            seen.setdefault(task[4], []).append(task[3])
+            return real(task)
+
+        monkeypatch.setattr(sim, "_run_chunk", spy)
+        run_simulation(SimConfig(model="A", N_list=(5, 2000), J=20_000,
+                                 methods=("oracle",), reps=120, seed=6))
+        assert seen[5] == seen[2000] == [50, 50, 20]
+
+
 class TestRunSimulation:
     def test_determinism(self):
         cfg = SimConfig(model="C", N_list=(50,), methods=("oracle", "storey"),
@@ -67,9 +120,11 @@ class TestRunSimulation:
         assert rows1 == rows2
 
     def test_thread_count_does_not_change_results(self):
-        cfg = SimConfig(model="B", N_list=(40,), methods=("oracle", "log_kappa(3)"),
-                        baselines=("bh",), reps=500, seed=22)
-        assert run_simulation(cfg, threads=1) == run_simulation(cfg, threads=4)
+        # 30,000 reps at J=80 span three chunks, so the pool really splits work
+        for reps in (500, 30_000):
+            cfg = SimConfig(model="B", N_list=(40,), methods=("oracle", "log_kappa(3)"),
+                            baselines=("bh",), reps=reps, seed=22)
+            assert run_simulation(cfg, threads=1) == run_simulation(cfg, threads=4)
 
     def test_row_shape_and_absences(self):
         cfg = SimConfig(model="A", N_list=(30, 60), methods=("oracle",),
