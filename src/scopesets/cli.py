@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,11 @@ import numpy as np
 from .dist import Rng, chisq_cdf, quantile as dist_quantile
 from .domain import Domain, Field, load_field
 from .errors import ParameterError, ScopeSetsError
-from .excursion import ScopeBands
+from .excursion import ScopeBands, widened_excursions
 from .hypotests import BandSpec, Calibration, et, grt, let_, lrt
 from .insig import insig_report, write_insig_report
 from .preimage import KPolicy, plugin_preimage_sets, resolve_k
-from .quantile import iid_quantile
+from .quantile import _check_alpha, column_summary, iid_quantile
 from .scheffe import LinearModelSpec, detect_nonzero_contrasts, ols_fit, scheffe_band
 from .sim import SimConfig, run_simulation, write_plot_data, write_sim_table
 
@@ -62,7 +63,10 @@ def _require(cfg: dict, key: str) -> str:
 
 def _load_matrix(path) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file warns before it is rejected with one error line below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise UsageError(f"could not read numeric CSV {path}: {exc}") from exc
     return _checked_matrix(path, data)
@@ -79,15 +83,23 @@ def _checked_matrix(path, data: np.ndarray) -> np.ndarray:
     return data
 
 
+def _from_flags(fn, *args, **kwargs):
+    """Call fn on values taken from flags; a ParameterError there is a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _policy_from_args(args) -> KPolicy:
     chosen = [x for x in (args.kappa, args.scb_beta, args.k) if x is not None]
     if len(chosen) != 1:
         raise UsageError("choose exactly one of --kappa, --scb-beta, --k")
     if args.kappa is not None:
-        return KPolicy("log_over_kappa", kappa=args.kappa)
+        return _from_flags(KPolicy, "log_over_kappa", kappa=args.kappa)
     if args.scb_beta is not None:
-        return KPolicy("scb_level", beta=args.scb_beta)
-    return KPolicy("fixed", k=args.k)
+        return _from_flags(KPolicy, "scb_level", beta=args.scb_beta)
+    return _from_flags(KPolicy, "fixed", k=args.k)
 
 
 def cmd_simulate(args) -> int:
@@ -121,7 +133,7 @@ def cmd_simulate(args) -> int:
             J=J,
             sided=sided,
         )
-        rows = run_simulation(cfg, threads=max(1, args.threads))
+        rows = run_simulation(cfg)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -147,6 +159,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scope(args) -> int:
+    _from_flags(_check_alpha, args.alpha)
+    policy = _policy_from_args(args)
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
@@ -160,14 +174,8 @@ def cmd_scope(args) -> int:
     if np.any(lower.values > upper.values):
         raise UsageError("lower threshold exceeds upper threshold somewhere")
 
-    mean = data.mean(axis=0)
-    sd = data.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        bad = int(np.flatnonzero(sd == 0.0)[0])
-        print(f"error: zero-variance column {bad}", file=sys.stderr)
-        return 1
+    mean, sd = column_summary(data)
     tau = 1.0 / np.sqrt(N)
-    policy = _policy_from_args(args)
     k = resolve_k(policy, N, J, df=N - 1)
     mu_hat = Field(dom, mean)
     sigma_hat = Field(dom, sd)
@@ -176,9 +184,7 @@ def cmd_scope(args) -> int:
     m_hat = len(sets.both)
     est = iid_quantile(m_hat, args.alpha, df=N - 1, sided=args.sided)
 
-    w = est.q * tau * sd
-    below = mean < lower.values - w
-    above = mean > upper.values + w
+    below, above = widened_excursions(mean, lower.values, upper.values, est.q * tau * sd)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,8 +221,9 @@ def cmd_scope(args) -> int:
 
 
 def cmd_insig(args) -> int:
-    data = _load_matrix(args.data)
+    _from_flags(_check_alpha, args.alpha)
     policy = _policy_from_args(args)
+    data = _load_matrix(args.data)
     report = insig_report(data, args.alpha, policy, sided=args.sided)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -286,15 +293,13 @@ def cmd_scheffe(args) -> int:
 
 
 def cmd_tests(args) -> int:
+    _from_flags(_check_alpha, args.alpha)
+    kappa = args.kappa if args.kappa is not None else 3.0
+    policy = _from_flags(KPolicy, "log_over_kappa", kappa=kappa)
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
-    mean = data.mean(axis=0)
-    sd = data.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        print(f"error: zero-variance column {int(np.flatnonzero(sd == 0.0)[0])}",
-              file=sys.stderr)
-        return 1
+    mean, sd = column_summary(data)
     band = BandSpec(Field.constant(dom, args.b_minus), Field.constant(dom, args.b_plus))
     mu_hat = Field(dom, mean)
     bands = ScopeBands(0.0, 1.0 / np.sqrt(N), Field(dom, sd))
@@ -303,9 +308,7 @@ def cmd_tests(args) -> int:
         alpha=args.alpha,
         cov=("iid_t", N - 1),
         rng=Rng(args.seed or 0),
-        k=None if mu is not None else resolve_k(
-            KPolicy("log_over_kappa", kappa=args.kappa or 3.0), N, J, N - 1
-        ),
+        k=None if mu is not None else resolve_k(policy, N, J, N - 1),
     )
     fn = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}[args.kind]
     decision = fn(mu_hat, band, bands, quantile=cal, mu=mu)
@@ -342,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="key=value config file")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override config seed")
-    sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads for replication chunks (same output for any value)")
     sim.set_defaults(fn=cmd_simulate)
 
     def add_policy_flags(sp):

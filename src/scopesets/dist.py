@@ -1,4 +1,4 @@
-"""Distribution kernel: CDFs, quantiles and samplers used by the solvers.
+"""Distribution kernel: CDFs, quantiles and the random streams used by the solvers.
 
 Only the five families the methodology needs are exposed: normal, Student-t,
 chi-square, F and binomial tails.  Evaluation is delegated to the scipy
@@ -27,14 +27,13 @@ class Rng:
 
     seed: int
     spawn_key: tuple[int, ...] = ()
-    algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         return np.random.Generator(np.random.PCG64(ss))
 
     def child(self, index: int) -> "Rng":
-        return Rng(self.seed, self.spawn_key + (int(index),), self.algorithm)
+        return Rng(self.seed, self.spawn_key + (int(index),))
 
 
 def normal_cdf(x):
@@ -108,22 +107,3 @@ def binom_tail(M: int, p: float, m: int) -> float:
     if m == 0:
         return 1.0
     return float(special.betainc(m, M - m + 1, p))
-
-
-def sample_normal(rng: Rng, n: int) -> np.ndarray:
-    """n iid standard normal draws, deterministic given the Rng."""
-    if n < 0:
-        raise ParameterError("sample size must be >= 0")
-    return rng.generator().standard_normal(n)
-
-
-def sample_t(rng: Rng, n: int, df: float) -> np.ndarray:
-    """n iid Student-t draws, deterministic given the Rng."""
-    if n < 0:
-        raise ParameterError("sample size must be >= 0")
-    if not df > 0:
-        raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
-    g = rng.generator()
-    if np.isinf(df):
-        return g.standard_normal(n)
-    return g.standard_t(df, n)

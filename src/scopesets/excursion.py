@@ -72,11 +72,43 @@ class Partition3:
     upper: IndexSet
 
 
+def _moved(c, delta):
+    """c + delta, except that infinite thresholds never move."""
+    return np.where(np.isinf(c), c, c + delta)
+
+
+def widened_excursions(values, lower, upper, w):
+    """Masks {values < lower - w} and {values > upper + w}.
+
+    Infinite thresholds stay fixed.  All arguments broadcast, so a (B, J)
+    batch of estimates against (J,) thresholds gives two (B, J) masks.
+    """
+    return values < _moved(lower, -w), values > _moved(upper, w)
+
+
+def inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
+    """Batched inclusion event over the last axis.
+
+    True where, for every lower-control threshold c in ``lower_vals``,
+    {mu_hat < c - w} lies inside {mu < c}, and dually for ``upper_vals``.
+    """
+    event = np.ones(np.shape(mu_hat)[:-1], dtype=bool)
+    for c in lower_vals:
+        event &= ~np.any((mu_hat < _moved(c, -w)) & ~(mu < c), axis=-1)
+    for c in upper_vals:
+        event &= ~np.any((mu_hat > _moved(c, w)) & ~(mu > c), axis=-1)
+    return event
+
+
+def max_sup(g, neg_idx, pos_idx):
+    """max(sup_{neg} -g, sup_{pos} g) over the last axis; empty sets give -inf."""
+    neg = np.max(-g[..., neg_idx], axis=-1, initial=-np.inf)
+    return np.maximum(neg, np.max(g[..., pos_idx], axis=-1, initial=-np.inf))
+
+
 def shift_threshold(c: Field, delta) -> Field:
     """Threshold shifted by delta; infinite thresholds never move."""
-    v = c.values
-    out = np.where(np.isinf(v), v, v + delta)
-    return Field(c.domain, out)
+    return Field(c.domain, _moved(c.values, delta))
 
 
 def lower_excursion(f: Field, c: Field, closed: bool = False) -> IndexSet:
@@ -97,13 +129,7 @@ def upper_excursion(f: Field, c: Field, closed: bool = False) -> IndexSet:
 
 def t_stat(f: Field, neg_set: IndexSet, pos_set: IndexSet) -> float:
     """max(sup_{neg} -f, sup_{pos} f); empty sets contribute -inf."""
-    v = f.values
-    best = -np.inf
-    if len(neg_set):
-        best = float(np.max(-v[neg_set.members]))
-    if len(pos_set):
-        best = max(best, float(np.max(v[pos_set.members])))
-    return best
+    return float(max_sup(f.values, neg_set.members, pos_set.members))
 
 
 def scope_event(mu_hat: Field, mu: Field, bands: ScopeBands, fam: ThresholdFamily) -> bool:
@@ -114,19 +140,9 @@ def scope_event(mu_hat: Field, mu: Field, bands: ScopeBands, fam: ThresholdFamil
     for every upper-control threshold.
     """
     same_domain(mu_hat, mu, bands.sigma)
-    w = bands.half_width()
-    mh, mv = mu_hat.values, mu.values
-    for c in fam.lower:
-        cv = c.values
-        shifted = np.where(np.isinf(cv), cv, cv - w)
-        if np.any((mh < shifted) & ~(mv < cv)):
-            return False
-    for c in fam.upper:
-        cv = c.values
-        shifted = np.where(np.isinf(cv), cv, cv + w)
-        if np.any((mh > shifted) & ~(mv > cv)):
-            return False
-    return True
+    lower = [c.values for c in fam.lower]
+    upper = [c.values for c in fam.upper]
+    return bool(inclusion_event(mu_hat.values, mu.values, lower, upper, bands.half_width()))
 
 
 def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) -> Partition3:
@@ -134,32 +150,27 @@ def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) 
 
     Needs q >= 0: a negative margin would let the two outer classes overlap.
     """
-    dom = same_domain(mu_hat, b_minus, b_plus, bands.sigma)
+    same_domain(mu_hat, b_minus, b_plus, bands.sigma)
     if bands.q < 0:
         raise ParameterError("partition3 needs a nonnegative critical value")
     if np.any(b_minus.values > b_plus.values):
         raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
-    w = bands.half_width()
-    lo = lower_excursion(mu_hat, shift_threshold(b_minus, -w))
-    hi = upper_excursion(mu_hat, shift_threshold(b_plus, +w))
-    mid = lo.union(hi).complement(dom.size)
-    return Partition3(lo, mid, hi)
+    below, above = widened_excursions(
+        mu_hat.values, b_minus.values, b_plus.values, bands.half_width()
+    )
+    return Partition3(
+        IndexSet.from_mask(below), IndexSet.from_mask(~(below | above)), IndexSet.from_mask(above)
+    )
 
 
 def contour_regions(mu_hat: Field, levels, bands: ScopeBands) -> list[IndexSet]:
     """Simultaneous confidence regions for the level sets {mu = c_k}."""
-    dom = same_domain(mu_hat, bands.sigma)
-    w = bands.half_width()
-    out = []
-    for lev in levels:
-        if not np.isfinite(lev):
-            raise ParameterError("contour levels must be finite")
-        c = Field.constant(dom, lev)
-        covered = lower_excursion(mu_hat, shift_threshold(c, -w)).union(
-            upper_excursion(mu_hat, shift_threshold(c, +w))
-        )
-        out.append(covered.complement(dom.size))
-    return out
+    same_domain(mu_hat, bands.sigma)
+    lev = np.asarray(levels, dtype=float).reshape(-1, 1)
+    if not np.all(np.isfinite(lev)):
+        raise ParameterError("contour levels must be finite")
+    below, above = widened_excursions(mu_hat.values, lev, lev, bands.half_width())
+    return [IndexSet.from_mask(row) for row in ~(below | above)]
 
 
 def roi_adapt(b: Field, roi: IndexSet) -> tuple[Field, Field]:

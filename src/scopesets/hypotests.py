@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Rng, t_cdf
+from .dist import Rng
 from .domain import Field, IndexSet, same_domain
-from .errors import DegenerateDataError, ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, lower_excursion, shift_threshold, upper_excursion
+from .errors import ParameterError, ThresholdOrderError
+from .excursion import ScopeBands, _moved, widened_excursions
 from .preimage import KPolicy, oracle_preimage, plugin_preimage, resolve_k
 from .quantile import QuantileEstimate, _check_alpha, iid_exact_quantile, mc_oracle_quantile
+from .quantile import t_pvalues  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -88,28 +89,6 @@ def delta_eqv(mu: Field, band: BandSpec) -> float:
     return float(max(over, under))
 
 
-def _touch_sets(
-    reference: Field,
-    c_minus: Field,
-    c_plus: Field,
-    cal: Calibration,
-    bands: ScopeBands,
-    plugin: bool,
-) -> tuple[IndexSet, IndexSet]:
-    if not plugin:
-        neg = oracle_preimage(reference, [c_minus], cal.eta, "plus")
-        pos = oracle_preimage(reference, [c_plus], cal.eta, "minus")
-        return neg, pos
-    k = cal.k
-    if k is None:
-        if cal.policy is None or cal.N is None:
-            raise ParameterError("plug-in calibration needs k, or a policy with N")
-        k = resolve_k(cal.policy, cal.N, reference.domain.size, df=cal.N - 1)
-    neg = plugin_preimage(reference, [c_minus], bands.sigma, bands.tau, k, "plus")
-    pos = plugin_preimage(reference, [c_plus], bands.sigma, bands.tau, k, "minus")
-    return neg, pos
-
-
 def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> QuantileEstimate:
     cov = cal.cov
     iid = cov == "iid_normal" or (isinstance(cov, tuple) and cov[0] == "iid_t")
@@ -120,14 +99,42 @@ def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> Quant
     return mc_oracle_quantile(cov, neg, pos, cal.alpha, cal.reps, rng, tail=tail)
 
 
-def _resolve(quantile, bands, solve) -> QuantileEstimate:
+def _resolve(quantile, bands, reference: Field, c_neg, c_pos, plugin: bool, tail: str):
+    """The critical value: given by ``bands``, passed in, or calibrated.
+
+    Calibration solves for the max-sup statistic whose negated sup runs over
+    the points where ``reference`` touches threshold values ``c_neg`` from
+    above and whose plain sup runs over those touching ``c_pos`` from below;
+    ``plugin`` estimates these touch sets from ``reference`` as data.
+    """
     if quantile is None:
         return QuantileEstimate(bands.q, "given", float("nan"))
     if isinstance(quantile, QuantileEstimate):
         return quantile
-    if isinstance(quantile, Calibration):
-        return solve(quantile)
-    raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
+    if not isinstance(quantile, Calibration):
+        raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
+    cal = quantile
+    fam_neg = [Field(reference.domain, c_neg)]
+    fam_pos = [Field(reference.domain, c_pos)]
+    if not plugin:
+        neg = oracle_preimage(reference, fam_neg, cal.eta, "plus")
+        pos = oracle_preimage(reference, fam_pos, cal.eta, "minus")
+        return _solve_q(neg, pos, cal, tail)
+    k = cal.k
+    if k is None:
+        if cal.policy is None or cal.N is None:
+            raise ParameterError("plug-in calibration needs k, or a policy with N")
+        k = resolve_k(cal.policy, cal.N, reference.domain.size, df=cal.N - 1)
+    neg = plugin_preimage(reference, fam_neg, bands.sigma, bands.tau, k, "plus")
+    pos = plugin_preimage(reference, fam_pos, bands.sigma, bands.tau, k, "minus")
+    return _solve_q(neg, pos, cal, tail)
+
+
+def _excursions(mu_hat: Field, lower: Field, upper: Field, bands: ScopeBands, q: float):
+    """Masks of mu_hat below lower - w and above upper + w, w = q*tau*sigma."""
+    same_domain(mu_hat, lower, upper, bands.sigma)
+    w = q * bands.tau * bands.sigma.values
+    return widened_excursions(mu_hat.values, lower.values, upper.values, w)
 
 
 def grt(
@@ -146,19 +153,12 @@ def grt(
     """
     reference = mu if mu is not None else mu_hat
     d = delta_eqv(reference, band)
-
-    def solve(cal):
-        cm = shift_threshold(band.b_minus, -d)
-        cp = shift_threshold(band.b_plus, +d)
-        neg, pos = _touch_sets(reference, cm, cp, cal, bands, plugin=mu is None)
-        return _solve_q(neg, pos, cal, tail="upper")
-
-    est = _resolve(quantile, bands, solve)
-    w = est.q * bands.tau * bands.sigma.values
-    lo = lower_excursion(mu_hat, shift_threshold(band.b_minus, -w))
-    hi = upper_excursion(mu_hat, shift_threshold(band.b_plus, +w))
+    bm, bp = band.b_minus.values, band.b_plus.values
+    est = _resolve(quantile, bands, reference, _moved(bm, -d), _moved(bp, d), mu is None, "upper")
+    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
+    out = below | above
     return TestDecision(
-        "grT", est, d, global_reject=bool(len(lo) or len(hi)), rejected=lo.union(hi)
+        "grT", est, d, global_reject=bool(out.any()), rejected=IndexSet.from_mask(out)
     )
 
 
@@ -177,18 +177,10 @@ def lrt(
     """
     reference = mu if mu is not None else mu_hat
     d, _, _ = delta_rel(reference, band)
-
-    def solve(cal):
-        cm = shift_threshold(band.b_minus, +d)
-        cp = shift_threshold(band.b_plus, -d)
-        neg, pos = _touch_sets(reference, cm, cp, cal, bands, plugin=mu is None)
-        return _solve_q(neg, pos, cal, tail="upper")
-
-    est = _resolve(quantile, bands, solve)
-    w = est.q * bands.tau * bands.sigma.values
-    lo = lower_excursion(mu_hat, shift_threshold(band.b_minus, -w))
-    hi = upper_excursion(mu_hat, shift_threshold(band.b_plus, +w))
-    return TestDecision("lrT", est, d, rejected=lo.union(hi))
+    bm, bp = band.b_minus.values, band.b_plus.values
+    est = _resolve(quantile, bands, reference, _moved(bm, d), _moved(bp, -d), mu is None, "upper")
+    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
+    return TestDecision("lrT", est, d, rejected=IndexSet.from_mask(below | above))
 
 
 def et(
@@ -208,18 +200,10 @@ def et(
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     reference = mu if mu is not None else mu_hat
     d = delta_eqv(reference, band)
-
-    def solve(cal):
-        cm = shift_threshold(band.b_minus, -d)
-        cp = shift_threshold(band.b_plus, +d)
-        neg, pos = _touch_sets(reference, cm, cp, cal, bands, plugin=mu is None)
-        return _solve_q(neg, pos, cal, tail="lower")
-
-    est = _resolve(quantile, bands, solve)
-    w = est.q * bands.tau * bands.sigma.values
-    lo = lower_excursion(mu_hat, shift_threshold(band.b_minus, -w))
-    hi = upper_excursion(mu_hat, shift_threshold(band.b_plus, +w))
-    return TestDecision("eT", est, d, global_reject=not (len(lo) or len(hi)))
+    bm, bp = band.b_minus.values, band.b_plus.values
+    est = _resolve(quantile, bands, reference, _moved(bm, -d), _moved(bp, d), mu is None, "lower")
+    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
+    return TestDecision("eT", est, d, global_reject=not (below.any() or above.any()))
 
 
 def let_(
@@ -240,34 +224,12 @@ def let_(
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     reference = mu if mu is not None else mu_hat
     d, _, _ = delta_rel(reference, band)
-
-    def solve(cal):
-        cm = shift_threshold(band.b_minus, -d)
-        cp = shift_threshold(band.b_plus, +d)
-        # swapped roles: negated sup over the upper edge's touch set
-        neg, pos = _touch_sets(reference, cp, cm, cal, bands, plugin=mu is None)
-        return _solve_q(neg, pos, cal, tail="upper")
-
-    est = _resolve(quantile, bands, solve)
-    w = est.q * bands.tau * bands.sigma.values
-    inside_hi = lower_excursion(mu_hat, shift_threshold(band.b_plus, -w))
-    inside_lo = upper_excursion(mu_hat, shift_threshold(band.b_minus, +w))
-    return TestDecision("leT", est, d, rejected=inside_hi.intersection(inside_lo))
-
-
-def t_pvalues(data) -> np.ndarray:
-    """Two-sided one-sample t-test p-values per column of an N x J matrix."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ParameterError("data must be an N x J matrix with N >= 2")
-    N = data.shape[0]
-    sd = data.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        raise DegenerateDataError(
-            f"zero-variance column(s): {np.flatnonzero(sd == 0.0).tolist()}"
-        )
-    stat = np.sqrt(N) * np.abs(data.mean(axis=0)) / sd
-    return 2.0 * t_cdf(-stat, N - 1)
+    bm, bp = band.b_minus.values, band.b_plus.values
+    # swapped roles: negated sup over the upper edge's touch set
+    est = _resolve(quantile, bands, reference, _moved(bp, d), _moved(bm, -d), mu is None, "upper")
+    # below the shrunk upper edge and above the shrunk lower edge
+    inside_hi, inside_lo = _excursions(mu_hat, band.b_plus, band.b_minus, bands, est.q)
+    return TestDecision("leT", est, d, rejected=IndexSet.from_mask(inside_hi & inside_lo))
 
 
 def _simes_top_rejects(ps: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from .domain import IndexSet
 from .errors import ParameterError
 from .hypotests import bh, hommel
 from .preimage import KPolicy, resolve_k
-from .quantile import iid_quantile, storey_m0
+from .quantile import column_summary, iid_quantile, storey_m0
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,10 @@ def insig_report(
     evaluate the insignificance-value grid
     IV_J^obs, IV_J^qhat, IV_{J-m1}^qhat, IV_{m0}^qhat.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise ParameterError("data must be an N x J matrix with N >= 2")
-    N, J = data.shape
+    mean, sd = column_summary(data)
+    N, J = np.shape(data)
     if df is None:
         df = N - 1
-    mean = data.mean(axis=0)
-    sd = data.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        raise ParameterError(f"zero-variance column(s): {np.flatnonzero(sd == 0.0).tolist()}")
     tstat = np.sqrt(N) * mean / sd
 
     k = resolve_k(policy, N, J, df)

@@ -26,9 +26,6 @@ class PreimageSets:
     minus: IndexSet
     both: IndexSet
 
-    def is_empty(self) -> bool:
-        return len(self.both) == 0
-
 
 @dataclass(frozen=True)
 class KPolicy:
@@ -67,10 +64,53 @@ class KPolicy:
         return f"k={format(self.k, 'g')}"
 
 
-def _side_masks(diff: np.ndarray, tol: np.ndarray | float):
-    plus = (diff >= 0) & (diff <= tol)
-    minus = (-diff >= 0) & (-diff <= tol)
+def _touch_masks(values: np.ndarray, fam, tol):
+    """Plus-side 0 <= values - c <= tol and minus-side masks, OR-ed over ``fam``.
+
+    inf - inf would be NaN: an infinite threshold is never met by a finite
+    value, and meets an equal infinite value at distance 0.
+    """
+    plus = np.zeros(values.shape, dtype=bool)
+    minus = np.zeros(values.shape, dtype=bool)
+    for c in fam:
+        with np.errstate(invalid="ignore"):
+            diff = values - c.values
+        both_inf = np.isinf(values) & np.isinf(c.values)
+        diff = np.where(both_inf, np.where(values == c.values, 0.0, np.inf), diff)
+        plus |= (diff >= 0) & (diff <= tol)
+        minus |= (-diff >= 0) & (-diff <= tol)
     return plus, minus
+
+
+def _side(plus: np.ndarray, minus: np.ndarray, side: str) -> IndexSet:
+    masks = {"plus": plus, "minus": minus, "both": plus | minus}
+    if side not in masks:
+        raise ParameterError(f"unknown side {side!r}")
+    return IndexSet.from_mask(masks[side])
+
+
+def _sets(plus: np.ndarray, minus: np.ndarray) -> PreimageSets:
+    return PreimageSets(
+        IndexSet.from_mask(plus), IndexSet.from_mask(minus), IndexSet.from_mask(plus | minus)
+    )
+
+
+def _oracle_masks(mu: Field, fam, eta: float):
+    if eta < 0:
+        raise ParameterError(f"eta must be >= 0, got {eta}")
+    fam = tuple(fam)
+    same_domain(mu, *fam)
+    return _touch_masks(mu.values, fam, eta)
+
+
+def _plugin_masks(mu_hat: Field, fam, sigma: Field, tau: float, k: float):
+    if not k > 0:
+        raise ParameterError(f"k must be > 0, got {k}")
+    if not tau > 0:
+        raise ParameterError(f"tau must be > 0, got {tau}")
+    fam = tuple(fam)
+    same_domain(mu_hat, sigma, *fam)
+    return _touch_masks(mu_hat.values, fam, k * tau * sigma.values)
 
 
 def oracle_preimage(mu: Field, fam, eta: float, side: str = "both") -> IndexSet:
@@ -79,71 +119,22 @@ def oracle_preimage(mu: Field, fam, eta: float, side: str = "both") -> IndexSet:
     Plus side: 0 <= mu - c <= eta for some member c; minus side mirrored;
     'both' is the union.  eta = 0 gives the exact preimage.
     """
-    if eta < 0:
-        raise ParameterError(f"eta must be >= 0, got {eta}")
-    fam = tuple(fam)
-    same_domain(mu, *fam)
-    plus = np.zeros(mu.domain.size, dtype=bool)
-    minus = np.zeros(mu.domain.size, dtype=bool)
-    for c in fam:
-        diff = mu.values - c.values
-        # inf - inf would be NaN; an infinite threshold is never met by a
-        # finite target, and meets an equal infinite target at distance 0
-        both_inf = np.isinf(mu.values) & np.isinf(c.values)
-        diff = np.where(both_inf, np.where(mu.values == c.values, 0.0, np.inf), diff)
-        p, m = _side_masks(diff, eta)
-        plus |= p
-        minus |= m
-    if side == "plus":
-        return IndexSet.from_mask(plus)
-    if side == "minus":
-        return IndexSet.from_mask(minus)
-    if side == "both":
-        return IndexSet.from_mask(plus | minus)
-    raise ParameterError(f"unknown side {side!r}")
+    return _side(*_oracle_masks(mu, fam, eta), side)
 
 
 def oracle_preimage_sets(mu: Field, fam, eta: float = 0.0) -> PreimageSets:
-    return PreimageSets(
-        oracle_preimage(mu, fam, eta, "plus"),
-        oracle_preimage(mu, fam, eta, "minus"),
-        oracle_preimage(mu, fam, eta, "both"),
-    )
+    return _sets(*_oracle_masks(mu, fam, eta))
 
 
 def plugin_preimage(
     mu_hat: Field, fam, sigma: Field, tau: float, k: float, side: str = "both"
 ) -> IndexSet:
     """Thickened plugin estimate of the preimage with tolerance k*tau*sigma."""
-    if not k > 0:
-        raise ParameterError(f"k must be > 0, got {k}")
-    if not tau > 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    fam = tuple(fam)
-    same_domain(mu_hat, sigma, *fam)
-    tol = k * tau * sigma.values
-    plus = np.zeros(mu_hat.domain.size, dtype=bool)
-    minus = np.zeros(mu_hat.domain.size, dtype=bool)
-    for c in fam:
-        diff = mu_hat.values - c.values
-        p, m = _side_masks(diff, tol)
-        plus |= p
-        minus |= m
-    if side == "plus":
-        return IndexSet.from_mask(plus)
-    if side == "minus":
-        return IndexSet.from_mask(minus)
-    if side == "both":
-        return IndexSet.from_mask(plus | minus)
-    raise ParameterError(f"unknown side {side!r}")
+    return _side(*_plugin_masks(mu_hat, fam, sigma, tau, k), side)
 
 
 def plugin_preimage_sets(mu_hat: Field, fam, sigma: Field, tau: float, k: float) -> PreimageSets:
-    return PreimageSets(
-        plugin_preimage(mu_hat, fam, sigma, tau, k, "plus"),
-        plugin_preimage(mu_hat, fam, sigma, tau, k, "minus"),
-        plugin_preimage(mu_hat, fam, sigma, tau, k, "both"),
-    )
+    return _sets(*_plugin_masks(mu_hat, fam, sigma, tau, k))
 
 
 def resolve_k(policy: KPolicy, N: int, J: int, df: float) -> float:

@@ -16,6 +16,7 @@ from scipy import optimize
 from .dist import Rng, normal_cdf, quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
+from .excursion import max_sup
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,29 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     return alpha
+
+
+def column_summary(data) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and sample standard deviations of an N x J matrix.
+
+    Needs N >= 2; a zero-variance column raises, naming the first (0-based).
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] < 2:
+        raise ParameterError("data must be an N x J matrix with N >= 2")
+    sd = data.std(axis=0, ddof=1)
+    zero = np.flatnonzero(sd == 0.0)
+    if zero.size:
+        raise DegenerateDataError(f"zero-variance column {zero[0]}")
+    return data.mean(axis=0), sd
+
+
+def t_pvalues(data) -> np.ndarray:
+    """Two-sided one-sample t-test p-values per column of an N x J matrix."""
+    mean, sd = column_summary(data)
+    N = np.shape(data)[0]
+    stat = np.sqrt(N) * np.abs(mean) / sd
+    return 2.0 * t_cdf(-stat, N - 1)
 
 
 def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> QuantileEstimate:
@@ -68,8 +92,6 @@ def storey_m0(pvalues) -> int:
 
 def storey_quantile(data, alpha: float, sided: str = "one_sided") -> QuantileEstimate:
     """Critical value sized by Storey's null-count from two-sided p-values."""
-    from .hypotests import t_pvalues  # deferred: hypotests imports this module
-
     data = np.asarray(data, dtype=float)
     m0 = storey_m0(t_pvalues(data))
     est = iid_quantile(m0, alpha, df=data.shape[0] - 1, sided=sided)
@@ -126,9 +148,16 @@ def _lower_index(alpha: float, reps: int) -> int:
     return max(1, int(np.floor(alpha * reps)))
 
 
-def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.ndarray:
-    neg_idx, pos_idx = neg_pos
+def _chunked_max_sup(draw, reps, chunk, rng: Rng, neg_idx, pos_idx) -> np.ndarray:
+    """max_sup of ``reps`` draws, ``chunk`` rows at a time; chunk i draws from child stream i."""
     stats = np.empty(reps)
+    for ci, start in enumerate(range(0, reps, chunk)):
+        n = min(chunk, reps - start)
+        stats[start : start + n] = max_sup(draw(rng.child(ci).generator(), n), neg_idx, pos_idx)
+    return stats
+
+
+def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.ndarray:
     chunk = max(1, min(reps, int(4e6 / max(1, union.size))))
     if isinstance(cov, str) and cov == "iid_normal":
         draw = lambda gen, n: gen.standard_normal((n, union.size))
@@ -142,16 +171,7 @@ def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.
             raise ParameterError("correlation matrix is not positive semidefinite")
         factor = (v * np.sqrt(np.clip(w, 0.0, None))).T
         draw = lambda gen, n: gen.standard_normal((n, union.size)) @ factor
-    for ci, start in enumerate(range(0, reps, chunk)):
-        n = min(chunk, reps - start)
-        g = draw(rng.child(ci).generator(), n)
-        parts = []
-        if neg_idx.size:
-            parts.append(-g[:, neg_idx])
-        if pos_idx.size:
-            parts.append(g[:, pos_idx])
-        stats[start : start + n] = np.concatenate(parts, axis=1).max(axis=1)
-    return stats
+    return _chunked_max_sup(draw, reps, chunk, rng, *neg_pos)
 
 
 def mc_oracle_quantile(
@@ -218,26 +238,11 @@ def multiplier_bootstrap_quantile(
         bad = union[np.flatnonzero(sd == 0.0)]
         raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
     scaled = centered / sd
-    lookup = {int(v): i for i, v in enumerate(union)}
-    neg_idx = np.array([lookup[int(v)] for v in neg_set.members], dtype=int)
-    pos_idx = np.array([lookup[int(v)] for v in pos_set.members], dtype=int)
-
-    stats = np.empty(R)
+    neg_idx = np.searchsorted(union, neg_set.members)
+    pos_idx = np.searchsorted(union, pos_set.members)
     chunk = max(1, min(R, int(4e6 / max(1, N))))
-    start = 0
-    ci = 0
-    while start < R:
-        n = min(chunk, R - start)
-        g = rng.child(ci).generator().standard_normal((n, N))
-        B = (g @ scaled) / np.sqrt(N)
-        parts = []
-        if neg_idx.size:
-            parts.append(-B[:, neg_idx])
-        if pos_idx.size:
-            parts.append(B[:, pos_idx])
-        stats[start : start + n] = np.concatenate(parts, axis=1).max(axis=1)
-        start += n
-        ci += 1
+    draw = lambda gen, n: (gen.standard_normal((n, N)) @ scaled) / np.sqrt(N)
+    stats = _chunked_max_sup(draw, R, chunk, rng, neg_idx, pos_idx)
     stats.sort()
     idx = _upper_index(alpha, R) if tail == "upper" else _lower_index(alpha, R)
     return QuantileEstimate(float(stats[idx - 1]), "multiplier_bootstrap", alpha, int(union.size))

@@ -10,8 +10,8 @@ errors only.
 Each replication's t-statistics are drawn from their sufficient statistics
 (Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
 Everything is driven by one seed; replications split into chunks whose size
-depends on J alone, each with a derived child stream, so results are
-byte-reproducible and identical for any thread count.
+depends on J alone, each with a derived child stream and reduced in chunk
+order, so results are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .dist import Rng, t_cdf
 from .domain import Domain, Field
 from .errors import ParameterError
+from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
 from .preimage import KPolicy, oracle_preimage, resolve_k
 from .quantile import iid_quantile
@@ -108,13 +109,6 @@ def _chunk_size(J: int) -> int:
     return max(1, 10**6 // J)
 
 
-@dataclass
-class _Accum:
-    cov: int = 0
-    fd: float = 0.0
-    td: float = 0.0
-
-
 def _quantile_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     return np.array(
         [iid_quantile(m, alpha, df=df, sided=sided).q for m in range(J + 1)]
@@ -132,19 +126,13 @@ def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> n
     return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
 
 
-def _run_chunk(task):
-    """One replication chunk; returns partial (cov, fd, td) sums per key.
-
-    Pure function of its arguments plus the derived seed, so chunks can run
-    on any worker in any order without changing the reduced result.
-    """
-    (rng, ni, ci, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha) = task
+def _run_chunk(rng, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha):
+    """One chunk of nb replications drawn from ``rng``; partial (cov, fd, td) sums per key."""
     J = mu.size
     df = N - 1
     is_null = mu == 0.0
     n_null = int(is_null.sum())
-    gen = rng.child(ni).child(ci).generator()
-    tmat = _draw_tstats(gen, nb, N, mu)
+    tmat = _draw_tstats(rng.generator(), nb, N, mu)
 
     pv = None
     if baselines or any(kind == "storey" for kind, _, _ in methods):
@@ -159,9 +147,7 @@ def _run_chunk(task):
         else:
             m_vec = (np.abs(tmat) <= ks[label]).sum(axis=1)
         for s in sided_list:
-            q = q_tables[s][m_vec]
-            lower = tmat < -q[:, None]
-            upper = tmat > q[:, None]
+            lower, upper = widened_excursions(tmat, 0.0, 0.0, q_tables[s][m_vec][:, None])
             fd = (lower & (mu >= 0.0)).sum(axis=1) + (upper & (mu <= 0.0)).sum(axis=1)
             td = (lower & (mu < 0.0)).sum(axis=1) + (upper & (mu > 0.0)).sum(axis=1)
             out[(label, s)] = (int((fd == 0).sum()), float(fd.sum()), float(td.sum()))
@@ -175,11 +161,10 @@ def _run_chunk(task):
     return out
 
 
-def run_simulation(cfg: SimConfig, threads: int = 1) -> list[SimTableRow]:
+def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
     """Run the harness and return one row per (method, N).
 
-    Replication chunks carry derived seeds and reduce by chunk-indexed
-    summation, so the output is identical for any ``threads`` value.
+    Replication chunks carry derived seeds and are summed in chunk order.
     """
     if cfg.mu is not None:
         mu = np.asarray(cfg.mu, dtype=float)
@@ -211,54 +196,35 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> list[SimTableRow]:
         for kind, policy, label in methods:
             if kind in ("log_kappa", "scb"):
                 ks[label] = resolve_k(policy, N, J, df)
-        scope_acc = {
-            (label, s): _Accum() for (_, _, label) in methods for s in sided_list
-        }
-        base_acc = {b: _Accum() for b in cfg.baselines}
-
-        tasks = [
-            (rng, ni, ci, min(B, cfg.reps - start), N, mu, methods, ks, q_tables,
-             sided_list, cfg.baselines, alpha)
-            for ci, start in enumerate(range(0, cfg.reps, B))
-        ]
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(pool.map(_run_chunk, tasks))
-        else:
-            partials = [_run_chunk(t) for t in tasks]
-
-        for part in partials:  # chunk order fixed by the task list
-            for key, (cov, fd, td) in part.items():
-                acc = base_acc[key[0]] if key[1] is None else scope_acc[key]
-                acc.cov += cov
-                acc.fd += fd
-                acc.td += td
+        totals = {}
+        for ci, start in enumerate(range(0, cfg.reps, B)):
+            part = _run_chunk(rng.child(ni).child(ci), min(B, cfg.reps - start), N, mu,
+                              methods, ks, q_tables, sided_list, cfg.baselines, alpha)
+            for key, sums in part.items():
+                totals[key] = tuple(x + y for x, y in zip(totals.get(key, (0, 0.0, 0.0)), sums))
 
         for kind, policy, label in methods:
             for s in sided_list:
-                acc = scope_acc[(label, s)]
+                cov, fd, td = totals[(label, s)]
                 name = label if len(sided_list) == 1 else f"{label}[{s}]"
                 rows.append(
                     SimTableRow(
                         method=name,
                         N=int(N),
-                        cov=100.0 * acc.cov / cfg.reps,
-                        fd=acc.fd / cfg.reps,
-                        td=(acc.td / cfg.reps) if n_alt else None,
+                        cov=100.0 * cov / cfg.reps,
+                        fd=fd / cfg.reps,
+                        td=(td / cfg.reps) if n_alt else None,
                     )
                 )
         for b in cfg.baselines:
-            acc = base_acc[b]
+            _, fd, td = totals[(b, None)]
             rows.append(
                 SimTableRow(
                     method=b,
                     N=int(N),
                     cov=None,
-                    fd=(acc.fd / cfg.reps) if n_null else None,
-                    td=(acc.td / cfg.reps) if n_alt else None,
+                    fd=(fd / cfg.reps) if n_null else None,
+                    td=(td / cfg.reps) if n_alt else None,
                 )
             )
     return rows
@@ -308,6 +274,8 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
     sig_max = float(np.max(sigma.values))
     slack = q + eta / (tau * sig_max)
     w = q * tau * sigma.values
+    lower_vals = [c.values for c in instance.lower_fam]
+    upper_vals = [c.values for c in instance.upper_fam]
 
     gen = rng.generator()
     n_event = n_lower = n_upper = 0
@@ -318,29 +286,9 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
         g = gen.standard_normal((nb, mu.domain.size))
         mu_hat = mu.values + tau * sigma.values * g
 
-        event = np.ones(nb, dtype=bool)
-        for c in instance.lower_fam:
-            cv = c.values
-            shifted = np.where(np.isinf(cv), cv, cv - w)
-            event &= ~np.any((mu_hat < shifted) & ~(mu.values < cv), axis=1)
-        for c in instance.upper_fam:
-            cv = c.values
-            shifted = np.where(np.isinf(cv), cv, cv + w)
-            event &= ~np.any((mu_hat > shifted) & ~(mu.values > cv), axis=1)
-
-        crit = np.full(nb, -np.inf)
-        if neg_thick.size:
-            crit = np.maximum(crit, (-g[:, neg_thick]).max(axis=1))
-        if pos_thick.size:
-            crit = np.maximum(crit, g[:, pos_thick].max(axis=1))
-        lower = (crit < q) & (np.abs(g).max(axis=1) < slack)
-
-        stat = np.full(nb, -np.inf)
-        if neg_exact.size:
-            stat = np.maximum(stat, (-g[:, neg_exact]).max(axis=1))
-        if pos_exact.size:
-            stat = np.maximum(stat, g[:, pos_exact].max(axis=1))
-        upper = stat <= q
+        event = inclusion_event(mu_hat, mu.values, lower_vals, upper_vals, w)
+        lower = (max_sup(g, neg_thick, pos_thick) < q) & (np.abs(g).max(axis=1) < slack)
+        upper = max_sup(g, neg_exact, pos_exact) <= q
 
         if np.any(lower & ~event):
             raise AssertionError("lower bound event without inclusion event")

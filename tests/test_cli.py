@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,47 @@ def test_non_finite_sample_cell_exits_2_naming_it(tmp_path, capsys, command, cel
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {path}: non-finite value at row 2, column 1\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLE_ARGS))
+def test_empty_sample_file_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "d.csv"
+    path.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--data", str(path), *SAMPLE_ARGS[command],
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {path}: data must have at least two rows\n"
+
+
+POLICY_FLAG_ERRORS = [
+    ["--kappa", "0"],
+    ["--k", "-1"],
+    ["--scb-beta", "1.5"],
+    ["--kappa", "3", "--alpha", "0"],
+    ["--kappa", "3", "--alpha", "1.5"],
+]
+BAD_FLAG_CASES = [
+    *((["scope", "--level", "0"], flags) for flags in POLICY_FLAG_ERRORS),
+    *((["insig"], flags) for flags in POLICY_FLAG_ERRORS),
+    *((["tests", *SAMPLE_ARGS["tests"]], flags)
+      for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"])),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags", BAD_FLAG_CASES, ids=[" ".join([c[0], *f]) for c, f in BAD_FLAG_CASES]
+)
+def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, command, flags):
+    path = tmp_path / "d.csv"
+    write_data(path, Rng(4), N=20, J=5)
+    rc = main([*command, "--data", str(path), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 

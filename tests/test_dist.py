@@ -9,8 +9,6 @@ from scopesets.dist import (
     f_cdf,
     normal_cdf,
     quantile,
-    sample_normal,
-    sample_t,
     t_cdf,
 )
 from scopesets.errors import ParameterError
@@ -174,20 +172,22 @@ class TestBinomTail:
 
 class TestSamplers:
     def test_empty(self):
-        assert sample_normal(Rng(1), 0).size == 0
+        assert Rng(1).generator().standard_normal(0).size == 0
 
     def test_determinism(self):
-        a = sample_normal(Rng(123), 50)
-        b = sample_normal(Rng(123), 50)
+        a = Rng(123).generator().standard_normal(50)
+        b = Rng(123).generator().standard_normal(50)
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(sample_t(Rng(5), 20, 7), sample_t(Rng(5), 20, 7))
+        np.testing.assert_array_equal(
+            Rng(5).generator().standard_t(7, 20), Rng(5).generator().standard_t(7, 20)
+        )
 
     def test_child_streams_differ(self):
         r = Rng(9)
-        a = sample_normal(r.child(0), 100)
-        b = sample_normal(r.child(1), 100)
+        a = r.child(0).generator().standard_normal(100)
+        b = r.child(1).generator().standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_clt_mean(self):
-        x = sample_normal(Rng(2024), 10**6)
+        x = Rng(2024).generator().standard_normal(10**6)
         assert abs(x.mean()) < 4e-3

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scopesets.domain import Domain, Field, IndexSet
 from scopesets.errors import ThresholdOrderError
@@ -7,7 +8,9 @@ from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
     contour_regions,
+    inclusion_event,
     lower_excursion,
+    max_sup,
     partition3,
     roi_adapt,
     scb_scope_equivalence,
@@ -15,6 +18,7 @@ from scopesets.excursion import (
     shift_threshold,
     t_stat,
     upper_excursion,
+    widened_excursions,
 )
 
 DOM3 = Domain(3)
@@ -280,3 +284,77 @@ class TestBandInclusionDuality:
             up_s = upper_excursion(f, shift_threshold(c, q_hi))
             up = upper_excursion(f, shift_threshold(c, q))
             assert up_s.issubset(up)
+
+
+FINITE = st.floats(-3.0, 3.0)
+THRESHOLD = st.one_of(FINITE, st.sampled_from([-np.inf, np.inf]))
+
+
+@st.composite
+def batches(draw):
+    """(B, J) estimates, a target, threshold rows with infinities, sigma, tau and q >= 0."""
+    B, J = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    row = lambda elem: np.array(draw(st.lists(elem, min_size=J, max_size=J)))
+    return {
+        "mu_hat": np.array([row(FINITE) for _ in range(B)]),
+        "mu": row(FINITE),
+        "thresholds": [row(THRESHOLD) for _ in range(draw(st.integers(1, 3)))],
+        "sigma": row(st.floats(0.1, 3.0)),
+        "tau": draw(st.floats(0.05, 1.0)),
+        "q": draw(st.floats(0.0, 5.0)),
+        "neg": sorted(draw(st.sets(st.integers(0, J - 1)))),
+        "pos": sorted(draw(st.sets(st.integers(0, J - 1)))),
+    }
+
+
+class TestBatchedKernels:
+    @settings(deadline=None)
+    @given(batches())
+    def test_widened_excursions_rows_match_partition3(self, b):
+        dom = Domain(b["mu"].size)
+        lower = np.minimum(b["thresholds"][0], b["thresholds"][-1])
+        upper = np.maximum(b["thresholds"][0], b["thresholds"][-1])
+        bands = ScopeBands(b["q"], b["tau"], Field(dom, b["sigma"]))
+        below, above = widened_excursions(b["mu_hat"], lower, upper, bands.half_width())
+        for i, mh in enumerate(b["mu_hat"]):
+            part = partition3(Field(dom, mh), Field(dom, lower), Field(dom, upper), bands)
+            assert part.lower == IndexSet.from_mask(below[i])
+            assert part.upper == IndexSet.from_mask(above[i])
+            assert part.middle == IndexSet.from_mask(~(below[i] | above[i]))
+
+    @settings(deadline=None)
+    @given(batches(), st.floats(0.0, 5.0))
+    def test_masks_shrink_as_q_grows(self, b, dq):
+        c = b["thresholds"][0]
+        below, above = widened_excursions(b["mu_hat"], c, c, b["q"] * b["tau"] * b["sigma"])
+        w2 = (b["q"] + dq) * b["tau"] * b["sigma"]
+        below2, above2 = widened_excursions(b["mu_hat"], c, c, w2)
+        assert not np.any(below2 & ~below) and not np.any(above2 & ~above)
+
+    @settings(deadline=None)
+    @given(batches())
+    def test_inclusion_event_rows_match_scope_event(self, b):
+        dom = Domain(b["mu"].size)
+        split = len(b["thresholds"]) // 2
+        lower, upper = b["thresholds"][:split], b["thresholds"][split:]
+        bands = ScopeBands(b["q"], b["tau"], Field(dom, b["sigma"]))
+        fam = ThresholdFamily([Field(dom, c) for c in lower], [Field(dom, c) for c in upper])
+        event = inclusion_event(b["mu_hat"], b["mu"], lower, upper, bands.half_width())
+        assert event.shape == (len(b["mu_hat"]),)
+        for i, mh in enumerate(b["mu_hat"]):
+            assert event[i] == scope_event(Field(dom, mh), Field(dom, b["mu"]), bands, fam)
+
+    @settings(deadline=None)
+    @given(batches())
+    def test_max_sup_rows_match_t_stat(self, b):
+        dom = Domain(b["mu"].size)
+        neg, pos = np.array(b["neg"], dtype=int), np.array(b["pos"], dtype=int)
+        stat = max_sup(b["mu_hat"], neg, pos)
+        for i, g in enumerate(b["mu_hat"]):
+            assert stat[i] == t_stat(Field(dom, g), IndexSet(neg), IndexSet(pos))
+
+    @settings(deadline=None)
+    @given(batches())
+    def test_max_sup_of_empty_sets_is_minus_inf(self, b):
+        empty = np.array([], dtype=int)
+        assert np.all(max_sup(b["mu_hat"], empty, empty) == -np.inf)

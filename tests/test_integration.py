@@ -13,6 +13,7 @@ from scopesets.excursion import (
     contour_regions,
     roi_adapt,
     scope_event,
+    widened_excursions,
 )
 from scopesets.hypotests import BandSpec, Calibration, et, grt
 from scopesets.preimage import PreimageSets
@@ -39,12 +40,19 @@ class TestContourCoverage:
         union = touch[0].union(touch[1]).union(touch[2])
         est = iid_exact_quantile(union, union, alpha)
         bands = ScopeBands(est.q, tau, Field.constant(dom, 1.0))
+        z = Rng(31).generator().standard_normal((reps, J))
         gen = Rng(31).generator()
-        covered = 0
-        for _ in range(reps):
-            mu_hat = Field(dom, mu_vals + tau * gen.standard_normal(J))
-            regions = contour_regions(mu_hat, levels, bands)
-            covered += all(t.issubset(r) for t, r in zip(touch, regions))
+        # the (reps, J) draw is the per-realization draw of the same stream, row by row
+        np.testing.assert_array_equal(z, [gen.standard_normal(J) for _ in range(reps)])
+        mu_hat = mu_vals + tau * z
+        lev = np.array(levels)[:, None]
+        below, above = widened_excursions(mu_hat[:, None, :], lev, lev, bands.half_width())
+        regions = ~(below | above)  # (reps, level, J)
+        for i in range(500):
+            rows = contour_regions(Field(dom, mu_hat[i]), levels, bands)
+            np.testing.assert_array_equal([r.mask(J) for r in rows], regions[i])
+        touch_mask = np.array([t.mask(J) for t in touch])
+        covered = int(np.all(regions | ~touch_mask, axis=(1, 2)).sum())
         se = np.sqrt(alpha * (1 - alpha) / reps)
         assert covered / reps == pytest.approx(1 - alpha, abs=3 * se)
 

@@ -8,6 +8,7 @@ from scopesets.preimage import (
     KPolicy,
     consistency_probe,
     oracle_preimage,
+    oracle_preimage_sets,
     plugin_preimage,
     plugin_preimage_sets,
     resolve_k,
@@ -107,6 +108,14 @@ class TestPluginPreimage:
                 o = oracle_preimage(mu, [c], eta, side)
                 p = plugin_preimage(mu, [c], sigma, tau, k, side)
                 assert o.issubset(p)
+
+    def test_equal_infinite_estimate_touches_infinite_threshold(self):
+        # inf - inf is NaN; both estimators count an equal infinity as distance 0
+        mu_hat = fld(np.inf, -np.inf, np.inf, 0.0)
+        c = fld(np.inf, -np.inf, -np.inf, np.inf)
+        sets = plugin_preimage_sets(mu_hat, [c], Field.constant(mu_hat.domain, 1.0), 0.1, 1.0)
+        assert sets.plus == sets.minus == sets.both == IndexSet([0, 1])
+        assert sets == oracle_preimage_sets(mu_hat, [c], 0.0)
 
     def test_parameter_errors(self):
         mu_hat = fld(0.0)

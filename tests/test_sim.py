@@ -101,9 +101,9 @@ class TestDrawTstats:
         seen = {}
         real = sim._run_chunk
 
-        def spy(task):
-            seen.setdefault(task[4], []).append(task[3])
-            return real(task)
+        def spy(rng, nb, N, *rest):
+            seen.setdefault(N, []).append(nb)
+            return real(rng, nb, N, *rest)
 
         monkeypatch.setattr(sim, "_run_chunk", spy)
         run_simulation(SimConfig(model="A", N_list=(5, 2000), J=20_000,
@@ -119,12 +119,21 @@ class TestRunSimulation:
         rows2 = run_simulation(cfg)
         assert rows1 == rows2
 
-    def test_thread_count_does_not_change_results(self):
-        # 30,000 reps at J=80 span three chunks, so the pool really splits work
-        for reps in (500, 30_000):
-            cfg = SimConfig(model="B", N_list=(40,), methods=("oracle", "log_kappa(3)"),
-                            baselines=("bh",), reps=reps, seed=22)
-            assert run_simulation(cfg, threads=1) == run_simulation(cfg, threads=4)
+    def test_multi_chunk_run_sums_its_chunks_in_order(self):
+        # 30,000 reps at J=80 span three chunks, chunk ci drawing from child (N index, ci)
+        cfg = SimConfig(model="B", N_list=(40,), methods=("oracle",), reps=30_000, seed=22)
+        (row,) = run_simulation(cfg)
+        methods = [parse_method("oracle")]
+        q_tables = {"two_sided": sim._quantile_table(80, 0.1, 39, "two_sided")}
+        B = _chunk_size(80)
+        parts = [
+            sim._run_chunk(Rng(22).child(0).child(ci), min(B, 30_000 - start), 40,
+                           model_mu("B").values, methods, {}, q_tables, ["two_sided"], (), 0.1)
+            for ci, start in enumerate(range(0, 30_000, B))
+        ]
+        assert len(parts) == 3
+        cov, fd, td = (sum(p[("oracle", "two_sided")][i] for p in parts) for i in range(3))
+        assert (row.cov, row.fd, row.td) == (100.0 * cov / 30_000, fd / 30_000, td / 30_000)
 
     def test_row_shape_and_absences(self):
         cfg = SimConfig(model="A", N_list=(30, 60), methods=("oracle",),
