@@ -84,7 +84,7 @@ def _checked_matrix(path, data: np.ndarray) -> np.ndarray:
 
 
 def _from_flags(fn, *args, **kwargs):
-    """Call fn on values taken from flags; a ParameterError there is a usage error."""
+    """Call fn on flag values or files named by flags; a ParameterError there is a usage error."""
     try:
         return fn(*args, **kwargs)
     except ParameterError as exc:
@@ -167,8 +167,8 @@ def cmd_scope(args) -> int:
     if args.level is not None:
         lower = upper = Field.constant(dom, args.level)
     elif args.lower and args.upper:
-        lower = load_field(args.lower, dom)
-        upper = load_field(args.upper, dom)
+        lower = _from_flags(load_field, args.lower, dom)
+        upper = _from_flags(load_field, args.upper, dom)
     else:
         raise UsageError("give --level, or both --lower and --upper")
     if np.any(lower.values > upper.values):
@@ -303,7 +303,7 @@ def cmd_tests(args) -> int:
     band = BandSpec(Field.constant(dom, args.b_minus), Field.constant(dom, args.b_plus))
     mu_hat = Field(dom, mean)
     bands = ScopeBands(0.0, 1.0 / np.sqrt(N), Field(dom, sd))
-    mu = load_field(args.mu, dom) if args.mu else None
+    mu = _from_flags(load_field, args.mu, dom) if args.mu else None
     cal = Calibration(
         alpha=args.alpha,
         cov=("iid_t", N - 1),

@@ -8,6 +8,7 @@ vector of extended reals (+-inf allowed, NaN rejected) to a domain.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,12 @@ class Field:
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
+
+
+def _gap(a, b) -> np.ndarray:
+    """a - b over extended reals, with equal values (equal infinities too) at gap 0."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN before np.where replaces it
+        return np.where(a == b, 0.0, np.subtract(a, b))
 
 
 def same_domain(*fields: Field) -> Domain:
@@ -197,17 +204,26 @@ def save_field(f: Field, path) -> None:
 
 
 def load_field(path, domain: Domain | None = None) -> Field:
-    """Read a field written by :func:`save_field`."""
+    """Read a field written by :func:`save_field`.
+
+    A malformed file raises ``ParameterError`` naming the file and the line.
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if [h.strip().lower() for h in header[:2]] != ["index", "value"]:
             raise ParameterError(f"expected header 'index,value' in {path}")
-        for line in r:
+        for lineno, line in enumerate(r, start=2):
             if not line:
                 continue
-            rows.append((int(line[0]), float(line[1])))
+            try:
+                index, value = int(line[0]), float(line[1])
+            except (ValueError, IndexError) as exc:
+                raise ParameterError(f"{path} line {lineno}: expected index,value: {exc}") from exc
+            if math.isnan(value):
+                raise ParameterError(f"{path} line {lineno}: field values must not be NaN")
+            rows.append((index, value))
     rows.sort()
     values = np.array([v for _, v in rows])
     if domain is None:

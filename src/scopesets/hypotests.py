@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import Rng
-from .domain import Field, IndexSet, same_domain
+from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, _moved, widened_excursions
 from .preimage import KPolicy, oracle_preimage, plugin_preimage, resolve_k
@@ -76,16 +76,16 @@ class Calibration:
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
     """Smallest distances of the target to each band edge (and their min)."""
     same_domain(mu, band.b_minus)
-    d_minus = float(np.min(np.abs(mu.values - band.b_minus.values)))
-    d_plus = float(np.min(np.abs(mu.values - band.b_plus.values)))
+    d_minus = float(np.min(np.abs(_gap(mu.values, band.b_minus.values))))
+    d_plus = float(np.min(np.abs(_gap(mu.values, band.b_plus.values))))
     return min(d_minus, d_plus), d_minus, d_plus
 
 
 def delta_eqv(mu: Field, band: BandSpec) -> float:
     """Largest signed exceedance of the target over the band (<= 0 inside)."""
     same_domain(mu, band.b_minus)
-    over = np.max(mu.values - band.b_plus.values)
-    under = np.max(band.b_minus.values - mu.values)
+    over = np.max(_gap(mu.values, band.b_plus.values))
+    under = np.max(_gap(band.b_minus.values, mu.values))
     return float(max(over, under))
 
 

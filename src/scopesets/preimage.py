@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import Rng, quantile
-from .domain import Field, IndexSet, hausdorff_distance, same_domain
+from .domain import Field, IndexSet, _gap, hausdorff_distance, same_domain
 from .errors import ParameterError
 
 
@@ -67,18 +67,16 @@ class KPolicy:
 def _touch_masks(values: np.ndarray, fam, tol):
     """Plus-side 0 <= values - c <= tol and minus-side masks, OR-ed over ``fam``.
 
-    inf - inf would be NaN: an infinite threshold is never met by a finite
-    value, and meets an equal infinite value at distance 0.
+    Equal values, infinite ones included, are at distance 0; any other
+    difference involving an infinity is infinite with its own sign, so it
+    counts on that side and only under an infinite tolerance.
     """
     plus = np.zeros(values.shape, dtype=bool)
     minus = np.zeros(values.shape, dtype=bool)
     for c in fam:
-        with np.errstate(invalid="ignore"):
-            diff = values - c.values
-        both_inf = np.isinf(values) & np.isinf(c.values)
-        diff = np.where(both_inf, np.where(values == c.values, 0.0, np.inf), diff)
+        diff = _gap(values, c.values)
         plus |= (diff >= 0) & (diff <= tol)
-        minus |= (-diff >= 0) & (-diff <= tol)
+        minus |= (diff <= 0) & (-diff <= tol)
     return plus, minus
 
 

@@ -16,7 +16,7 @@ from scipy import optimize
 from .dist import Rng, normal_cdf, quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
-from .excursion import max_sup
+from .excursion import signed_columns
 
 
 @dataclass(frozen=True)
@@ -148,30 +148,48 @@ def _lower_index(alpha: float, reps: int) -> int:
     return max(1, int(np.floor(alpha * reps)))
 
 
-def _chunked_max_sup(draw, reps, chunk, rng: Rng, neg_idx, pos_idx) -> np.ndarray:
-    """max_sup of ``reps`` draws, ``chunk`` rows at a time; chunk i draws from child stream i."""
+def _chunked_max_sup(draw, reps, chunk, rng: Rng) -> np.ndarray:
+    """Row maxima of ``reps`` signed draws, ``chunk`` rows at a time.
+
+    Chunk i draws from child stream i; the row max of a draw is its max-sup statistic.
+    """
     stats = np.empty(reps)
     for ci, start in enumerate(range(0, reps, chunk)):
         n = min(chunk, reps - start)
-        stats[start : start + n] = max_sup(draw(rng.child(ci).generator(), n), neg_idx, pos_idx)
+        stats[start : start + n] = draw(rng.child(ci).generator(), n).max(axis=1, initial=-np.inf)
     return stats
 
 
+def _chunk_rows(reps: int, width: int) -> int:
+    """Rows per chunk such that a chunk array of ``width`` columns holds at most 4e6 values."""
+    return max(1, min(reps, 4_000_000 // max(1, width)))
+
+
+def _sqrt_factor(corr: np.ndarray) -> np.ndarray:
+    """R with R.T @ R == corr: the Cholesky factor, or an eigenvalue root if that fails."""
+    try:
+        return np.linalg.cholesky(corr).T
+    except np.linalg.LinAlgError:
+        pass  # singular or indefinite
+    w, v = np.linalg.eigh(corr)
+    if np.any(w < -1e-8):
+        raise ParameterError("correlation matrix is not positive semidefinite")
+    return (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+
 def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.ndarray:
-    chunk = max(1, min(reps, int(4e6 / max(1, union.size))))
+    width = union.size
     if isinstance(cov, str) and cov == "iid_normal":
-        draw = lambda gen, n: gen.standard_normal((n, union.size))
+        draw = lambda gen, n: signed_columns(gen.standard_normal((n, union.size)), *neg_pos)
     elif isinstance(cov, tuple) and cov[0] == "iid_t":
-        draw = lambda gen, n: gen.standard_t(float(cov[1]), (n, union.size))
+        df = float(cov[1])
+        draw = lambda gen, n: signed_columns(gen.standard_t(df, (n, union.size)), *neg_pos)
     else:
         corr = np.asarray(cov, dtype=float)[np.ix_(union, union)]
-        # eigenvalue square root, once per call: tolerates singular matrices
-        w, v = np.linalg.eigh(corr)
-        if np.any(w < -1e-8):
-            raise ParameterError("correlation matrix is not positive semidefinite")
-        factor = (v * np.sqrt(np.clip(w, 0.0, None))).T
-        draw = lambda gen, n: gen.standard_normal((n, union.size)) @ factor
-    return _chunked_max_sup(draw, reps, chunk, rng, *neg_pos)
+        signed = signed_columns(_sqrt_factor(corr), *neg_pos)
+        width = max(width, signed.shape[1])
+        draw = lambda gen, n: gen.standard_normal((n, union.size)) @ signed
+    return _chunked_max_sup(draw, reps, _chunk_rows(reps, width), rng)
 
 
 def mc_oracle_quantile(
@@ -237,12 +255,11 @@ def multiplier_bootstrap_quantile(
     if np.any(sd == 0.0):
         bad = union[np.flatnonzero(sd == 0.0)]
         raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
-    scaled = centered / sd
     neg_idx = np.searchsorted(union, neg_set.members)
     pos_idx = np.searchsorted(union, pos_set.members)
-    chunk = max(1, min(R, int(4e6 / max(1, N))))
-    draw = lambda gen, n: (gen.standard_normal((n, N)) @ scaled) / np.sqrt(N)
-    stats = _chunked_max_sup(draw, R, chunk, rng, neg_idx, pos_idx)
+    signed = signed_columns(centered / (sd * np.sqrt(N)), neg_idx, pos_idx)
+    draw = lambda gen, n: gen.standard_normal((n, N)) @ signed
+    stats = _chunked_max_sup(draw, R, _chunk_rows(R, max(N, signed.shape[1])), rng)
     stats.sort()
     idx = _upper_index(alpha, R) if tail == "upper" else _lower_index(alpha, R)
     return QuantileEstimate(float(stats[idx - 1]), "multiplier_bootstrap", alpha, int(union.size))

@@ -221,11 +221,21 @@ POLICY_FLAG_ERRORS = [
     ["--kappa", "3", "--alpha", "0"],
     ["--kappa", "3", "--alpha", "1.5"],
 ]
+# field files for J = 5; a bad one must be named in the error line
+FIELD_FILES = {
+    "ok.csv": "index,value\n0,0\n1,0\n2,0\n3,0\n4,0\n",
+    "abc.csv": "index,value\n0,0\n1,abc\n2,0\n3,0\n4,0\n",
+    "nan.csv": "index,value\n0,0\n1,0\n2,nan\n3,0\n4,0\n",
+}
 BAD_FLAG_CASES = [
     *((["scope", "--level", "0"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["insig"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["tests", *SAMPLE_ARGS["tests"]], flags)
       for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"])),
+    *((["scope", "--kappa", "3"], flags)
+      for flags in (["--lower", "abc.csv", "--upper", "ok.csv"],
+                    ["--lower", "ok.csv", "--upper", "nan.csv"])),
+    *((["tests", *SAMPLE_ARGS["tests"]], ["--mu", name]) for name in ("abc.csv", "nan.csv")),
 ]
 
 
@@ -235,10 +245,15 @@ BAD_FLAG_CASES = [
 def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, command, flags):
     path = tmp_path / "d.csv"
     write_data(path, Rng(4), N=20, J=5)
+    for name, text in FIELD_FILES.items():
+        (tmp_path / name).write_text(text)
+    bad_files = [str(tmp_path / f) for f in flags if f in FIELD_FILES and f != "ok.csv"]
+    flags = [str(tmp_path / f) if f in FIELD_FILES else f for f in flags]
     rc = main([*command, "--data", str(path), *flags, "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(f in err for f in bad_files)
     assert not (tmp_path / "o").exists()
 
 

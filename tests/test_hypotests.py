@@ -80,6 +80,16 @@ class TestDeltas:
         mu = fld(0.0, 1.0)
         assert delta_eqv(mu, const_band(mu.domain, -1.0, 1.0)) == 0.0
 
+    def test_equal_infinite_edge_touches(self):
+        # inf - inf counts as distance 0 (the preimage inf-inf rule), not NaN
+        mu = fld(0.0, 0.5, np.inf)
+        band = BandSpec(Field(mu.domain, [-1.0, -1.0, 0.0]), Field(mu.domain, [1.0, 1.0, np.inf]))
+        assert delta_rel(mu, band) == (0.0, 1.0, 0.0)
+        for test in (grt, et):
+            dec = test(mu, band, unit_bands(mu.domain, tau=0.1), quantile=Calibration(), mu=mu)
+            assert dec.delta == 0.0
+            assert dec.quantile_used.support_size == 1  # mu touches b_plus at index 2 only
+
 
 class TestGrt:
     def test_no_rejection_deep_inside(self):

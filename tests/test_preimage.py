@@ -40,6 +40,18 @@ class TestOraclePreimage:
         assert oracle_preimage(mu, [zero], 1.0, "minus") == IndexSet([0, 1])
         assert oracle_preimage(mu, [zero], 1.0, "both") == IndexSet.full(3)
 
+    def test_opposite_infinities_follow_the_sign(self):
+        # an infinite tolerance admits every point, on the side of the difference's sign
+        for target in (-np.inf, -5.0):
+            mu = fld(target)
+            c = Field(mu.domain, [np.inf])
+            assert oracle_preimage(mu, [c], np.inf, "plus") == IndexSet()
+            assert oracle_preimage(mu, [c], np.inf, "minus") == IndexSet([0])
+        mu = fld(np.inf)
+        c = Field(mu.domain, [-np.inf])
+        assert oracle_preimage(mu, [c], np.inf, "plus") == IndexSet([0])
+        assert oracle_preimage(mu, [c], np.inf, "minus") == IndexSet()
+
     def test_negative_eta(self):
         mu = fld(0.0)
         with pytest.raises(ParameterError):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scopesets import quantile
 from scopesets.dist import Rng, normal_cdf, t_cdf
 from scopesets.domain import IndexSet
 from scopesets.errors import DegenerateDataError, ParameterError
+from scopesets.excursion import max_sup
 from scopesets.preimage import PreimageSets
 from scopesets.quantile import (
     iid_exact_quantile,
@@ -160,20 +162,61 @@ class TestMcOracleQuantile:
             mc_oracle_quantile("iid_normal", IndexSet([0]), IndexSet(), 0.1, 500, Rng(0))
 
     def test_correlation_factored_once_across_chunks(self, monkeypatch):
-        # union of 101 points: chunks of 39,603 draws, so 50,000 reps take 2
+        # neg = pos = 101 points: 202 signed columns, chunks of 19,801 draws, so 50,000 reps take 3
         calls = []
-        real_eigh = np.linalg.eigh
 
-        def counting_eigh(a):
-            calls.append(a.shape)
-            return real_eigh(a)
+        def counting(name, real):
+            def wrapped(a):
+                calls.append((name, a.shape))
+                return real(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            return wrapped
+
+        for name in ("cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         i = np.arange(101)
         corr = 0.5 ** np.abs(i[:, None] - i[None, :])
         s = IndexSet(range(101))
         mc_oracle_quantile(corr, s, s, 0.1, 50_000, Rng(4))
-        assert calls == [(101, 101)]
+        assert calls == [("cholesky", (101, 101))]
+        calls.clear()
+        # singular: Cholesky fails, the eigenvalue root takes over
+        s = IndexSet([0, 1])
+        mc_oracle_quantile(np.ones((2, 2)), s, s, 0.1, 50_000, Rng(4))
+        assert calls == [("cholesky", (2, 2)), ("eigh", (2, 2))]
+
+    def test_indefinite_correlation_rejected(self):
+        s = IndexSet([0, 1])
+        with pytest.raises(ParameterError, match="positive semidefinite"):
+            mc_oracle_quantile(np.array([[1.0, 2.0], [2.0, 1.0]]), s, s, 0.1, 1000, Rng(0))
+
+    def test_ar1_matches_eigenvalue_root_reference(self):
+        i = np.arange(40)
+        corr = 0.8 ** np.abs(i[:, None] - i[None, :])
+        neg, pos = IndexSet(range(25)), IndexSet(range(15, 40))
+        est = mc_oracle_quantile(corr, neg, pos, 0.1, 200_000, Rng(21))
+        ref = _eigh_root_quantile_reference(corr, neg.members, pos.members, 0.1, 200_000, 22)
+        assert est.q == pytest.approx(ref, abs=0.02)
+
+
+def _eigh_root_quantile_reference(corr, neg_idx, pos_idx, alpha, reps, seed):
+    """Upper (1 - alpha) quantile of max_sup over draws z @ (V sqrt(w)).T, corr = V diag(w) V.T."""
+    w, v = np.linalg.eigh(corr)
+    g = np.random.default_rng(seed).standard_normal((reps, len(corr))) @ (v * np.sqrt(w)).T
+    stats = np.sort(max_sup(g, neg_idx, pos_idx))
+    return stats[int(np.ceil((1 - alpha) * reps)) - 1]
+
+
+class _SizeRecorder:
+    """A generator stand-in that records the size of every normal draw."""
+
+    def __init__(self, gen, sizes):
+        self.gen, self.sizes = gen, sizes
+
+    def standard_normal(self, size):
+        out = self.gen.standard_normal(size)
+        self.sizes.append(out.size)
+        return out
 
 
 class TestMultiplierBootstrap:
@@ -214,3 +257,24 @@ class TestMultiplierBootstrap:
         est = multiplier_bootstrap_quantile(data, sets, 0.1, 4000, Rng(2))
         ref = iid_quantile(5, 0.1, df=np.inf, sided="two_sided")
         assert est.q == pytest.approx(ref.q, abs=0.1)
+
+    def test_chunk_arrays_bounded_when_union_exceeds_n(self, monkeypatch):
+        # N = 3, |union| = 40,000: chunks of 100 replicates, so R = 250 takes 3
+        sizes = []
+        real = quantile._chunked_max_sup
+
+        def spy(draw, *args):
+            def recorded(gen, n):
+                out = draw(_SizeRecorder(gen, sizes), n)
+                sizes.append(out.size)
+                return out
+
+            return real(recorded, *args)
+
+        monkeypatch.setattr(quantile, "_chunked_max_sup", spy)
+        data = np.random.default_rng(3).normal(size=(3, 40_000))
+        sets = PreimageSets(IndexSet(range(20_000)), IndexSet(range(20_000, 40_000)),
+                            IndexSet.full(40_000))
+        multiplier_bootstrap_quantile(data, sets, 0.1, 250, Rng(0))
+        assert len(sizes) == 6  # a multiplier draw and a product per chunk
+        assert max(sizes) <= 4_000_000
