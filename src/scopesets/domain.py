@@ -1,68 +1,50 @@
-"""Finite metric domains, extended-real fields on them, and set utilities.
+"""Finite domains, extended-real fields on them, and set utilities.
 
-A domain is a finite index set {0, ..., J-1} with an optional metric; the
-default is the discrete metric d(i, j) = 1 for i != j.  Fields attach a
-vector of extended reals (+-inf allowed, NaN rejected) to a domain.
+A domain is a finite index set {0, ..., J-1}: with the discrete metric
+d(i, j) = 1 for i != j by default, or with Euclidean distance on optional
+point coordinates.  Fields attach a vector of extended reals (+-inf
+allowed, NaN rejected) to a domain.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainMismatchError, ParameterError
 
 
 @dataclass(frozen=True, eq=False)
 class Domain:
-    """Finite metric space with J points.
+    """Finite domain of J points.
 
-    ``metric`` is an optional symmetric J x J matrix with zero diagonal and
-    nonnegative entries; ``None`` means the discrete metric.
+    ``coords`` is an optional finite (J, d) array of point coordinates with
+    Euclidean distance; ``None`` means the discrete metric.  A grid of
+    ``shape`` is ``coords=np.indices(shape).reshape(len(shape), -1).T``.
     """
 
     size: int
-    metric: np.ndarray | None = None
+    _: KW_ONLY
+    coords: np.ndarray | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ParameterError(f"domain size must be >= 1, got {self.size}")
-        if self.metric is not None:
-            m = np.asarray(self.metric, dtype=float)
-            if m.shape != (self.size, self.size):
-                raise ParameterError(
-                    f"metric shape {m.shape} does not match size {self.size}"
-                )
-            if np.any(np.diag(m) != 0.0):
-                raise ParameterError("metric diagonal must be zero")
-            if np.any(m < 0.0):
-                raise ParameterError("metric entries must be nonnegative")
-            if not np.array_equal(m, m.T):
-                raise ParameterError("metric must be symmetric")
-            m.flags.writeable = False
-            object.__setattr__(self, "metric", m)
-
-    def distances(self) -> np.ndarray:
-        """Full J x J distance matrix (discrete metric if none was given)."""
-        if self.metric is not None:
-            return self.metric
-        d = 1.0 - np.eye(self.size)
-        return d
-
-    def triangle_inequality_holds(self) -> bool:
-        """Exhaustive check of d(i,k) <= d(i,j) + d(j,k); O(J^3)."""
-        d = self.distances()
-        through = d[:, :, None] + d[None, :, :]  # (i, j, k)
-        return bool(np.all(d <= through.min(axis=1) + 1e-12))
+        if self.coords is not None:
+            c = np.array(self.coords, dtype=float)
+            if c.ndim != 2 or c.shape[0] != self.size or c.size == 0 or not np.isfinite(c).all():
+                raise ParameterError(f"coords {c.shape} must be a finite ({self.size}, d) array")
+            c.flags.writeable = False
+            object.__setattr__(self, "coords", c)
 
 
 def line_domain(size: int) -> Domain:
     """Domain with the integer line metric d(i, j) = |i - j|."""
-    idx = np.arange(size, dtype=float)
-    return Domain(size, np.abs(idx[:, None] - idx[None, :]))
+    return Domain(size, coords=np.arange(size, dtype=float)[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +97,9 @@ class IndexSet:
     __slots__ = ("members",)
 
     def __init__(self, members=()):
-        arr = np.unique(np.asarray(list(members), dtype=np.int64))
+        if not isinstance(members, np.ndarray):
+            members = list(members)
+        arr = np.unique(np.asarray(members, dtype=np.int64))
         if arr.size and arr[0] < 0:
             raise ParameterError("indices must be nonnegative")
         arr.flags.writeable = False
@@ -123,7 +107,10 @@ class IndexSet:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "IndexSet":
-        return cls(np.flatnonzero(mask))
+        s = cls.__new__(cls)
+        s.members = np.flatnonzero(mask)  # already sorted, unique and nonnegative
+        s.members.flags.writeable = False
+        return s
 
     @classmethod
     def full(cls, size: int) -> "IndexSet":
@@ -177,6 +164,8 @@ def hausdorff_distance(a: IndexSet, b: IndexSet, dom: Domain) -> float:
 
     Both sets empty gives 0; exactly one empty gives +inf (the infimum over
     an empty set is +inf, so the directed distance to an empty set diverges).
+    Discrete metric: 0 for equal sets, else 1.  Coordinates: one KD-tree
+    query per direction, in O(|a| + |b|) memory.
     """
     _check_in_range(a, dom, "a")
     _check_in_range(b, dom, "b")
@@ -184,8 +173,10 @@ def hausdorff_distance(a: IndexSet, b: IndexSet, dom: Domain) -> float:
         return 0.0
     if len(a) == 0 or len(b) == 0:
         return float("inf")
-    d = dom.distances()[np.ix_(a.members, b.members)]
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if dom.coords is None:
+        return 0.0 if a == b else 1.0
+    pa, pb = dom.coords[a.members], dom.coords[b.members]
+    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 
 
 def save_field(f: Field, path) -> None:
@@ -207,6 +198,8 @@ def load_field(path, domain: Domain | None = None) -> Field:
     """Read a field written by :func:`save_field`.
 
     A malformed file raises ``ParameterError`` naming the file and the line.
+    The index column must hold 0..n-1 once each, with n the domain size if
+    a domain is given.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -225,7 +218,8 @@ def load_field(path, domain: Domain | None = None) -> Field:
                 raise ParameterError(f"{path} line {lineno}: field values must not be NaN")
             rows.append((index, value))
     rows.sort()
-    values = np.array([v for _, v in rows])
-    if domain is None:
-        domain = Domain(len(values))
-    return Field(domain, values)
+    if [i for i, _ in rows] != list(range(len(rows))):
+        raise ParameterError(f"{path}: the index column must hold 0..{len(rows) - 1} once each")
+    if domain is not None and domain.size != len(rows):
+        raise ParameterError(f"{path}: {len(rows)} rows for a domain of {domain.size} points")
+    return Field(domain or Domain(len(rows)), [v for _, v in rows])

@@ -19,7 +19,7 @@ from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, _moved, widened_excursions
-from .preimage import KPolicy, oracle_preimage, plugin_preimage, resolve_k
+from .preimage import oracle_preimage, plugin_preimage
 from .quantile import QuantileEstimate, _check_alpha, iid_exact_quantile, mc_oracle_quantile
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
 
@@ -37,9 +37,7 @@ class BandSpec:
             raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
 
     def gap(self) -> np.ndarray:
-        bm, bp = self.b_minus.values, self.b_plus.values
-        g = np.where(np.isneginf(bm) | np.isposinf(bp), np.inf, bp - bm)
-        return np.where(np.isnan(g), 0.0, g)
+        return _gap(self.b_plus.values, self.b_minus.values)
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,9 @@ class Calibration:
 
     Oracle mode reads the touching sets off the known target; plug-in mode
     (experimental) estimates them from the data via the thickened preimage
-    estimator with factor ``k`` (or a policy resolved at sample size ``N``).
-    ``cov`` is "iid_normal", ("iid_t", df) or a correlation matrix; iid noise
-    uses the exact product-CDF solver unless ``exact`` is switched off.
+    estimator with factor ``k``.  ``cov`` is "iid_normal", ("iid_t", df) or a
+    correlation matrix; iid noise uses the exact product-CDF solver, a
+    correlation matrix ``reps`` Monte-Carlo draws from ``rng``.
     """
 
     alpha: float = 0.1
@@ -68,9 +66,6 @@ class Calibration:
     rng: Rng | None = None
     eta: float = 0.0
     k: float | None = None
-    policy: KPolicy | None = None
-    N: int | None = None
-    exact: bool = True
 
 
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
@@ -91,10 +86,10 @@ def delta_eqv(mu: Field, band: BandSpec) -> float:
 
 def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> QuantileEstimate:
     cov = cal.cov
-    iid = cov == "iid_normal" or (isinstance(cov, tuple) and cov[0] == "iid_t")
-    if cal.exact and iid:
-        df = np.inf if cov == "iid_normal" else float(cov[1])
-        return iid_exact_quantile(neg, pos, cal.alpha, df=df, tail=tail)
+    if isinstance(cov, str) and cov == "iid_normal":
+        return iid_exact_quantile(neg, pos, cal.alpha, df=np.inf, tail=tail)
+    if isinstance(cov, tuple) and cov[0] == "iid_t":
+        return iid_exact_quantile(neg, pos, cal.alpha, df=float(cov[1]), tail=tail)
     rng = cal.rng if cal.rng is not None else Rng(0)
     return mc_oracle_quantile(cov, neg, pos, cal.alpha, cal.reps, rng, tail=tail)
 
@@ -120,13 +115,10 @@ def _resolve(quantile, bands, reference: Field, c_neg, c_pos, plugin: bool, tail
         neg = oracle_preimage(reference, fam_neg, cal.eta, "plus")
         pos = oracle_preimage(reference, fam_pos, cal.eta, "minus")
         return _solve_q(neg, pos, cal, tail)
-    k = cal.k
-    if k is None:
-        if cal.policy is None or cal.N is None:
-            raise ParameterError("plug-in calibration needs k, or a policy with N")
-        k = resolve_k(cal.policy, cal.N, reference.domain.size, df=cal.N - 1)
-    neg = plugin_preimage(reference, fam_neg, bands.sigma, bands.tau, k, "plus")
-    pos = plugin_preimage(reference, fam_pos, bands.sigma, bands.tau, k, "minus")
+    if cal.k is None:
+        raise ParameterError("plug-in calibration needs k")
+    neg = plugin_preimage(reference, fam_neg, bands.sigma, bands.tau, cal.k, "plus")
+    pos = plugin_preimage(reference, fam_pos, bands.sigma, bands.tau, cal.k, "minus")
     return _solve_q(neg, pos, cal, tail)
 
 

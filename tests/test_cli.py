@@ -226,6 +226,9 @@ FIELD_FILES = {
     "ok.csv": "index,value\n0,0\n1,0\n2,0\n3,0\n4,0\n",
     "abc.csv": "index,value\n0,0\n1,abc\n2,0\n3,0\n4,0\n",
     "nan.csv": "index,value\n0,0\n1,0\n2,nan\n3,0\n4,0\n",
+    "dup.csv": "index,value\n0,0\n1,0\n1,0\n3,0\n4,0\n",
+    "gap.csv": "index,value\n0,0\n1,0\n2,0\n3,0\n5,0\n",
+    "short.csv": "index,value\n0,0\n1,0\n2,0\n3,0\n",
 }
 BAD_FLAG_CASES = [
     *((["scope", "--level", "0"], flags) for flags in POLICY_FLAG_ERRORS),
@@ -234,8 +237,12 @@ BAD_FLAG_CASES = [
       for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"])),
     *((["scope", "--kappa", "3"], flags)
       for flags in (["--lower", "abc.csv", "--upper", "ok.csv"],
-                    ["--lower", "ok.csv", "--upper", "nan.csv"])),
-    *((["tests", *SAMPLE_ARGS["tests"]], ["--mu", name]) for name in ("abc.csv", "nan.csv")),
+                    ["--lower", "ok.csv", "--upper", "nan.csv"],
+                    ["--lower", "dup.csv", "--upper", "ok.csv"],
+                    ["--lower", "ok.csv", "--upper", "gap.csv"],
+                    ["--lower", "short.csv", "--upper", "ok.csv"])),
+    *((["tests", *SAMPLE_ARGS["tests"]], ["--mu", name])
+      for name in ("abc.csv", "nan.csv", "dup.csv", "gap.csv", "short.csv")),
 ]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import peak_traced_mb
 from scipy.spatial.distance import directed_hausdorff
 
 from scopesets.domain import (
@@ -16,25 +17,37 @@ from scopesets.errors import DomainMismatchError, ParameterError
 
 
 class TestDomain:
-    def test_rejects_bad_metric(self):
-        with pytest.raises(ParameterError):
-            Domain(2, np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-        with pytest.raises(ParameterError):
-            Domain(2, np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
-        with pytest.raises(ParameterError):
-            Domain(2, np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
+    def test_rejects_bad_coords(self):
+        for bad in (
+            np.zeros(2),  # not (size, d)
+            np.zeros((3, 1)),  # wrong number of points
+            np.zeros((2, 0)),  # no dimensions
+            np.array([[0.0], [np.nan]]),
+            np.array([[0.0], [np.inf]]),
+        ):
+            with pytest.raises(ParameterError):
+                Domain(2, coords=bad)
         with pytest.raises(ParameterError):
             Domain(0)
 
-    def test_discrete_default_metric(self):
-        d = Domain(3).distances()
-        assert d[0, 0] == 0 and d[0, 1] == 1 and d[1, 2] == 1
+    def test_coords_are_keyword_only(self):
+        # a J x J matrix passed positionally must not be read as coordinates
+        with pytest.raises(TypeError):
+            Domain(3, np.zeros((3, 3)))
 
-    def test_triangle_inequality_exhaustive(self):
-        assert line_domain(20).triangle_inequality_holds()
-        assert Domain(20).triangle_inequality_holds()
-        bad = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
-        assert not Domain(3, bad).triangle_inequality_holds()
+    def test_coords_are_a_read_only_copy(self):
+        c = np.arange(3.0)[:, None]
+        dom = Domain(3, coords=c)
+        c[0, 0] = 7.0
+        assert dom.coords[0, 0] == 0.0 and not dom.coords.flags.writeable
+        np.testing.assert_array_equal(line_domain(3).coords, [[0.0], [1.0], [2.0]])
+
+    def test_discrete_default_metric(self):
+        dom = Domain(3)
+        assert dom.coords is None
+        assert hausdorff_distance(IndexSet([0]), IndexSet([0]), dom) == 0.0
+        assert hausdorff_distance(IndexSet([0]), IndexSet([1]), dom) == 1.0
+        assert hausdorff_distance(IndexSet([1]), IndexSet([2]), dom) == 1.0
 
 
 class TestField:
@@ -74,6 +87,15 @@ class TestIndexSet:
         mask = np.array([True, False, True])
         assert IndexSet.from_mask(mask) == IndexSet([0, 2])
 
+    def test_from_mask_matches_list_constructor(self):
+        rng = np.random.default_rng(2)
+        for J in (0, 1, 80, 1000):
+            mask = rng.random(J) < 0.5
+            s = IndexSet.from_mask(mask)
+            assert s.members.dtype == np.int64 and not s.members.flags.writeable
+            listed = IndexSet(np.flatnonzero(mask).tolist())
+            np.testing.assert_array_equal(s.members, listed.members)
+
 
 class TestHausdorff:
     def test_identity_is_zero(self):
@@ -106,6 +128,38 @@ class TestHausdorff:
             ref = max(directed_hausdorff(pa, pb)[0], directed_hausdorff(pb, pa)[0])
             assert hausdorff_distance(a, b, dom) == pytest.approx(ref)
 
+    def test_matches_brute_force_on_coordinate_domains(self):
+        rng = np.random.default_rng(7)
+        for d in (1, 2):
+            for _ in range(100):
+                J = int(rng.integers(2, 40))
+                pts = rng.normal(size=(J, d))
+                dom = Domain(J, coords=pts)
+                a = IndexSet(rng.choice(J, size=rng.integers(1, J + 1), replace=False))
+                b = IndexSet(rng.choice(J, size=rng.integers(1, J + 1), replace=False))
+                pa, pb = pts[a.members], pts[b.members]
+                ref = max(directed_hausdorff(pa, pb)[0], directed_hausdorff(pb, pa)[0])
+                assert hausdorff_distance(a, b, dom) == pytest.approx(ref, rel=1e-12)
+
+    def test_discrete_metric_zero_iff_equal_else_one(self):
+        rng = np.random.default_rng(3)
+        dom = Domain(12)
+        for _ in range(200):
+            a = IndexSet(rng.choice(12, size=rng.integers(1, 6)))
+            b = IndexSet(rng.choice(12, size=rng.integers(1, 6)))
+            assert hausdorff_distance(a, b, dom) == (0.0 if a == b else 1.0)
+
+    def test_memory_bounded_in_domain_size(self):
+        # ~2,500 and ~1,700 of 5,000 points: no J x J or |a| x |b| matrix
+        rng = np.random.default_rng(5)
+        a = IndexSet.from_mask(rng.random(5000) < 0.5)
+        b = IndexSet.from_mask(rng.random(5000) < 0.34)
+        line = line_domain(5000)
+        for dom in (Domain(5000), line):
+            with peak_traced_mb() as peak:
+                hausdorff_distance(a, b, dom)
+            assert peak.mb < 10.0
+
     def test_symmetry_and_zero_iff_equal(self):
         rng = np.random.default_rng(0)
         dom = line_domain(12)
@@ -135,6 +189,21 @@ class TestFieldCsv:
         save_field(f, path)
         g = load_field(path)
         np.testing.assert_array_equal(f.values, g.values)
+
+    def test_index_column_must_hold_each_index_once(self, tmp_path):
+        cases = {"dup": "0,1\n0,2\n5,3\n", "gap": "0,1\n2,2\n", "neg": "-1,1\n0,2\n"}
+        for name, rows in cases.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("index,value\n" + rows)
+            with pytest.raises(ParameterError, match=name):
+                load_field(path)
+
+    def test_row_count_must_match_domain(self, tmp_path):
+        path = tmp_path / "field.csv"
+        save_field(Field(Domain(3), [0.0, 1.0, 2.0]), path)
+        assert load_field(path, Domain(3)).values.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ParameterError, match="field.csv"):
+            load_field(path, Domain(4))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from scopesets.dist import quantile as dq
+from scopesets.dist import Rng, quantile as dq
 from scopesets.domain import Domain, Field, IndexSet
 from scopesets.errors import DegenerateDataError, ParameterError, ThresholdOrderError
 from scopesets.excursion import ScopeBands
@@ -48,6 +48,15 @@ class TestBandSpec:
             Field(dom, [-np.inf, -1.0, 0.0]), Field(dom, [0.0, np.inf, 1.0])
         )
         np.testing.assert_array_equal(band.gap(), [np.inf, np.inf, 1.0])
+
+    def test_equal_infinite_edges_have_zero_gap(self):
+        # both edges +inf at index 1: the band is a single point there
+        dom = Domain(2)
+        band = BandSpec(Field(dom, [0.0, np.inf]), Field(dom, [1.0, np.inf]))
+        np.testing.assert_array_equal(band.gap(), [1.0, 0.0])
+        mu_hat = Field(dom, [0.5, np.inf])
+        with pytest.raises(ParameterError):
+            et(mu_hat, band, unit_bands(dom))
 
 
 class TestDeltas:
@@ -153,6 +162,28 @@ class TestLrt:
         assert dec.delta == pytest.approx(0.5)
         assert dec.quantile_used.q == 0.0 and dec.quantile_used.empty_sets
         assert dec.rejected == IndexSet([2])
+
+    def test_correlation_matrix_route_matches_exact_iid(self):
+        # an identity correlation matrix takes the Monte-Carlo route; its q
+        # must match the exact iid-normal q within Monte-Carlo error
+        dom = Domain(12)
+        mu = Field(dom, np.r_[np.zeros(8), np.full(4, 2.0)])
+        band = const_band(dom, 0.0, 0.0)
+        exact = lrt(mu, band, unit_bands(dom), quantile=Calibration(alpha=0.1), mu=mu)
+        cal = Calibration(alpha=0.1, cov=np.eye(12), reps=50_000, rng=Rng(3))
+        mc = lrt(mu, band, unit_bands(dom), quantile=cal, mu=mu)
+        assert exact.quantile_used.method == "iid_exact"
+        assert mc.quantile_used.method == "mc_oracle"
+        assert mc.quantile_used.support_size == 8
+        # two-sided max over the 8 zeros: P(max |Z| <= q) = 0.9
+        assert exact.quantile_used.q == pytest.approx(dq("normal", (1 + 0.9 ** (1 / 8)) / 2))
+        assert mc.quantile_used.q == pytest.approx(exact.quantile_used.q, abs=0.03)
+
+    def test_plugin_calibration_needs_k(self):
+        mu_hat = fld(0.0, 0.5)
+        with pytest.raises(ParameterError):
+            lrt(mu_hat, const_band(mu_hat.domain, 0.0, 0.0), unit_bands(mu_hat.domain),
+                quantile=Calibration(alpha=0.1))
 
     def test_familywise_error_light(self):
         # oracle-calibrated local test on a null-plus-signal mean vector
