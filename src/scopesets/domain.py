@@ -81,13 +81,21 @@ def _gap(a, b) -> np.ndarray:
 
 
 def same_domain(*fields: Field) -> Domain:
-    """Return the shared domain or raise ``DomainMismatchError``."""
+    """The shared domain: equal sizes, and equal coordinates or none on each side.
+
+    Anything else raises ``DomainMismatchError``.
+    """
     dom = fields[0].domain
     for f in fields[1:]:
-        if f.domain.size != dom.size:
+        other = f.domain
+        if other is dom:
+            continue
+        if other.size != dom.size:
             raise DomainMismatchError(
-                f"fields live on domains of size {dom.size} and {f.domain.size}"
+                f"fields live on domains of size {dom.size} and {other.size}"
             )
+        if not (other.coords is dom.coords or np.array_equal(other.coords, dom.coords)):
+            raise DomainMismatchError("fields live on domains with different coordinates")
     return dom
 
 
@@ -185,13 +193,7 @@ def save_field(f: Field, path) -> None:
         w = csv.writer(fh)
         w.writerow(["index", "value"])
         for i, v in enumerate(f.values):
-            if np.isposinf(v):
-                txt = "inf"
-            elif np.isneginf(v):
-                txt = "-inf"
-            else:
-                txt = format(v, ".17g")
-            w.writerow([i, txt])
+            w.writerow([i, format(v, ".17g")])  # infinities print as inf and -inf
 
 
 def load_field(path, domain: Domain | None = None) -> Field:

@@ -67,6 +67,16 @@ class TestField:
         with pytest.raises(DomainMismatchError):
             same_domain(a, b)
 
+    def test_same_domain_compares_coordinates(self):
+        discrete = Field.constant(Domain(3), 0.0)
+        line = Field.constant(line_domain(3), 0.0)
+        assert same_domain(discrete, Field.constant(Domain(3), 1.0)) is discrete.domain
+        assert same_domain(line, Field.constant(line_domain(3), 1.0)) is line.domain
+        shifted = Field.constant(Domain(3, coords=[[0.0], [1.0], [3.0]]), 0.0)
+        for pair in ((discrete, line), (line, discrete), (line, shifted)):
+            with pytest.raises(DomainMismatchError):
+                same_domain(*pair)
+
 
 class TestIndexSet:
     def test_sorted_unique(self):

@@ -4,7 +4,7 @@ from conftest import peak_traced_mb
 
 from scopesets.dist import Rng, t_cdf
 from scopesets.domain import Domain, Field, IndexSet, line_domain
-from scopesets.errors import ParameterError
+from scopesets.errors import DomainMismatchError, ParameterError
 from scopesets.preimage import (
     KPolicy,
     consistency_probe,
@@ -203,6 +203,17 @@ class TestConsistencyProbe:
             exact = p_one**20
             se = np.sqrt(exact * (1 - exact) / reps)
             assert abs(rec["inclusion_freq"] - exact) <= 3 * se + 1e-9
+
+    def test_mixed_discrete_and_line_domains_rejected_in_either_order(self):
+        mu = model_mu("B")
+        values = mu.values[:30]
+        discrete = Field(Domain(30), values)
+        line = Field(line_domain(30), np.zeros(30))
+        pol = KPolicy("log_over_kappa", kappa=3.0)
+        for target, threshold in ((discrete, line), (Field(line.domain, values),
+                                                      Field.constant(Domain(30), 0.0))):
+            with pytest.raises(DomainMismatchError):
+                consistency_probe(target, [threshold], pol, [20], reps=2, rng=Rng(0))
 
     def test_grid_probe_memory_bounded(self):
         # a 316 x 316 image grid (J = 99,856) whose target is zero on a disk;

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from conftest import peak_traced_mb
+from hypothesis import given, settings, strategies as st
 
 from scopesets.dist import Rng, chisq_cdf, f_cdf, normal_cdf, quantile
 from scopesets.errors import InfeasibleSliceError, ParameterError, SingularDesignError
 from scopesets.scheffe import (
     LinearModelSpec,
+    _slice_ratio_maxima,
     detect_nonzero_contrasts,
     extract_limit_cdf,
     ols_fit,
@@ -254,6 +257,80 @@ class TestExtractLimitCdf:
             extract_limit_cdf(1.0, 3, -0.1, 1.0, 1000, Rng(0))
         with pytest.raises(ParameterError):
             extract_limit_cdf(1.0, 3, 0.0, 0.0, 1000, Rng(0))
+
+    @pytest.mark.parametrize(
+        "q, K, Delta, reps, matrix",
+        [
+            pytest.param(2.0, 3, 0.5, 100, [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+                         id="asymmetric"),
+            pytest.param(2.0, 3, 0.5, 100, np.diag([1.0, -1.0, 1.0]), id="not_positive_definite"),
+            pytest.param(2.0, 3, 0.5, 100, np.eye(4), id="wrong_shape"),
+            pytest.param(2.0, 3, 0.5, 0, np.eye(3), id="zero_reps_with_matrix"),
+            pytest.param(2.0, 3, 0.5, 0, None, id="zero_reps"),
+            pytest.param(np.nan, 3, 0.5, 100, None, id="nan_q"),
+            pytest.param(2.0, 3, np.nan, 100, None, id="nan_delta"),
+            pytest.param(2.0, 1, 0.5, 100, None, id="K_1"),
+        ],
+    )
+    def test_malformed_input_raises_parameter_error(self, q, K, Delta, reps, matrix):
+        with pytest.raises(ParameterError):
+            extract_limit_cdf(q, K, Delta, 1.0, reps, Rng(0), limit_matrix=matrix)
+
+    @pytest.mark.parametrize("matrix", [[[2.0, 1.0], [0.0, 2.0]], np.diag([1.0, -1.0]), np.eye(3)],
+                             ids=["asymmetric", "not_positive_definite", "wrong_shape"])
+    def test_linear_model_spec_applies_the_same_matrix_check(self, matrix):
+        with pytest.raises(ParameterError):
+            LinearModelSpec(2, np.ones(2), 1.0, matrix, 1.0)
+
+    def test_general_matrix_interval_never_above_single_level(self):
+        # the 21 interval levels include Delta and the draws are shared, so
+        # every replicate's interval maximum bounds its single-level one
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 4))
+        lm = a @ a.T + 4 * np.eye(4)
+        for q in (1.0, 2.0, 3.0):
+            single = extract_limit_cdf(q, 4, 0.5, 1.0, 500, Rng(3), limit_matrix=lm)
+            interval = extract_limit_cdf(q, 4, 0.5, 1.0, 500, Rng(3), mode="interval",
+                                         limit_matrix=lm)
+            assert interval <= single
+
+    def test_general_matrix_memory_bounded_in_reps(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((5, 5))
+        lm = a @ a.T + 5 * np.eye(5)
+        with peak_traced_mb() as peak:
+            val = extract_limit_cdf(2.0, 5, 0.5, 1.0, 200_000, Rng(2), limit_matrix=lm)
+        assert peak.mb < 200.0
+        assert 0.0 < val < 1.0
+
+
+class TestSliceRatioMaxima:
+    @pytest.mark.parametrize("K", [4, 5])
+    def test_never_below_a_dense_slice_grid(self, K):
+        rng = np.random.default_rng(40 + K)
+        a = rng.standard_normal((K, K))
+        root = np.linalg.cholesky(a @ a.T + K * np.eye(K)).T
+        w = rng.standard_normal((300, K)) @ root
+        c = 0.5
+        batched = _slice_ratio_maxima(w, root, np.array([c]))
+        dense = np.full(w.shape[0], -np.inf)
+        for chunk in np.array_split(sphere_grid(K - 1, 1_000_000, Rng(K)), 50):
+            pts = np.column_stack([np.full(len(chunk), c), np.sqrt(1 - c * c) * chunk])
+            pts /= np.linalg.norm(pts @ root.T, axis=1, keepdims=True)
+            dense = np.maximum(dense, (pts @ w.T).max(axis=0))
+        assert np.all(batched >= dense - 1e-9)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(-0.999, 0.999),
+           st.floats(0.1, 10.0))
+    def test_identity_root_matches_closed_form(self, K, seed, frac, beta_norm):
+        w = np.random.default_rng(seed).standard_normal((20, K))
+        beta = np.zeros(K)
+        beta[0] = beta_norm
+        level = frac * beta_norm
+        batched = _slice_ratio_maxima(w, np.eye(K), np.array([level / beta_norm]))
+        closed = [slice_max(row, beta, level) for row in w]
+        np.testing.assert_allclose(batched, closed, rtol=0, atol=1e-9)
 
 
 class TestZeroInclusionEvent:
