@@ -12,6 +12,7 @@ through the thickened preimage estimator is exposed but experimental.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, _moved, widened_excursions
 from .preimage import oracle_preimage, plugin_preimage
-from .quantile import QuantileEstimate, _check_alpha, iid_exact_quantile, mc_oracle_quantile
+from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, iid_exact_quantile,
+                       mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
 
 
@@ -85,11 +87,16 @@ def delta_eqv(mu: Field, band: BandSpec) -> float:
 
 
 def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> QuantileEstimate:
+    """The one parser of ``Calibration.cov``: iid noise goes to the exact solver."""
     cov = cal.cov
     if isinstance(cov, str) and cov == "iid_normal":
         return iid_exact_quantile(neg, pos, cal.alpha, df=np.inf, tail=tail)
-    if isinstance(cov, tuple) and cov[0] == "iid_t":
+    named = isinstance(cov, tuple) and len(cov) > 0 and isinstance(cov[0], str)
+    if named and cov[0] == "iid_t" and len(cov) == 2 and isinstance(cov[1], Real):
         return iid_exact_quantile(neg, pos, cal.alpha, df=float(cov[1]), tail=tail)
+    if named or isinstance(cov, str):
+        raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation matrix, '
+                             f"got {cov!r}")
     rng = cal.rng if cal.rng is not None else Rng(0)
     return mc_oracle_quantile(cov, neg, pos, cal.alpha, cal.reps, rng, tail=tail)
 
@@ -254,9 +261,7 @@ def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
 
 def hommel(pvalues, alpha: float) -> IndexSet:
     """Hommel step-up rejections (strong familywise control)."""
-    p = np.asarray(pvalues, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ParameterError("p-values must lie in [0, 1]")
+    p = _checked_pvalues(pvalues)
     _check_alpha(alpha)
     return IndexSet.from_mask(hommel_reject_mask(p, alpha)[0])
 
@@ -276,8 +281,6 @@ def bh_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
 
 def bh(pvalues, alpha: float) -> IndexSet:
     """Benjamini-Hochberg step-up rejections (false-discovery-rate control)."""
-    p = np.asarray(pvalues, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ParameterError("p-values must lie in [0, 1]")
+    p = _checked_pvalues(pvalues)
     _check_alpha(alpha)
     return IndexSet.from_mask(bh_reject_mask(p, alpha)[0])

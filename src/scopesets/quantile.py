@@ -1,9 +1,9 @@
 """Critical-value solvers for simultaneous excursion inclusion.
 
 Four routes to the same kind of number: an exact product-CDF solver for iid
-noise, Storey's null-count plugin, a Monte-Carlo of the limiting max-sup
-statistic over given index sets, and a multiplier bootstrap driven by the
-observed data.
+noise, Storey's null-count plugin, and a Monte-Carlo oracle and a multiplier
+bootstrap that share one solver of the limiting max-sup law, differing only in
+the square root they push standard normals through.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     return alpha
+
+
+def _checked_pvalues(pvalues) -> np.ndarray:
+    """``pvalues`` as a float array, or ``ParameterError`` unless all lie in [0, 1] (NaN does not)."""
+    p = np.asarray(pvalues, dtype=float)
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ParameterError("p-values must lie in [0, 1]")
+    return p
 
 
 def column_summary(data) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +92,7 @@ def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> Q
 
 def storey_m0(pvalues) -> int:
     """Null-count estimate 2 * #{p >= 0.5}, capped at the number of tests."""
-    p = np.asarray(pvalues, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ParameterError("p-values must lie in [0, 1]")
+    p = _checked_pvalues(pvalues)
     return int(min(p.size, 2 * np.count_nonzero(p >= 0.5)))
 
 
@@ -140,29 +146,52 @@ def iid_exact_quantile(
     return QuantileEstimate(q, "iid_exact", alpha, n_both + n_one)
 
 
-def _upper_index(alpha: float, reps: int) -> int:
-    return min(reps, int(np.ceil((1.0 - alpha) * reps)))
-
-
-def _lower_index(alpha: float, reps: int) -> int:
-    return max(1, int(np.floor(alpha * reps)))
-
-
-def _chunked_max_sup(draw, reps, chunk, rng: Rng) -> np.ndarray:
-    """Row maxima of ``reps`` signed draws, ``chunk`` rows at a time.
-
-    Chunk i draws from child stream i; the row max of a draw is its max-sup statistic.
-    """
-    stats = np.empty(reps)
-    for ci, start in enumerate(range(0, reps, chunk)):
-        n = min(chunk, reps - start)
-        stats[start : start + n] = draw(rng.child(ci).generator(), n).max(axis=1, initial=-np.inf)
-    return stats
-
-
 def _chunk_rows(reps: int, width: int) -> int:
     """Rows per chunk such that a chunk array of ``width`` columns holds at most 4e6 values."""
     return max(1, min(reps, 4_000_000 // max(1, width)))
+
+
+def _map_chunks(fn, reps: int, width: int, rng: Rng) -> list:
+    """``fn(gen, n)`` per chunk of ``reps`` rows, in chunk order; chunk i draws from child stream i.
+
+    ``width`` is the float values a chunk keeps alive per row, so chunk sizes
+    depend on the problem size alone and results are bit-reproducible.
+    """
+    rows = _chunk_rows(reps, width)
+    return [fn(rng.child(i).generator(), min(rows, reps - start))
+            for i, start in enumerate(range(0, reps, rows))]
+
+
+def _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, reps, rng: Rng, tail: str) -> float:
+    """Order statistic of ``reps`` max-sup draws max(z @ signed_columns(root, neg_idx, pos_idx)).
+
+    z holds one standard normal per row of ``root``, whose columns are the
+    union of the touch sets; the index arrays are positions in that union.
+    The upper tail returns the order statistic at ceil((1-alpha)*reps), the
+    lower tail (for the equivalence test) the one at floor(alpha*reps).
+    """
+    signed = signed_columns(root, neg_idx, pos_idx)
+    draw = lambda gen, n: (gen.standard_normal((n, root.shape[0])) @ signed).max(axis=1)
+    stats = np.sort(np.concatenate(_map_chunks(draw, reps, max(signed.shape), rng)))
+    if tail == "upper":
+        return float(stats[min(reps, int(np.ceil((1.0 - alpha) * reps))) - 1])
+    return float(stats[max(1, int(np.floor(alpha * reps))) - 1])
+
+
+def _symmetric_block(m, idx: np.ndarray, what: str) -> np.ndarray:
+    """``m[idx][:, idx]``, or ``ParameterError`` unless ``m`` is square and covers sorted ``idx``
+    and that block is finite and symmetric to 1e-8 of its largest diagonal magnitude (at least
+    1), as computed correlations are asymmetric by rounding.  Only the block is scanned.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2 and m.shape[0] == m.shape[1] > idx.max(initial=-1):
+        b = m[np.ix_(idx, idx)]
+        # b - b.T is antisymmetric, so its max is its largest magnitude
+        if np.isfinite(b).all() and ((b - b.T).max(initial=0.0)
+                                     <= 1e-8 * max(1.0, np.abs(b.diagonal()).max(initial=0.0))):
+            return b
+    raise ParameterError(f"{what} must be a finite symmetric square matrix covering index "
+                         f"{idx.max(initial=-1)}, got shape {m.shape}")
 
 
 def _sqrt_factor(corr: np.ndarray) -> np.ndarray:
@@ -177,21 +206,6 @@ def _sqrt_factor(corr: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))).T
 
 
-def _simulate_stats(cov, union: np.ndarray, neg_pos, reps: int, rng: Rng) -> np.ndarray:
-    width = union.size
-    if isinstance(cov, str) and cov == "iid_normal":
-        draw = lambda gen, n: signed_columns(gen.standard_normal((n, union.size)), *neg_pos)
-    elif isinstance(cov, tuple) and cov[0] == "iid_t":
-        df = float(cov[1])
-        draw = lambda gen, n: signed_columns(gen.standard_t(df, (n, union.size)), *neg_pos)
-    else:
-        corr = np.asarray(cov, dtype=float)[np.ix_(union, union)]
-        signed = signed_columns(_sqrt_factor(corr), *neg_pos)
-        width = max(width, signed.shape[1])
-        draw = lambda gen, n: gen.standard_normal((n, union.size)) @ signed
-    return _chunked_max_sup(draw, reps, _chunk_rows(reps, width), rng)
-
-
 def mc_oracle_quantile(
     cov,
     neg_set: IndexSet,
@@ -203,10 +217,10 @@ def mc_oracle_quantile(
 ) -> QuantileEstimate:
     """Monte-Carlo critical value of the max-sup statistic over given sets.
 
-    ``cov`` selects the noise: "iid_normal", ("iid_t", df), or a full
-    correlation matrix.  The upper tail returns the order statistic at
-    ceil((1-alpha)*reps); the lower tail (for the equivalence test) the one
-    at floor(alpha*reps).
+    ``cov`` is the noise correlation matrix; only its block on the union of
+    the sets is read, checked and factored.  Tails as in
+    ``_gaussian_max_quantile``.  For iid noise ``iid_exact_quantile`` solves
+    the same law exactly; ``np.eye(n)`` gives a Monte-Carlo check of it.
     """
     _check_alpha(alpha)
     if reps < 1000:
@@ -218,9 +232,9 @@ def mc_oracle_quantile(
     union = np.union1d(neg_set.members, pos_set.members)
     neg_idx = np.searchsorted(union, neg_set.members)
     pos_idx = np.searchsorted(union, pos_set.members)
-    stats = np.sort(_simulate_stats(cov, union, (neg_idx, pos_idx), reps, rng))
-    idx = _upper_index(alpha, reps) if tail == "upper" else _lower_index(alpha, reps)
-    return QuantileEstimate(float(stats[idx - 1]), "mc_oracle", alpha, int(union.size))
+    root = _sqrt_factor(_symmetric_block(cov, union, "correlation matrix"))
+    q = _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, reps, rng, tail)
+    return QuantileEstimate(q, "mc_oracle", alpha, int(union.size))
 
 
 def multiplier_bootstrap_quantile(
@@ -237,8 +251,11 @@ def multiplier_bootstrap_quantile(
     B_j = N^{-1/2} sum_n g_n (y_nj - mean_j) / sd_j with fresh iid standard
     normal multipliers g, then takes the max-sup statistic with the negated
     sup running over ``sets.plus`` and the plain sup over ``sets.minus``.
+    The touched columns must be finite.  Tails as in ``_gaussian_max_quantile``.
     """
     _check_alpha(alpha)
+    if tail not in ("upper", "lower"):
+        raise ParameterError(f"unknown tail {tail!r}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ParameterError("data must be an N x J matrix with N >= 2")
@@ -247,19 +264,17 @@ def multiplier_bootstrap_quantile(
     neg_set, pos_set = sets.plus, sets.minus
     if len(neg_set) == 0 and len(pos_set) == 0:
         return QuantileEstimate(0.0, "multiplier_bootstrap", alpha, 0, empty_sets=True)
-    N = data.shape[0]
     union = np.union1d(neg_set.members, pos_set.members)
+    neg_idx = np.searchsorted(union, neg_set.members)
+    pos_idx = np.searchsorted(union, pos_set.members)
     y = data[:, union]
-    centered = y - y.mean(axis=0)
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():
+        raise ParameterError(f"non-finite value(s) in touched column(s): {union[~finite].tolist()}")
     sd = y.std(axis=0, ddof=1)
     if np.any(sd == 0.0):
         bad = union[np.flatnonzero(sd == 0.0)]
         raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
-    neg_idx = np.searchsorted(union, neg_set.members)
-    pos_idx = np.searchsorted(union, pos_set.members)
-    signed = signed_columns(centered / (sd * np.sqrt(N)), neg_idx, pos_idx)
-    draw = lambda gen, n: gen.standard_normal((n, N)) @ signed
-    stats = _chunked_max_sup(draw, R, _chunk_rows(R, max(N, signed.shape[1])), rng)
-    stats.sort()
-    idx = _upper_index(alpha, R) if tail == "upper" else _lower_index(alpha, R)
-    return QuantileEstimate(float(stats[idx - 1]), "multiplier_bootstrap", alpha, int(union.size))
+    root = (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0]))
+    q = _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, R, rng, tail)
+    return QuantileEstimate(q, "multiplier_bootstrap", alpha, int(union.size))

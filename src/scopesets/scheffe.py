@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     SingularDesignError,
 )
-from .quantile import _chunk_rows
+from .quantile import _chunk_rows, _symmetric_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +53,9 @@ class LinearModelSpec:
 
 def _checked_limit_matrix(m, K: int) -> np.ndarray:
     """``m`` as a float array, or ``ParameterError`` unless it is K x K, finite, symmetric and PD."""
-    lm = np.asarray(m, dtype=float)
-    if lm.shape != (K, K) or not np.isfinite(lm).all() or not np.allclose(lm, lm.T):
-        raise ParameterError(f"limit matrix must be a finite symmetric {K} x {K} array")
+    if np.shape(m) != (K, K):
+        raise ParameterError(f"limit matrix must be {K} x {K}, got shape {np.shape(m)}")
+    lm = _symmetric_block(m, np.arange(K), "limit matrix")
     if np.any(np.linalg.eigvalsh(lm) <= 0):
         raise ParameterError("limit matrix must be positive definite")
     return lm
@@ -221,7 +221,7 @@ def _slice_ratio_maxima(w: np.ndarray, root: np.ndarray, c: np.ndarray) -> np.nd
         up = f_trial > f
         u, f, grad = np.where(up, trial, u), np.where(up, f_trial, f), np.where(up, grad_trial, grad)
         step = np.where(up, 1.5 * step, 0.5 * step)
-    return np.maximum(f[:, 0], vals.max(axis=1)).reshape(n, -1).max(axis=1)
+    return np.maximum(f[:, 0], vals.max(axis=1)).reshape(n, c.size).max(axis=1)
 
 
 def extract_limit_cdf(
@@ -236,17 +236,20 @@ def extract_limit_cdf(
 ) -> float:
     """Limit probability of level-Delta inclusion events on the sphere.
 
-    ``single_level`` covers the pair of thresholds {-Delta, +Delta};
-    ``interval`` covers every level in [-Delta, Delta] simultaneously.  With
-    an identity scaling matrix the slice maxima collapse to closed forms in
-    one Gaussian coordinate plus an independent chi distributed radius.  A
-    general ``limit_matrix`` takes all slice maxima in batches of replicates,
-    so memory stays bounded in ``reps``: the best of 512 fixed slice
-    directions, then 60 projected-gradient ascent steps
-    (``_slice_ratio_maxima``).  ``interval`` mode then takes the maximum over
-    21 levels in [-Delta, Delta], which approximates the supremum from below.
-    Whenever Delta exceeds ||beta|| the level sets are empty and the answer
-    is 1 (single level) or the K-dof chi-square tail rule (interval).
+    ``single_level`` covers the one level +Delta; ``interval`` covers every
+    level in [-Delta, Delta] simultaneously.  With an identity scaling matrix
+    the slice maxima collapse to closed forms in one Gaussian coordinate plus
+    an independent chi distributed radius.  A general ``limit_matrix`` takes
+    all slice maxima in batches of replicates, so memory stays bounded in
+    ``reps``: the best of 512 fixed slice directions, then 60
+    projected-gradient ascent steps (``_slice_ratio_maxima``).  ``interval``
+    mode is exact, as in the identity case: the supremum of x'w / ||root x||
+    with w = root' eps is ||eps|| when the free maximiser M^-1 w lies in the
+    cone |x_0| <= (Delta/||beta||) ||x||, else the larger slice maximum at
+    +-Delta.  One sequential stream feeds both modes, so they see the same
+    draws at one seed.  Whenever Delta exceeds ||beta|| the level sets are
+    empty and the answer is 1 (single level) or the K-dof chi-square tail
+    rule (interval).
     """
     if not (K >= 2 and reps >= 1 and Delta >= 0 and beta_norm >= 0) or np.isnan(q):
         raise ParameterError("need K >= 2, reps >= 1, Delta >= 0, beta_norm >= 0 and q not NaN; "
@@ -261,19 +264,23 @@ def extract_limit_cdf(
         raise ParameterError("beta_norm = 0 with Delta = 0 is the zero-level case; "
                              "use scheffe_zero_cdf")
 
+    s = Delta / beta_norm
     gen = rng.generator()
     if limit_matrix is not None:
-        levels = [Delta] if mode == "single_level" else np.linspace(-Delta, Delta, 21)
-        c = np.clip(np.asarray(levels) / beta_norm, -1.0, 1.0)
+        c = np.array([s] if mode == "single_level" else [-s, s])
         rows = _chunk_rows(reps, 512 * c.size)
         count = 0
         for start in range(0, reps, rows):
-            # w = root' eps per replicate: the matrix-square-root transform of the noise
-            w = gen.standard_normal((min(rows, reps - start), K)) @ root
+            eps = gen.standard_normal((min(rows, reps - start), K))
+            w = eps @ root  # root' eps per replicate: the matrix-square-root transform of the noise
+            if mode == "interval":
+                x = np.linalg.solve(root, eps.T).T  # M^-1 w, the free maximiser
+                free = np.abs(x[:, 0]) <= s * np.linalg.norm(x, axis=1)
+                count += int(np.count_nonzero(np.linalg.norm(eps[free], axis=1) <= q))
+                w = w[~free]
             count += int(np.count_nonzero(_slice_ratio_maxima(w, root, c) <= q))
         return count / reps
 
-    s = Delta / beta_norm
     z = gen.standard_normal(reps)
     radial = np.linalg.norm(gen.standard_normal((reps, K - 1)), axis=1)
     if mode == "single_level":

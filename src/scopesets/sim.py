@@ -9,9 +9,10 @@ errors only.
 
 Each replication's t-statistics are drawn from their sufficient statistics
 (Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
-Everything is driven by one seed; replications split into chunks whose size
-depends on J alone, each with a derived child stream and reduced in chunk
-order, so results are byte-reproducible.
+Everything is driven by one seed; replications run through the Monte-Carlo
+chunk driver (``quantile._map_chunks``) in chunks whose size depends on J
+alone, each with a derived child stream and reduced in chunk order, so
+results are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
 from .preimage import KPolicy, oracle_preimage, resolve_k
-from .quantile import iid_quantile
+from .quantile import _chunk_rows, _map_chunks, iid_quantile
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +105,6 @@ def parse_method(token: str):
     raise ParameterError(f"unknown method token {token!r}")
 
 
-def _chunk_size(J: int) -> int:
-    # at most 1e6 values (8 MB) per (B, J) array, whatever the machine
-    return max(1, 10**6 // J)
-
-
 def _quantile_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     return np.array(
         [iid_quantile(m, alpha, df=df, sided=sided).q for m in range(J + 1)]
@@ -126,13 +122,13 @@ def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> n
     return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
 
 
-def _run_chunk(rng, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha):
-    """One chunk of nb replications drawn from ``rng``; partial (cov, fd, td) sums per key."""
+def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha):
+    """One chunk of nb replications drawn from ``gen``; partial (cov, fd, td) sums per key."""
     J = mu.size
     df = N - 1
     is_null = mu == 0.0
     n_null = int(is_null.sum())
-    tmat = _draw_tstats(rng.generator(), nb, N, mu)
+    tmat = _draw_tstats(gen, nb, N, mu)
 
     pv = None
     if baselines or any(kind == "storey" for kind, _, _ in methods):
@@ -188,7 +184,6 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
 
     rows: list[SimTableRow] = []
     rng = Rng(cfg.seed)
-    B = _chunk_size(J)
     for ni, N in enumerate(cfg.N_list):
         df = N - 1
         q_tables = {s: _quantile_table(J, alpha, df, s) for s in sided_list}
@@ -196,10 +191,11 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
         for kind, policy, label in methods:
             if kind in ("log_kappa", "scb"):
                 ks[label] = resolve_k(policy, N, J, df)
+        run = lambda gen, nb: _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list,
+                                         cfg.baselines, alpha)
         totals = {}
-        for ci, start in enumerate(range(0, cfg.reps, B)):
-            part = _run_chunk(rng.child(ni).child(ci), min(B, cfg.reps - start), N, mu,
-                              methods, ks, q_tables, sided_list, cfg.baselines, alpha)
+        # a chunk keeps about four (nb, J) float arrays alive
+        for part in _map_chunks(run, cfg.reps, 4 * J, rng.child(ni)):
             for key, sums in part.items():
                 totals[key] = tuple(x + y for x, y in zip(totals.get(key, (0, 0.0, 0.0)), sums))
 
@@ -277,13 +273,12 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
     lower_vals = [c.values for c in instance.lower_fam]
     upper_vals = [c.values for c in instance.upper_fam]
 
+    # one sequential stream: the counts do not depend on the chunk size
     gen = rng.generator()
     n_event = n_lower = n_upper = 0
-    chunk = max(1, int(2e6 / mu.domain.size))
-    left = reps
-    while left > 0:
-        nb = min(chunk, left)
-        g = gen.standard_normal((nb, mu.domain.size))
+    rows = _chunk_rows(reps, 2 * mu.domain.size)  # g and mu_hat per row
+    for start in range(0, reps, rows):
+        g = gen.standard_normal((min(rows, reps - start), mu.domain.size))
         mu_hat = mu.values + tau * sigma.values * g
 
         event = inclusion_event(mu_hat, mu.values, lower_vals, upper_vals, w)
@@ -297,7 +292,6 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
         n_event += int(event.sum())
         n_lower += int(lower.sum())
         n_upper += int(upper.sum())
-        left -= nb
     return n_event / reps, n_lower / reps, n_upper / reps
 
 

@@ -21,7 +21,7 @@ from scopesets.hypotests import (
     lrt,
     t_pvalues,
 )
-from scopesets.quantile import QuantileEstimate, iid_exact_quantile
+from scopesets.quantile import QuantileEstimate, iid_exact_quantile, storey_m0
 
 
 def fld(*values):
@@ -400,6 +400,28 @@ def holm_rejections(p, alpha):
         else:
             break
     return IndexSet.from_mask(out)
+
+
+def _lrt_with_cov(cov):
+    mu = fld(0.0, 0.5, 2.0)
+    cal = Calibration(alpha=0.1, cov=cov, reps=1000, rng=Rng(0))
+    return lrt(mu, const_band(mu.domain, 0.0, 0.0), unit_bands(mu.domain), quantile=cal, mu=mu)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: hommel([0.01, np.nan, 0.5], 0.1), id="hommel_nan_pvalue"),
+        pytest.param(lambda: bh([0.01, np.nan, 0.5], 0.1), id="bh_nan_pvalue"),
+        pytest.param(lambda: storey_m0([0.01, np.nan, 0.9]), id="storey_nan_pvalue"),
+        pytest.param(lambda: _lrt_with_cov("iid_nromal"), id="misspelled_normal_spec"),
+        pytest.param(lambda: _lrt_with_cov(("iid_T", 3)), id="misspelled_t_spec"),
+        pytest.param(lambda: _lrt_with_cov(("iid_t", "3")), id="non_numeric_t_df"),
+    ],
+)
+def test_malformed_pvalues_and_noise_specs_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 class TestHommel:

@@ -84,7 +84,7 @@ class TestLowerTailAgreement:
     def test_mc_matches_exact_product_cdf_on_lower_tail(self):
         neg, pos = IndexSet([0, 1]), IndexSet([1, 2, 3])
         exact = iid_exact_quantile(neg, pos, 0.1, tail="lower")
-        mc = mc_oracle_quantile("iid_normal", neg, pos, 0.1, 200_000, Rng(33), tail="lower")
+        mc = mc_oracle_quantile(np.eye(4), neg, pos, 0.1, 200_000, Rng(33), tail="lower")
         assert mc.q == pytest.approx(exact.q, abs=0.02)
 
 

@@ -115,24 +115,24 @@ class TestIidExactQuantile:
 
 class TestMcOracleQuantile:
     def test_empty_sets_flag(self):
-        est = mc_oracle_quantile("iid_normal", IndexSet(), IndexSet(), 0.1, 1000, Rng(0))
+        est = mc_oracle_quantile(np.eye(1), IndexSet(), IndexSet(), 0.1, 1000, Rng(0))
         assert est.q == 0.0 and est.empty_sets
 
     def test_single_point_absolute_value(self):
         s = IndexSet([0])
-        est = mc_oracle_quantile("iid_normal", s, s, 0.1, 200_000, Rng(42))
+        est = mc_oracle_quantile(np.eye(1), s, s, 0.1, 200_000, Rng(42))
         assert est.q == pytest.approx(1.6449, abs=0.02)
 
     def test_matches_exact_product_rule(self):
         s = IndexSet(range(6))
-        est = mc_oracle_quantile("iid_normal", s, s, 0.1, 200_000, Rng(7))
+        est = mc_oracle_quantile(np.eye(6), s, s, 0.1, 200_000, Rng(7))
         ref = iid_quantile(6, 0.1, df=np.inf, sided="two_sided")
         assert est.q == pytest.approx(ref.q, abs=0.02)
 
     def test_determinism(self):
         s = IndexSet([0, 2])
-        a = mc_oracle_quantile("iid_normal", s, s, 0.1, 5000, Rng(3))
-        b = mc_oracle_quantile("iid_normal", s, s, 0.1, 5000, Rng(3))
+        a = mc_oracle_quantile(np.eye(3), s, s, 0.1, 5000, Rng(3))
+        b = mc_oracle_quantile(np.eye(3), s, s, 0.1, 5000, Rng(3))
         assert a.q == b.q
 
     def test_perfect_correlation_collapses_to_one_point(self):
@@ -140,18 +140,18 @@ class TestMcOracleQuantile:
         s = IndexSet([0, 1])
         est = mc_oracle_quantile(corr, s, s, 0.1, 200_000, Rng(11))
         one = IndexSet([0])
-        ref = mc_oracle_quantile("iid_normal", one, one, 0.1, 200_000, Rng(11))
+        ref = mc_oracle_quantile(np.eye(1), one, one, 0.1, 200_000, Rng(11))
         assert est.q == pytest.approx(ref.q, abs=0.03)
 
     def test_t_noise_heavier_than_normal(self):
         s = IndexSet(range(4))
-        qt = mc_oracle_quantile(("iid_t", 3), s, s, 0.1, 100_000, Rng(5)).q
-        qn = mc_oracle_quantile("iid_normal", s, s, 0.1, 100_000, Rng(5)).q
+        qt = iid_exact_quantile(s, s, 0.1, df=3).q
+        qn = iid_exact_quantile(s, s, 0.1).q
         assert qt > qn
 
     def test_lower_tail(self):
         s = IndexSet([0])
-        est = mc_oracle_quantile("iid_normal", s, s, 0.1, 200_000, Rng(13), tail="lower")
+        est = mc_oracle_quantile(np.eye(1), s, s, 0.1, 200_000, Rng(13), tail="lower")
         # alpha-quantile of |G|: P[|G| <= q] = 0.1
         from scopesets.dist import quantile as dq
 
@@ -159,7 +159,7 @@ class TestMcOracleQuantile:
 
     def test_reps_floor(self):
         with pytest.raises(ParameterError):
-            mc_oracle_quantile("iid_normal", IndexSet([0]), IndexSet(), 0.1, 500, Rng(0))
+            mc_oracle_quantile(np.eye(1), IndexSet([0]), IndexSet(), 0.1, 500, Rng(0))
 
     def test_correlation_factored_once_across_chunks(self, monkeypatch):
         # neg = pos = 101 points: 202 signed columns, chunks of 19,801 draws, so 50,000 reps take 3
@@ -207,16 +207,62 @@ def _eigh_root_quantile_reference(corr, neg_idx, pos_idx, alpha, reps, seed):
     return stats[int(np.ceil((1 - alpha) * reps)) - 1]
 
 
+class _RecordedDraw(np.ndarray):
+    """A normal draw that records the size of its product with a matrix."""
+
+    def __matmul__(self, other):
+        out = np.asarray(self) @ other
+        self.sizes.append(out.size)
+        return out
+
+
 class _SizeRecorder:
-    """A generator stand-in that records the size of every normal draw."""
+    """A generator stand-in that records the size of every normal draw and of its product."""
 
     def __init__(self, gen, sizes):
         self.gen, self.sizes = gen, sizes
 
     def standard_normal(self, size):
-        out = self.gen.standard_normal(size)
+        out = self.gen.standard_normal(size).view(_RecordedDraw)
+        out.sizes = self.sizes
         self.sizes.append(out.size)
         return out
+
+
+def _bootstrap(data, tail="upper"):
+    s = IndexSet([0, 1])
+    return multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 200, Rng(0), tail=tail)
+
+
+def _oracle(corr):
+    return mc_oracle_quantile(corr, IndexSet([0, 1]), IndexSet([2]), 0.1, 1000, Rng(0))
+
+
+def _with_cell(m, i, j, value):
+    m = np.array(m, dtype=float)
+    m[i, j] = value
+    return m
+
+
+_DATA = np.random.default_rng(6).normal(size=(30, 4))
+_CORR = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: _bootstrap(_DATA, tail="bogus"), id="bootstrap_unknown_tail"),
+        pytest.param(lambda: _bootstrap(_with_cell(_DATA, 3, 1, np.nan)), id="bootstrap_nan_cell"),
+        pytest.param(lambda: _bootstrap(_with_cell(_DATA, 3, 1, np.inf)), id="bootstrap_inf_cell"),
+        pytest.param(lambda: _oracle(_with_cell(_CORR, 0, 2, np.nan)), id="oracle_nan_entry"),
+        pytest.param(lambda: _oracle(_with_cell(_CORR, 0, 2, 0.9)), id="oracle_asymmetric"),
+        pytest.param(lambda: _oracle(np.ones(4)), id="oracle_1d_matrix"),
+        pytest.param(lambda: _oracle(np.eye(2)), id="oracle_matrix_smaller_than_touched_index"),
+    ],
+)
+def test_malformed_monte_carlo_input_raises_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 class TestMultiplierBootstrap:
@@ -261,17 +307,12 @@ class TestMultiplierBootstrap:
     def test_chunk_arrays_bounded_when_union_exceeds_n(self, monkeypatch):
         # N = 3, |union| = 40,000: chunks of 100 replicates, so R = 250 takes 3
         sizes = []
-        real = quantile._chunked_max_sup
+        real = quantile._map_chunks
 
-        def spy(draw, *args):
-            def recorded(gen, n):
-                out = draw(_SizeRecorder(gen, sizes), n)
-                sizes.append(out.size)
-                return out
+        def spy(fn, *args):
+            return real(lambda gen, n: fn(_SizeRecorder(gen, sizes), n), *args)
 
-            return real(recorded, *args)
-
-        monkeypatch.setattr(quantile, "_chunked_max_sup", spy)
+        monkeypatch.setattr(quantile, "_map_chunks", spy)
         data = np.random.default_rng(3).normal(size=(3, 40_000))
         sets = PreimageSets(IndexSet(range(20_000)), IndexSet(range(20_000, 40_000)),
                             IndexSet.full(40_000))

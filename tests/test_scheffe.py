@@ -283,8 +283,9 @@ class TestExtractLimitCdf:
             LinearModelSpec(2, np.ones(2), 1.0, matrix, 1.0)
 
     def test_general_matrix_interval_never_above_single_level(self):
-        # the 21 interval levels include Delta and the draws are shared, so
-        # every replicate's interval maximum bounds its single-level one
+        # the interval statistic is the free maximum or the larger slice
+        # maximum at +-Delta, and the draws are shared, so every replicate's
+        # interval statistic bounds its single-level one
         rng = np.random.default_rng(8)
         a = rng.standard_normal((4, 4))
         lm = a @ a.T + 4 * np.eye(4)
@@ -293,6 +294,22 @@ class TestExtractLimitCdf:
             interval = extract_limit_cdf(q, 4, 0.5, 1.0, 500, Rng(3), mode="interval",
                                          limit_matrix=lm)
             assert interval <= single
+
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_general_matrix_interval_never_below_a_dense_level_grid(self, K):
+        # one replicate per seed: extract_limit_cdf reads 0 exactly when that
+        # replicate's interval statistic exceeds q, here set just below the
+        # largest slice maximum over 401 levels in [-Delta, Delta]
+        rng = np.random.default_rng(60 + K)
+        a = rng.standard_normal((K, K))
+        lm = a @ a.T + K * np.eye(K)
+        root = np.linalg.cholesky(lm).T
+        w = np.vstack([Rng(seed).generator().standard_normal((1, K)) for seed in range(60)]) @ root
+        levels = np.linspace(-0.5, 0.5, 401)
+        dense = np.concatenate([_slice_ratio_maxima(part, root, levels) for part in np.split(w, 6)])
+        for seed, stat in enumerate(dense):
+            assert extract_limit_cdf(stat - 1e-9, K, 0.5, 1.0, 1, Rng(seed), mode="interval",
+                                     limit_matrix=lm) == 0.0
 
     def test_general_matrix_memory_bounded_in_reps(self):
         rng = np.random.default_rng(1)

@@ -6,10 +6,10 @@ from scopesets.dist import Rng
 from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
 from scopesets import sim
+from scopesets.quantile import _chunk_rows
 from scopesets.sim import (
     SandwichInstance,
     SimConfig,
-    _chunk_size,
     _draw_tstats,
     model_mu,
     parse_method,
@@ -93,7 +93,7 @@ class TestDrawTstats:
 
     @pytest.mark.parametrize("J", [1, 3, 80, 1000, 12_345, 10**6, 3 * 10**6])
     def test_chunk_bounds_values_per_array(self, J):
-        nb = _chunk_size(J)
+        nb = _chunk_rows(10**9, 4 * J)
         assert nb >= 1
         assert nb * J <= 10**6 or nb == 1
 
@@ -101,9 +101,9 @@ class TestDrawTstats:
         seen = {}
         real = sim._run_chunk
 
-        def spy(rng, nb, N, *rest):
+        def spy(gen, nb, N, *rest):
             seen.setdefault(N, []).append(nb)
-            return real(rng, nb, N, *rest)
+            return real(gen, nb, N, *rest)
 
         monkeypatch.setattr(sim, "_run_chunk", spy)
         run_simulation(SimConfig(model="A", N_list=(5, 2000), J=20_000,
@@ -125,9 +125,9 @@ class TestRunSimulation:
         (row,) = run_simulation(cfg)
         methods = [parse_method("oracle")]
         q_tables = {"two_sided": sim._quantile_table(80, 0.1, 39, "two_sided")}
-        B = _chunk_size(80)
+        B = _chunk_rows(30_000, 4 * 80)
         parts = [
-            sim._run_chunk(Rng(22).child(0).child(ci), min(B, 30_000 - start), 40,
+            sim._run_chunk(Rng(22).child(0).child(ci).generator(), min(B, 30_000 - start), 40,
                            model_mu("B").values, methods, {}, q_tables, ["two_sided"], (), 0.1)
             for ci, start in enumerate(range(0, 30_000, B))
         ]
