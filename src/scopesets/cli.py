@@ -9,13 +9,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_table, write_csv
 from .dist import Rng, chisq_cdf, quantile as dist_quantile
 from .domain import Domain, Field, load_field
 from .errors import ParameterError, ScopeSetsError
@@ -59,6 +59,15 @@ def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise UsageError(f"config is missing required key '{key}'")
     return cfg[key]
+
+
+def _config_value(cfg: dict, key: str, parse, default=None):
+    """``parse`` of a config value, required unless a default is given; errors name the key."""
+    text = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"config key '{key}': {exc}") from None
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -109,17 +118,17 @@ def cmd_simulate(args) -> int:
     raw = parse_config(cfg_path.read_text())
 
     model = _require(raw, "model")
-    alpha = float(_require(raw, "alpha"))
-    reps = int(_require(raw, "reps"))
-    n_list = tuple(int(x) for x in _require(raw, "N_list").split(","))
+    alpha = _config_value(raw, "alpha", float)
+    reps = _config_value(raw, "reps", int)
+    n_list = _config_value(raw, "N_list", lambda v: tuple(int(x) for x in v.split(",")))
     methods = tuple(x.strip() for x in _require(raw, "methods").split(",") if x.strip())
     baselines_raw = raw.get("baselines", "")
     baselines = tuple(
         x.strip() for x in baselines_raw.split(",") if x.strip() and x.strip() != "none"
     )
-    seed = int(raw.get("seed", "0")) if args.seed is None else args.seed
+    seed = _config_value(raw, "seed", int, "0") if args.seed is None else args.seed
     sided = raw.get("sided", "two_sided")
-    J = int(raw["J"]) if "J" in raw else None
+    J = _config_value(raw, "J", int) if "J" in raw else None
 
     try:
         cfg = SimConfig(
@@ -161,16 +170,18 @@ def cmd_simulate(args) -> int:
 def cmd_scope(args) -> int:
     _from_flags(_check_alpha, args.alpha)
     policy = _policy_from_args(args)
+    if args.level is None and not (args.lower and args.upper):
+        raise UsageError("give --level, or both --lower and --upper")
+    if args.level is not None and np.isnan(args.level):
+        raise UsageError("--level must be a number, got nan")
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
     if args.level is not None:
         lower = upper = Field.constant(dom, args.level)
-    elif args.lower and args.upper:
+    else:
         lower = _from_flags(load_field, args.lower, dom)
         upper = _from_flags(load_field, args.upper, dom)
-    else:
-        raise UsageError("give --level, or both --lower and --upper")
     if np.any(lower.values > upper.values):
         raise UsageError("lower threshold exceeds upper threshold somewhere")
 
@@ -188,35 +199,16 @@ def cmd_scope(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = [
-        f"# alpha={_fmt(args.alpha)}",
-        f"# k={_fmt(k)}",
-        f"# m_hat={m_hat}",
-        f"# q_hat={_fmt(est.q)}",
-        f"# sided={args.sided}",
-    ]
-    with open(out / "partition.csv", "w", newline="") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        w_ = csv.writer(fh)
-        w_.writerow(["index", "mean", "sd", "class"])
-        for j in range(J):
-            cls = "below" if below[j] else ("above" if above[j] else "middle")
-            w_.writerow([j, _fmt(mean[j]), _fmt(sd[j]), cls])
-    with open(out / "detections.csv", "w", newline="") as fh:
-        for line in meta:
-            fh.write(line + "\n")
-        w_ = csv.writer(fh)
-        w_.writerow(["index", "direction", "height"])
-        for j in range(J):
-            if below[j] or above[j]:
-                w_.writerow(
-                    [
-                        j,
-                        "below" if below[j] else "above",
-                        _fmt(np.sqrt(N) * abs(mean[j]) / sd[j]),
-                    ]
-                )
+    meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(k)}", f"m_hat={m_hat}",
+            f"q_hat={_fmt(est.q)}", f"sided={args.sided}"]
+    write_csv(out / "partition.csv", ["index", "mean", "sd", "class"],
+              ([j, _fmt(mean[j]), _fmt(sd[j]),
+                "below" if below[j] else ("above" if above[j] else "middle")] for j in range(J)),
+              meta)
+    write_csv(out / "detections.csv", ["index", "direction", "height"],
+              ([j, "below" if below[j] else "above", _fmt(np.sqrt(N) * abs(mean[j]) / sd[j])]
+               for j in range(J) if below[j] or above[j]),
+              meta)
     return 0
 
 
@@ -236,37 +228,24 @@ def cmd_insig(args) -> int:
 
 
 def cmd_scheffe(args) -> int:
+    _from_flags(_check_alpha, args.alpha)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.data is None:
         if args.K is None:
             raise UsageError("analytic mode needs --K (no --data given)")
+        if args.K < 2:
+            raise UsageError(f"--K must be >= 2, got {args.K}")
         K = args.K
         q = np.sqrt(dist_quantile("chisq", 1.0 - args.alpha, k=K - 1))
         insig = 1.0 - chisq_cdf(q * q, K)
+        out.mkdir(parents=True, exist_ok=True)
         print(f"q={_fmt(q)} zero-vector insignificance={_fmt(insig)}")
-        with open(out / "scheffe_analytic.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["K", "alpha", "q", "insignificance_if_beta_zero"])
-            w.writerow([K, _fmt(args.alpha), _fmt(q), _fmt(insig)])
+        write_csv(out / "scheffe_analytic.csv", ["K", "alpha", "q", "insignificance_if_beta_zero"],
+                  [[K, _fmt(args.alpha), _fmt(q), _fmt(insig)]])
         return 0
 
-    with open(args.data, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise UsageError(
-                    f"{args.data} line {lineno}: {len(row)} fields, header has {len(header)}"
-                )
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise UsageError(f"{args.data} line {lineno}: {exc}") from exc
-        body = _checked_matrix(args.data, np.array(rows).reshape(len(rows), len(header)))
+    header, body = _from_flags(read_table, args.data)
+    body = _checked_matrix(args.data, body)
     if body.shape[1] < 2:
         raise UsageError("scheffe data must have >= 2 columns (covariates + response)")
     X, y = body[:, :-1], body[:, -1]
@@ -278,15 +257,13 @@ def cmd_scheffe(args) -> int:
     spec = LinearModelSpec(K, fit.beta_hat, np.sqrt(fit.s2), limit, tau)
     q = np.sqrt(dist_quantile("chisq", 1.0 - args.alpha, k=K - 1))
     det = detect_nonzero_contrasts(spec, q)
-    with open(out / "scheffe_fit.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coef", "estimate", "band_lo", "band_hi"])
-        for i, name in enumerate(header[:-1]):
-            a = np.zeros(K)
-            a[i] = 1.0
-            lo, hi = scheffe_band(a, fit, xtx, args.alpha)
-            w.writerow([name, _fmt(fit.beta_hat[i]), _fmt(lo), _fmt(hi)])
-        w.writerow(["__detected__", int(det["detected"]), _fmt(det["stat"]), _fmt(det["threshold"])])
+    rows = []
+    for i, name in enumerate(header[:-1]):
+        lo, hi = scheffe_band(np.eye(K)[i], fit, xtx, args.alpha)
+        rows.append([name, _fmt(fit.beta_hat[i]), _fmt(lo), _fmt(hi)])
+    rows.append(["__detected__", int(det["detected"]), _fmt(det["stat"]), _fmt(det["threshold"])])
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / "scheffe_fit.csv", ["coef", "estimate", "band_lo", "band_hi"], rows)
     print(f"detected_nonzero_contrast={det['detected']} stat={_fmt(det['stat'])} "
           f"threshold={_fmt(det['threshold'])}")
     return 0
@@ -296,6 +273,8 @@ def cmd_tests(args) -> int:
     _from_flags(_check_alpha, args.alpha)
     kappa = args.kappa if args.kappa is not None else 3.0
     policy = _from_flags(KPolicy, "log_over_kappa", kappa=kappa)
+    if not args.b_minus <= args.b_plus:
+        raise UsageError(f"need --b-minus <= --b-plus, got {args.b_minus} and {args.b_plus}")
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
@@ -315,18 +294,10 @@ def cmd_tests(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "test_decision.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "q", "delta", "global_reject", "rejected"])
-        w.writerow(
-            [
-                decision.kind,
-                _fmt(decision.quantile_used.q),
-                _fmt(decision.delta),
-                "" if decision.global_reject is None else int(decision.global_reject),
-                ";".join(str(i) for i in decision.rejected),
-            ]
-        )
+    reject = "" if decision.global_reject is None else int(decision.global_reject)
+    write_csv(out / "test_decision.csv", ["kind", "q", "delta", "global_reject", "rejected"],
+              [[decision.kind, _fmt(decision.quantile_used.q), _fmt(decision.delta), reject,
+                ";".join(str(i) for i in decision.rejected)]])
     print(
         f"{decision.kind}: q={_fmt(decision.quantile_used.q)} delta={_fmt(decision.delta)} "
         f"global_reject={decision.global_reject} rejected={list(decision.rejected)}"

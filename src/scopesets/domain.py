@@ -8,13 +8,12 @@ allowed, NaN rejected) to a domain.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .csvio import read_table, write_csv
 from .errors import DomainMismatchError, ParameterError
 
 
@@ -189,39 +188,25 @@ def hausdorff_distance(a: IndexSet, b: IndexSet, dom: Domain) -> float:
 
 def save_field(f: Field, path) -> None:
     """Write a field as CSV rows ``index,value`` with inf/-inf literals."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(f.values):
-            w.writerow([i, format(v, ".17g")])  # infinities print as inf and -inf
+    write_csv(path, ["index", "value"], ((i, format(v, ".17g")) for i, v in enumerate(f.values)))
 
 
 def load_field(path, domain: Domain | None = None) -> Field:
     """Read a field written by :func:`save_field`.
 
-    A malformed file raises ``ParameterError`` naming the file and the line.
-    The index column must hold 0..n-1 once each, with n the domain size if
-    a domain is given.
+    A malformed file raises ``ParameterError`` naming the file.  The index
+    column must hold 0..n-1 once each, with n the domain size if a domain is
+    given.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, [])
-        if [h.strip().lower() for h in header[:2]] != ["index", "value"]:
-            raise ParameterError(f"expected header 'index,value' in {path}")
-        for lineno, line in enumerate(r, start=2):
-            if not line:
-                continue
-            try:
-                index, value = int(line[0]), float(line[1])
-            except (ValueError, IndexError) as exc:
-                raise ParameterError(f"{path} line {lineno}: expected index,value: {exc}") from exc
-            if math.isnan(value):
-                raise ParameterError(f"{path} line {lineno}: field values must not be NaN")
-            rows.append((index, value))
-    rows.sort()
-    if [i for i, _ in rows] != list(range(len(rows))):
-        raise ParameterError(f"{path}: the index column must hold 0..{len(rows) - 1} once each")
-    if domain is not None and domain.size != len(rows):
-        raise ParameterError(f"{path}: {len(rows)} rows for a domain of {domain.size} points")
-    return Field(domain or Domain(len(rows)), [v for _, v in rows])
+    header, body = read_table(path)
+    if [h.strip().lower() for h in header] != ["index", "value"]:
+        raise ParameterError(f"expected header 'index,value' in {path}")
+    order = np.argsort(body[:, 0], kind="stable")
+    n = len(order)
+    if not np.array_equal(body[order, 0], np.arange(n)):
+        raise ParameterError(f"{path}: the index column must hold 0..{n - 1} once each")
+    if domain is not None and domain.size != n:
+        raise ParameterError(f"{path}: {n} rows for a domain of {domain.size} points")
+    if np.isnan(body[:, 1]).any():
+        raise ParameterError(f"{path}: field values must not be NaN")
+    return Field(domain or Domain(n), body[order, 1])

@@ -245,8 +245,9 @@ def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
     (alpha - p_(j)))), so Hommel's h is the least such m minus one.  The
     Simes comparison itself at h and h + 1 absorbs rounding in the ceil.
     Rejects p <= alpha / h, or everything when h = 0; O(J log J) per row.
+    P-values outside [0, 1] or NaN raise ``ParameterError``.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=float))
+    p = np.atleast_2d(_checked_pvalues(p))
     n = p.shape[1]
     ps = np.sort(p, axis=1)
     above = np.arange(n - 1, -1, -1)  # J - 1 - j; fmax maps its 0/0 to 1
@@ -261,14 +262,13 @@ def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
 
 def hommel(pvalues, alpha: float) -> IndexSet:
     """Hommel step-up rejections (strong familywise control)."""
-    p = _checked_pvalues(pvalues)
     _check_alpha(alpha)
-    return IndexSet.from_mask(hommel_reject_mask(p, alpha)[0])
+    return IndexSet.from_mask(hommel_reject_mask(pvalues, alpha)[0])
 
 
 def bh_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
-    """Benjamini-Hochberg step-up rejection masks, rowwise."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
+    """Benjamini-Hochberg step-up rejection masks, rowwise; p-values are checked as in Hommel."""
+    p = np.atleast_2d(_checked_pvalues(p))
     B, n = p.shape
     if n == 0:
         return np.zeros((B, 0), dtype=bool)
@@ -281,6 +281,5 @@ def bh_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
 
 def bh(pvalues, alpha: float) -> IndexSet:
     """Benjamini-Hochberg step-up rejections (false-discovery-rate control)."""
-    p = _checked_pvalues(pvalues)
     _check_alpha(alpha)
-    return IndexSet.from_mask(bh_reject_mask(p, alpha)[0])
+    return IndexSet.from_mask(bh_reject_mask(pvalues, alpha)[0])

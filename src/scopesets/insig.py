@@ -8,11 +8,11 @@ M locations were null?
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .dist import binom_tail, t_cdf
 from .domain import IndexSet
 from .errors import ParameterError
@@ -127,31 +127,10 @@ def write_insig_report(report: InsigReport, path, J: int) -> None:
     def pct(x):
         return "" if x is None else format(100.0 * x, ".1f")
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "k",
-                "q_hat",
-                "iv_obs_J",
-                "iv_qhat_J",
-                "iv_qhat_J_minus_m1",
-                "iv_qhat_m0",
-                "n_scope",
-                "n_hommel",
-                "n_bh",
-            ]
-        )
-        w.writerow(
-            [
-                format(report.k_used, ".6g"),
-                format(report.q_hat, ".6g"),
-                pct(report.iv_obs.get((J, 1))),
-                pct(report.iv_qhat.get((J, 1))),
-                pct(report.iv_qhat.get((J - report.m1, 1))),
-                pct(report.iv_qhat.get((report.m0, 1))),
-                report.counts["scope"],
-                report.counts["hommel"],
-                report.counts["bh"],
-            ]
-        )
+    header = ["k", "q_hat", "iv_obs_J", "iv_qhat_J", "iv_qhat_J_minus_m1", "iv_qhat_m0",
+              "n_scope", "n_hommel", "n_bh"]
+    iv = (report.iv_obs.get((J, 1)), report.iv_qhat.get((J, 1)),
+          report.iv_qhat.get((J - report.m1, 1)), report.iv_qhat.get((report.m0, 1)))
+    row = [format(report.k_used, ".6g"), format(report.q_hat, ".6g"), *map(pct, iv),
+           *(report.counts[name] for name in ("scope", "hommel", "bh"))]
+    write_csv(path, header, [row])

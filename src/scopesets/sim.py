@@ -17,12 +17,12 @@ results are byte-reproducible.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .dist import Rng, t_cdf
 from .domain import Domain, Field
 from .errors import ParameterError
@@ -48,6 +48,8 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ParameterError("reps must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.sided not in ("two_sided", "one_sided", "both"):
@@ -86,23 +88,23 @@ def model_mu(model: str, J: int | None = None) -> Field:
 def parse_method(token: str):
     """Parse a method token: oracle | storey | log_kappa(K) | scb(LEVEL)."""
     token = token.strip()
-    if token == "oracle":
-        return ("oracle", None, "oracle")
-    if token == "storey":
-        return ("storey", None, "storey")
-    m = re.fullmatch(r"log_kappa\(([^)]+)\)", token)
-    if m:
-        kappa = float(m.group(1))
-        policy = KPolicy("log_over_kappa", kappa=kappa)
-        return ("log_kappa", policy, policy.label())
-    m = re.fullmatch(r"scb\(([^)]+)\)", token)
-    if m:
-        level = float(m.group(1))
-        if not 0.0 < level < 1.0:
-            raise ParameterError(f"scb level must be in (0, 1), got {level}")
-        policy = KPolicy("scb_level", beta=1.0 - level)
-        return ("scb", policy, policy.label())
-    raise ParameterError(f"unknown method token {token!r}")
+    if token in ("oracle", "storey"):
+        return (token, None, token)
+    m = re.fullmatch(r"(log_kappa|scb)\(([^)]+)\)", token)
+    if m is None:
+        raise ParameterError(f"unknown method token {token!r}")
+    kind, arg = m.groups()
+    try:
+        value = float(arg)
+    except ValueError:
+        raise ParameterError(f"method token {token!r}: {arg!r} is not a number") from None
+    if kind == "log_kappa":
+        policy = KPolicy("log_over_kappa", kappa=value)
+    elif not 0.0 < value < 1.0:
+        raise ParameterError(f"scb level must be in (0, 1), got {value}")
+    else:
+        policy = KPolicy("scb_level", beta=1.0 - value)
+    return (kind, policy, policy.label())
 
 
 def _quantile_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
@@ -297,27 +299,19 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
 
 def write_sim_table(rows, path) -> None:
     """Write rows as CSV: method,N,cov,fd,td with 1-decimal percent coverage."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "N", "cov", "fd", "td"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.method,
-                    r.N,
-                    "" if r.cov is None else format(r.cov, ".1f"),
-                    "" if r.fd is None else format(r.fd, ".6g"),
-                    "" if r.td is None else format(r.td, ".6g"),
-                ]
-            )
+
+    def fmt(x, spec):
+        return "" if x is None else format(x, spec)
+
+    write_csv(path, ["method", "N", "cov", "fd", "td"],
+              ([r.method, r.N, fmt(r.cov, ".1f"), fmt(r.fd, ".6g"), fmt(r.td, ".6g")]
+               for r in rows))
 
 
 def write_plot_data(rows, path) -> None:
     """Long-format CSV: method,N,metric,value (one row per defined metric)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "N", "metric", "value"])
-        for r in rows:
-            for metric, value in (("cov", r.cov), ("fd", r.fd), ("td", r.td)):
-                if value is not None:
-                    w.writerow([r.method, r.N, metric, format(value, ".6g")])
+    write_csv(path, ["method", "N", "metric", "value"],
+              ([r.method, r.N, metric, format(value, ".6g")]
+               for r in rows
+               for metric, value in (("cov", r.cov), ("fd", r.fd), ("td", r.td))
+               if value is not None))

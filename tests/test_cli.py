@@ -5,6 +5,7 @@ import pytest
 
 from scopesets.cli import main, parse_config, UsageError
 from scopesets.dist import Rng
+from scopesets.domain import Domain, Field, save_field
 
 
 SIM_CONFIG = """\
@@ -234,7 +235,9 @@ BAD_FLAG_CASES = [
     *((["scope", "--level", "0"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["insig"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["tests", *SAMPLE_ARGS["tests"]], flags)
-      for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"])),
+      for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"],
+                    ["--b-minus", "nan"], ["--b-minus", "1", "--b-plus", "0"])),
+    (["scope", "--kappa", "3"], ["--level", "nan"]),
     *((["scope", "--kappa", "3"], flags)
       for flags in (["--lower", "abc.csv", "--upper", "ok.csv"],
                     ["--lower", "ok.csv", "--upper", "nan.csv"],
@@ -262,6 +265,83 @@ def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, command, flags):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert all(f in err for f in bad_files)
     assert not (tmp_path / "o").exists()
+
+
+SCHEFFE_FLAG_ERRORS = [
+    (["--K", "1"], "--K must be >= 2"),
+    (["--K", "3", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    (["--K", "3", "--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    ([], "analytic mode needs --K"),
+    (["--data", "lm.csv", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags,expected", SCHEFFE_FLAG_ERRORS, ids=[" ".join(f) or "none" for f, _ in SCHEFFE_FLAG_ERRORS]
+)
+def test_bad_scheffe_flag_exits_2_with_one_line(tmp_path, capsys, flags, expected):
+    (tmp_path / "lm.csv").write_text("x1,x2,y\n1,0,1\n0,1,2\n1,1,2\n2,1,4\n")
+    flags = [str(tmp_path / f) if f == "lm.csv" else f for f in flags]
+    rc = main(["scheffe", *flags, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and expected in err
+    assert not (tmp_path / "o").exists()
+
+
+SIM_CONFIG_ERRORS = [
+    ("reps=abc", "'reps'"),
+    ("alpha=x", "'alpha'"),
+    ("N_list=30,x", "'N_list'"),
+    ("J=8.5", "'J'"),
+    ("seed=-1", "seed must be >= 0"),
+    ("methods=log_kappa(x)", "log_kappa(x)"),
+    ("methods=scb(y)", "scb(y)"),
+]
+
+
+@pytest.mark.parametrize("line,expected", SIM_CONFIG_ERRORS, ids=[c for c, _ in SIM_CONFIG_ERRORS])
+def test_bad_simulate_config_value_exits_2_naming_it(tmp_path, capsys, line, expected):
+    key = line.split("=", 1)[0]
+    kept = [row for row in SIM_CONFIG.splitlines() if not row.startswith(key + "=")]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("\n".join([*kept, line]) + "\n")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and expected in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_output_file_has_lf_line_endings(tmp_path):
+    data = tmp_path / "d.csv"
+    write_data(data, Rng(5), N=40, J=6, mu=0.3)
+    dom = Domain(6)
+    save_field(Field.constant(dom, -0.2), tmp_path / "lower.csv")
+    save_field(Field.constant(dom, 0.2), tmp_path / "upper.csv")
+    save_field(Field.constant(dom, 0.3), tmp_path / "mu.csv")
+    lm = tmp_path / "lm.csv"
+    lm.write_text("x1,x2,y\n1,0,1.1\n0,1,2.2\n1,1,2.9\n2,1,4.2\n1,2,4.8\n")
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG.replace("reps=120", "reps=20"))
+    out = tmp_path / "out"
+    d = ["--data", str(data)]
+    runs = [
+        ["simulate", "--config", str(tmp_path / "sim.cfg")],
+        ["scope", *d, "--level", "0", "--kappa", "3"],
+        ["scope", *d, "--lower", str(tmp_path / "lower.csv"), "--upper", str(tmp_path / "upper.csv"),
+         "--kappa", "3"],
+        ["insig", *d, "--kappa", "3"],
+        ["scheffe", "--K", "3"],
+        ["scheffe", "--data", str(lm)],
+        ["tests", *d, "--kind", "lrT", "--b-minus", "-1", "--b-plus", "1"],
+        ["tests", *d, "--kind", "leT", "--b-minus", "-1", "--b-plus", "1",
+         "--mu", str(tmp_path / "mu.csv")],
+    ]
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--out", str(out / str(i))]) == 0, argv
+    files = sorted(tmp_path.glob("*.csv")) + sorted(p for p in out.rglob("*") if p.is_file())
+    assert len(files) == 17
+    assert [f.name for f in files if b"\r" in f.read_bytes()] == []
 
 
 class TestTestsCommand:

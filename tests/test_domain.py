@@ -220,3 +220,24 @@ class TestFieldCsv:
         path.write_text("a,b\n0,1\n")
         with pytest.raises(ParameterError):
             load_field(path)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("index,value\n0,1\n1,2,9\n", "line 3: 3 fields, header has 2"),
+            ("index,value,note\n0,1,2\n", "expected header 'index,value'"),
+            ("index,value\n0,1\n1,abc\n", "line 3: could not convert"),
+        ],
+        ids=["extra_field", "extra_column", "non_numeric"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, text, expected):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="bad.csv") as info:
+            load_field(path)
+        assert expected in str(info.value)
+
+    def test_index_column_is_read_as_a_number(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("index,value\n1.0,2\n\n0,1\n")
+        assert load_field(path).values.tolist() == [1.0, 2.0]

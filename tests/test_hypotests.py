@@ -11,6 +11,7 @@ from scopesets.hypotests import (
     BandSpec,
     Calibration,
     bh,
+    bh_reject_mask,
     delta_eqv,
     delta_rel,
     et,
@@ -414,6 +415,13 @@ def _lrt_with_cov(cov):
         pytest.param(lambda: hommel([0.01, np.nan, 0.5], 0.1), id="hommel_nan_pvalue"),
         pytest.param(lambda: bh([0.01, np.nan, 0.5], 0.1), id="bh_nan_pvalue"),
         pytest.param(lambda: storey_m0([0.01, np.nan, 0.9]), id="storey_nan_pvalue"),
+        pytest.param(lambda: hommel_reject_mask([[0.01, np.nan, 0.5]], 0.1),
+                     id="hommel_mask_nan_pvalue"),
+        pytest.param(lambda: bh_reject_mask([[0.01, np.nan, 0.5]], 0.1), id="bh_mask_nan_pvalue"),
+        pytest.param(lambda: hommel_reject_mask([[0.01, 1.5, -0.2]], 0.1),
+                     id="hommel_mask_out_of_range_pvalue"),
+        pytest.param(lambda: bh_reject_mask([[0.01, 1.5, -0.2]], 0.1),
+                     id="bh_mask_out_of_range_pvalue"),
         pytest.param(lambda: _lrt_with_cov("iid_nromal"), id="misspelled_normal_spec"),
         pytest.param(lambda: _lrt_with_cov(("iid_T", 3)), id="misspelled_t_spec"),
         pytest.param(lambda: _lrt_with_cov(("iid_t", "3")), id="non_numeric_t_df"),

@@ -1,4 +1,4 @@
-"""The package's internal import graph has no cycles."""
+"""The package's internal import graph has no cycles, and one module owns the CSV format."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,23 @@ def test_find_cycle_reports_a_deferred_import_cycle():
 def test_package_imports_are_acyclic():
     cycle = find_cycle(import_graph())
     assert cycle is None, " -> ".join(cycle)
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in ``path``, including those inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_csvio_imports_only_errors():
+    assert relative_imports(PACKAGE / "csvio.py") == {"errors"}
+
+
+def test_only_csvio_imports_csv():
+    users = sorted(p.stem for p in PACKAGE.glob("*.py") if "csv" in imported_modules(p))
+    assert users == ["csvio"]

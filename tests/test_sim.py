@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -60,6 +62,11 @@ class TestParseMethod:
         for tok in ("bogus", "log_kappa()", "scb(1.5)"):
             with pytest.raises((ParameterError, ValueError)):
                 parse_method(tok)
+
+    @pytest.mark.parametrize("tok", ["log_kappa(x)", "scb(y)"])
+    def test_non_numeric_argument_raises_parameter_error_naming_the_token(self, tok):
+        with pytest.raises(ParameterError, match=re.escape(tok)):
+            parse_method(tok)
 
 
 def _draw_tstats_reference(gen, nb, N, mu):
