@@ -19,9 +19,7 @@ from .preimage import (
     KPolicy,
     PreimageSets,
     consistency_probe,
-    oracle_preimage,
     oracle_preimage_sets,
-    plugin_preimage,
     plugin_preimage_sets,
     resolve_k,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_table, write_csv
-from .dist import Rng, chisq_cdf, quantile as dist_quantile
+from .dist import chisq_cdf, quantile as dist_quantile
 from .domain import Domain, Field, load_field
 from .errors import ParameterError, ScopeSetsError
 from .excursion import ScopeBands, widened_excursions
@@ -275,6 +275,8 @@ def cmd_tests(args) -> int:
     policy = _from_flags(KPolicy, "log_over_kappa", kappa=kappa)
     if not args.b_minus <= args.b_plus:
         raise UsageError(f"need --b-minus <= --b-plus, got {args.b_minus} and {args.b_plus}")
+    if args.kind in ("eT", "leT") and not args.b_minus < args.b_plus:
+        raise UsageError(f"{args.kind} needs --b-minus < --b-plus, got {args.b_minus} twice")
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
@@ -286,7 +288,6 @@ def cmd_tests(args) -> int:
     cal = Calibration(
         alpha=args.alpha,
         cov=("iid_t", N - 1),
-        rng=Rng(args.seed or 0),
         k=None if mu is not None else resolve_k(policy, N, J, N - 1),
     )
     fn = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}[args.kind]
@@ -352,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="CSV with header; covariate columns then response")
     sch.add_argument("--K", type=int, default=None, help="contrast dimension (analytic mode)")
     sch.add_argument("--alpha", type=float, default=0.05)
-    sch.add_argument("--beta-zero", action="store_true",
-                     help="report the zero-vector insignificance value")
     sch.add_argument("--out", default=".")
     sch.add_argument("--seed", type=int, default=0)
     sch.set_defaults(fn=cmd_scheffe)

@@ -1,12 +1,20 @@
 """Band-based relevance and equivalence tests plus multiple-testing baselines.
 
-All four tests share one template: shift the band so it touches the target at
-its most critical points, calibrate the max-sup statistic over the preimages
-of the shifted band, then read the decision off widened (or shrunken)
-excursion sets of the estimate.
+The band tests grT, lrT, eT and leT are one template, ``_band_test``.  eT and
+leT need a strictly positive band gap.  d is ``delta_rel`` for the local tests
+lrT and leT and ``delta_eqv`` for the global tests grT and eT.  The edges, taken
+as (b_minus, b_plus) or as (b_plus, b_minus) for leT, move by +d and -d for
+the local tests and by -d and +d for the global ones, so that they touch the
+target.  The critical value q is the upper (for eT the lower) quantile of the
+max-sup statistic whose negated sup runs over the points where the target
+touches the first shifted edge from above and whose plain sup runs where it
+touches the second from below.  The decision reads the sets where the estimate
+lies below the first edge minus q*tau*sigma and above the second plus
+q*tau*sigma: their union for grT and lrT, their intersection for leT, their
+emptiness for eT.
 
-Oracle calibration (target known) is the validated path; plug-in calibration
-through the thickened preimage estimator is exposed but experimental.
+Oracle calibration (target known) is the validated path; plug-in calibration,
+which estimates the touch sets from the data, is exposed but experimental.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ import numpy as np
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, _moved, widened_excursions
-from .preimage import oracle_preimage, plugin_preimage
+from .excursion import ScopeBands, shift_threshold, widened_excursions
+from .preimage import oracle_preimage_sets, plugin_preimage_sets
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, iid_exact_quantile,
                        mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
@@ -66,7 +74,6 @@ class Calibration:
     cov: object = "iid_normal"
     reps: int = 200_000
     rng: Rng | None = None
-    eta: float = 0.0
     k: float | None = None
 
 
@@ -101,39 +108,43 @@ def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> Quant
     return mc_oracle_quantile(cov, neg, pos, cal.alpha, cal.reps, rng, tail=tail)
 
 
-def _resolve(quantile, bands, reference: Field, c_neg, c_pos, plugin: bool, tail: str):
-    """The critical value: given by ``bands``, passed in, or calibrated.
-
-    Calibration solves for the max-sup statistic whose negated sup runs over
-    the points where ``reference`` touches threshold values ``c_neg`` from
-    above and whose plain sup runs over those touching ``c_pos`` from below;
-    ``plugin`` estimates these touch sets from ``reference`` as data.
+def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile,
+               mu: Field | None) -> TestDecision:
+    """Test ``kind`` by the module's template; q is ``bands.q`` when ``quantile`` is None,
+    ``quantile`` itself when it is a ``QuantileEstimate``, and calibrated on ``mu`` (oracle)
+    or on ``mu_hat`` (plug-in, needs ``k``) when it is a ``Calibration``.
     """
+    if kind in ("eT", "leT") and not np.all(band.gap() > 0):
+        raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
+    local = kind in ("lrT", "leT")
+    reference = mu if mu is not None else mu_hat
+    d = delta_rel(reference, band)[0] if local else delta_eqv(reference, band)
+    first, second = (band.b_plus, band.b_minus) if kind == "leT" else (band.b_minus, band.b_plus)
+    s = d if local else -d
     if quantile is None:
-        return QuantileEstimate(bands.q, "given", float("nan"))
-    if isinstance(quantile, QuantileEstimate):
-        return quantile
-    if not isinstance(quantile, Calibration):
+        est = QuantileEstimate(bands.q, "given", float("nan"))
+    elif isinstance(quantile, QuantileEstimate):
+        est = quantile
+    elif not isinstance(quantile, Calibration):
         raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
-    cal = quantile
-    fam_neg = [Field(reference.domain, c_neg)]
-    fam_pos = [Field(reference.domain, c_pos)]
-    if not plugin:
-        neg = oracle_preimage(reference, fam_neg, cal.eta, "plus")
-        pos = oracle_preimage(reference, fam_pos, cal.eta, "minus")
-        return _solve_q(neg, pos, cal, tail)
-    if cal.k is None:
-        raise ParameterError("plug-in calibration needs k")
-    neg = plugin_preimage(reference, fam_neg, bands.sigma, bands.tau, cal.k, "plus")
-    pos = plugin_preimage(reference, fam_pos, bands.sigma, bands.tau, cal.k, "minus")
-    return _solve_q(neg, pos, cal, tail)
-
-
-def _excursions(mu_hat: Field, lower: Field, upper: Field, bands: ScopeBands, q: float):
-    """Masks of mu_hat below lower - w and above upper + w, w = q*tau*sigma."""
-    same_domain(mu_hat, lower, upper, bands.sigma)
-    w = q * bands.tau * bands.sigma.values
-    return widened_excursions(mu_hat.values, lower.values, upper.values, w)
+    else:
+        fams = [shift_threshold(first, s)], [shift_threshold(second, -s)]
+        if mu is not None:
+            neg, pos = (oracle_preimage_sets(mu, fam) for fam in fams)
+        elif quantile.k is None:
+            raise ParameterError("plug-in calibration needs k")
+        else:
+            neg, pos = (plugin_preimage_sets(mu_hat, fam, bands.sigma, bands.tau, quantile.k)
+                        for fam in fams)
+        est = _solve_q(neg.plus, pos.minus, quantile, "lower" if kind == "eT" else "upper")
+    same_domain(mu_hat, first, second, bands.sigma)
+    w = est.q * bands.tau * bands.sigma.values
+    below, above = widened_excursions(mu_hat.values, first.values, second.values, w)
+    hits = below & above if kind == "leT" else below | above
+    if kind == "eT":
+        return TestDecision(kind, est, d, global_reject=not hits.any())
+    return TestDecision(kind, est, d, global_reject=bool(hits.any()) if kind == "grT" else None,
+                        rejected=IndexSet.from_mask(hits))
 
 
 def grt(
@@ -150,15 +161,7 @@ def grt(
     exceedance, so that it touches the target's extremes under the boundary
     null.
     """
-    reference = mu if mu is not None else mu_hat
-    d = delta_eqv(reference, band)
-    bm, bp = band.b_minus.values, band.b_plus.values
-    est = _resolve(quantile, bands, reference, _moved(bm, -d), _moved(bp, d), mu is None, "upper")
-    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
-    out = below | above
-    return TestDecision(
-        "grT", est, d, global_reject=bool(out.any()), rejected=IndexSet.from_mask(out)
-    )
+    return _band_test("grT", mu_hat, band, bands, quantile, mu)
 
 
 def lrt(
@@ -174,12 +177,7 @@ def lrt(
     distance; when the shifted band touches the target nowhere, the critical
     value defaults to zero.
     """
-    reference = mu if mu is not None else mu_hat
-    d, _, _ = delta_rel(reference, band)
-    bm, bp = band.b_minus.values, band.b_plus.values
-    est = _resolve(quantile, bands, reference, _moved(bm, d), _moved(bp, -d), mu is None, "upper")
-    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
-    return TestDecision("lrT", est, d, rejected=IndexSet.from_mask(below | above))
+    return _band_test("lrT", mu_hat, band, bands, quantile, mu)
 
 
 def et(
@@ -195,14 +193,7 @@ def et(
     tail of the max-sup statistic over the outward-shifted band; equivalence
     is concluded exactly when both widened excursion sets are empty.
     """
-    if not np.all(band.gap() > 0):
-        raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
-    reference = mu if mu is not None else mu_hat
-    d = delta_eqv(reference, band)
-    bm, bp = band.b_minus.values, band.b_plus.values
-    est = _resolve(quantile, bands, reference, _moved(bm, -d), _moved(bp, d), mu is None, "lower")
-    below, above = _excursions(mu_hat, band.b_minus, band.b_plus, bands, est.q)
-    return TestDecision("eT", est, d, global_reject=not (below.any() or above.any()))
+    return _band_test("eT", mu_hat, band, bands, quantile, mu)
 
 
 def let_(
@@ -219,16 +210,7 @@ def let_(
     confidence-interval-inclusion rule in the scalar symmetric case.  The
     calibrating statistic swaps the roles of the two outward-shifted edges.
     """
-    if not np.all(band.gap() > 0):
-        raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
-    reference = mu if mu is not None else mu_hat
-    d, _, _ = delta_rel(reference, band)
-    bm, bp = band.b_minus.values, band.b_plus.values
-    # swapped roles: negated sup over the upper edge's touch set
-    est = _resolve(quantile, bands, reference, _moved(bp, d), _moved(bm, -d), mu is None, "upper")
-    # below the shrunk upper edge and above the shrunk lower edge
-    inside_hi, inside_lo = _excursions(mu_hat, band.b_plus, band.b_minus, bands, est.q)
-    return TestDecision("leT", est, d, rejected=IndexSet.from_mask(inside_hi & inside_lo))
+    return _band_test("leT", mu_hat, band, bands, quantile, mu)
 
 
 def _simes_top_rejects(ps: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarray:

@@ -80,13 +80,6 @@ def _touch_masks(values: np.ndarray, fam, tol):
     return plus, minus
 
 
-def _side(plus: np.ndarray, minus: np.ndarray, side: str) -> IndexSet:
-    masks = {"plus": plus, "minus": minus, "both": plus | minus}
-    if side not in masks:
-        raise ParameterError(f"unknown side {side!r}")
-    return IndexSet.from_mask(masks[side])
-
-
 def _sets(plus: np.ndarray, minus: np.ndarray) -> PreimageSets:
     return PreimageSets(
         IndexSet.from_mask(plus), IndexSet.from_mask(minus), IndexSet.from_mask(plus | minus)
@@ -111,27 +104,17 @@ def _plugin_masks(mu_hat: Field, fam, sigma: Field, tau: float, k: float):
     return _touch_masks(mu_hat.values, fam, k * tau * sigma.values)
 
 
-def oracle_preimage(mu: Field, fam, eta: float, side: str = "both") -> IndexSet:
-    """Points where ``mu`` meets the family within eta, from the given side.
+def oracle_preimage_sets(mu: Field, fam, eta: float = 0.0) -> PreimageSets:
+    """Points where ``mu`` meets the family within eta, by side.
 
     Plus side: 0 <= mu - c <= eta for some member c; minus side mirrored;
-    'both' is the union.  eta = 0 gives the exact preimage.
+    ``both`` is the union.  eta = 0 gives the exact preimage.
     """
-    return _side(*_oracle_masks(mu, fam, eta), side)
-
-
-def oracle_preimage_sets(mu: Field, fam, eta: float = 0.0) -> PreimageSets:
     return _sets(*_oracle_masks(mu, fam, eta))
 
 
-def plugin_preimage(
-    mu_hat: Field, fam, sigma: Field, tau: float, k: float, side: str = "both"
-) -> IndexSet:
-    """Thickened plugin estimate of the preimage with tolerance k*tau*sigma."""
-    return _side(*_plugin_masks(mu_hat, fam, sigma, tau, k), side)
-
-
 def plugin_preimage_sets(mu_hat: Field, fam, sigma: Field, tau: float, k: float) -> PreimageSets:
+    """Thickened plugin estimate of the preimage sets with tolerance k*tau*sigma."""
     return _sets(*_plugin_masks(mu_hat, fam, sigma, tau, k))
 
 

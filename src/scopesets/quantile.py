@@ -162,20 +162,32 @@ def _map_chunks(fn, reps: int, width: int, rng: Rng) -> list:
             for i, start in enumerate(range(0, reps, rows))]
 
 
-def _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, reps, rng: Rng, tail: str) -> float:
-    """Order statistic of ``reps`` max-sup draws max(z @ signed_columns(root, neg_idx, pos_idx)).
+def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet, alpha,
+                           reps, rng: Rng, tail: str) -> QuantileEstimate:
+    """Order statistic of ``reps`` max-sup draws max(z @ signed_columns(root, neg, pos)).
 
-    z holds one standard normal per row of ``root``, whose columns are the
-    union of the touch sets; the index arrays are positions in that union.
-    The upper tail returns the order statistic at ceil((1-alpha)*reps), the
-    lower tail (for the equivalence test) the one at floor(alpha*reps).
+    ``root = root_of(union)`` has one column per point of the union of the
+    touch sets, and z holds one standard normal per row of ``root``; neg and
+    pos are the positions of the sets in that union.  Both sets empty gives
+    q = 0 with a flag.  The upper tail returns the order statistic at
+    ceil((1-alpha)*reps), the lower tail (for the equivalence test) the one
+    at floor(alpha*reps).
     """
-    signed = signed_columns(root, neg_idx, pos_idx)
-    draw = lambda gen, n: (gen.standard_normal((n, root.shape[0])) @ signed).max(axis=1)
+    _check_alpha(alpha)
+    if tail not in ("upper", "lower"):
+        raise ParameterError(f"unknown tail {tail!r}")
+    if len(neg_set) == 0 and len(pos_set) == 0:
+        return QuantileEstimate(0.0, method, alpha, 0, empty_sets=True)
+    union = np.union1d(neg_set.members, pos_set.members)
+    signed = signed_columns(root_of(union), np.searchsorted(union, neg_set.members),
+                            np.searchsorted(union, pos_set.members))
+    draw = lambda gen, n: (gen.standard_normal((n, signed.shape[0])) @ signed).max(axis=1)
     stats = np.sort(np.concatenate(_map_chunks(draw, reps, max(signed.shape), rng)))
     if tail == "upper":
-        return float(stats[min(reps, int(np.ceil((1.0 - alpha) * reps))) - 1])
-    return float(stats[max(1, int(np.floor(alpha * reps))) - 1])
+        q = stats[min(reps, int(np.ceil((1.0 - alpha) * reps))) - 1]
+    else:
+        q = stats[max(1, int(np.floor(alpha * reps))) - 1]
+    return QuantileEstimate(float(q), method, alpha, int(union.size))
 
 
 def _symmetric_block(m, idx: np.ndarray, what: str) -> np.ndarray:
@@ -222,19 +234,10 @@ def mc_oracle_quantile(
     ``_gaussian_max_quantile``.  For iid noise ``iid_exact_quantile`` solves
     the same law exactly; ``np.eye(n)`` gives a Monte-Carlo check of it.
     """
-    _check_alpha(alpha)
     if reps < 1000:
         raise ParameterError(f"need reps >= 1000, got {reps}")
-    if tail not in ("upper", "lower"):
-        raise ParameterError(f"unknown tail {tail!r}")
-    if len(neg_set) == 0 and len(pos_set) == 0:
-        return QuantileEstimate(0.0, "mc_oracle", alpha, 0, empty_sets=True)
-    union = np.union1d(neg_set.members, pos_set.members)
-    neg_idx = np.searchsorted(union, neg_set.members)
-    pos_idx = np.searchsorted(union, pos_set.members)
-    root = _sqrt_factor(_symmetric_block(cov, union, "correlation matrix"))
-    q = _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, reps, rng, tail)
-    return QuantileEstimate(q, "mc_oracle", alpha, int(union.size))
+    root_of = lambda union: _sqrt_factor(_symmetric_block(cov, union, "correlation matrix"))
+    return _gaussian_max_quantile("mc_oracle", root_of, neg_set, pos_set, alpha, reps, rng, tail)
 
 
 def multiplier_bootstrap_quantile(
@@ -253,28 +256,23 @@ def multiplier_bootstrap_quantile(
     sup running over ``sets.plus`` and the plain sup over ``sets.minus``.
     The touched columns must be finite.  Tails as in ``_gaussian_max_quantile``.
     """
-    _check_alpha(alpha)
-    if tail not in ("upper", "lower"):
-        raise ParameterError(f"unknown tail {tail!r}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ParameterError("data must be an N x J matrix with N >= 2")
     if R < 100:
         raise ParameterError(f"need R >= 100, got {R}")
-    neg_set, pos_set = sets.plus, sets.minus
-    if len(neg_set) == 0 and len(pos_set) == 0:
-        return QuantileEstimate(0.0, "multiplier_bootstrap", alpha, 0, empty_sets=True)
-    union = np.union1d(neg_set.members, pos_set.members)
-    neg_idx = np.searchsorted(union, neg_set.members)
-    pos_idx = np.searchsorted(union, pos_set.members)
-    y = data[:, union]
-    finite = np.isfinite(y).all(axis=0)
-    if not finite.all():
-        raise ParameterError(f"non-finite value(s) in touched column(s): {union[~finite].tolist()}")
-    sd = y.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        bad = union[np.flatnonzero(sd == 0.0)]
-        raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
-    root = (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0]))
-    q = _gaussian_max_quantile(root, neg_idx, pos_idx, alpha, R, rng, tail)
-    return QuantileEstimate(q, "multiplier_bootstrap", alpha, int(union.size))
+
+    def root_of(union):
+        y = data[:, union]
+        finite = np.isfinite(y).all(axis=0)
+        if not finite.all():
+            raise ParameterError(f"non-finite value(s) in touched column(s): "
+                                 f"{union[~finite].tolist()}")
+        sd = y.std(axis=0, ddof=1)
+        if np.any(sd == 0.0):
+            bad = union[np.flatnonzero(sd == 0.0)]
+            raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
+        return (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0]))
+
+    return _gaussian_max_quantile("multiplier_bootstrap", root_of, sets.plus, sets.minus, alpha,
+                                  R, rng, tail)

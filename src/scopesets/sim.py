@@ -28,7 +28,7 @@ from .domain import Domain, Field
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
-from .preimage import KPolicy, oracle_preimage, resolve_k
+from .preimage import KPolicy, oracle_preimage_sets, resolve_k
 from .quantile import _chunk_rows, _map_chunks, iid_quantile
 
 
@@ -265,10 +265,10 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
         raise ParameterError(f"unknown noise model {instance.noise!r}")
     if not (instance.lower_fam or instance.upper_fam):
         raise ParameterError("need at least one threshold")
-    neg_thick = oracle_preimage(mu, instance.lower_fam, eta, "plus").members
-    pos_thick = oracle_preimage(mu, instance.upper_fam, eta, "minus").members
-    neg_exact = oracle_preimage(mu, instance.lower_fam, 0.0, "both").members
-    pos_exact = oracle_preimage(mu, instance.upper_fam, 0.0, "both").members
+    neg_thick = oracle_preimage_sets(mu, instance.lower_fam, eta).plus.members
+    pos_thick = oracle_preimage_sets(mu, instance.upper_fam, eta).minus.members
+    neg_exact = oracle_preimage_sets(mu, instance.lower_fam).both.members
+    pos_exact = oracle_preimage_sets(mu, instance.upper_fam).both.members
     sig_max = float(np.max(sigma.values))
     slack = q + eta / (tau * sig_max)
     w = q * tau * sigma.values

@@ -1,8 +1,12 @@
+import argparse
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scopesets import cli
 from scopesets.cli import main, parse_config, UsageError
 from scopesets.dist import Rng
 from scopesets.domain import Domain, Field, save_field
@@ -137,8 +141,7 @@ class TestInsigCommand:
 
 class TestScheffeCommand:
     def test_analytic_zero_vector_value(self, tmp_path, capsys):
-        rc = main(["scheffe", "--K", "4", "--alpha", "0.05", "--beta-zero",
-                   "--out", str(tmp_path)])
+        rc = main(["scheffe", "--K", "4", "--alpha", "0.05", "--out", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
         value = float(printed.strip().split("=")[-1])
@@ -368,3 +371,23 @@ class TestTestsCommand:
         rc = main(["tests", "--data", str(path), "--kind", "zzz",
                    "--b-minus", "-1", "--b-plus", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("kind", ["eT", "leT"])
+    def test_zero_width_band_exits_2_before_reading_data(self, tmp_path, capsys, kind):
+        # the data path does not exist: the band is rejected before it is opened
+        rc = main(["tests", "--data", str(tmp_path / "missing.csv"), "--kind", kind,
+                   "--b-minus", "0", "--b-plus", "0", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} needs --b-minus < --b-plus, got 0.0 twice\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_every_flag_is_read_somewhere_in_cli():
+    # a flag whose value cli.py never reads changes nothing and should not exist
+    source = Path(cli.__file__).read_text()
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for parser in sub.choices.values() for a in parser._actions
+             if not isinstance(a, argparse._HelpAction)}
+    assert "b_minus" in dests and "K" in dests
+    assert sorted(d for d in dests if not re.search(rf"\bargs\.{d}\b", source)) == []

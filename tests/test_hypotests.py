@@ -329,6 +329,59 @@ class TestConsistencyAtLargeN:
         assert eqv_all / reps >= 0.99
 
 
+def _hand_decision(kind, mu_hat, mu, bm, bp, sd, tau, k, alpha, df):
+    """A band test from its definition, with every set a numpy mask."""
+    ref = mu if mu is not None else mu_hat
+    d_rel = min(np.abs(ref - bm).min(), np.abs(ref - bp).min())
+    d_eqv = max((ref - bp).max(), (bm - ref).max())
+    # the edge the negated sup touches from above and the one the plain sup touches from below
+    c_neg, c_pos = {"grT": (bm - d_eqv, bp + d_eqv), "lrT": (bm + d_rel, bp - d_rel),
+                    "eT": (bm - d_eqv, bp + d_eqv), "leT": (bp + d_rel, bm - d_rel)}[kind]
+    tol = 0.0 if mu is not None else k * tau * sd
+    neg = (ref - c_neg >= 0) & (ref - c_neg <= tol)
+    pos = (c_pos - ref >= 0) & (c_pos - ref <= tol)
+    assert neg.any() and pos.any()  # both sups are exercised
+    tail = "lower" if kind == "eT" else "upper"
+    est = iid_exact_quantile(IndexSet.from_mask(neg), IndexSet.from_mask(pos), alpha, df, tail)
+    w = est.q * tau * sd
+    out = (mu_hat < bm - w) | (mu_hat > bp + w)
+    inside = (mu_hat > bm + w) & (mu_hat < bp - w)
+    d = d_rel if kind in ("lrT", "leT") else d_eqv
+    return est, d, {"grT": (bool(out.any()), out), "lrT": (None, out),
+                     "eT": (not out.any(), np.zeros_like(out)), "leT": (None, inside)}[kind]
+
+
+@pytest.mark.parametrize("mode", ["oracle", "plugin"])
+@pytest.mark.parametrize("kind", ["grT", "lrT", "eT", "leT"])
+def test_calibrated_decision_matches_hand_masks(kind, mode):
+    # the target sits 0.25 outside each edge at one point and 0.25 inside at
+    # another, so every oracle touch set is non-empty; dyadic values keep the
+    # shifted edges exact
+    J, N, alpha, k = 10, 50, 0.1, 3.0
+    j = np.arange(J)
+    bm = -0.5 - 0.125 * (j % 3)
+    bp = 1.0 + 0.125 * (j % 2)
+    mu = np.array([bm[0] - 0.25, bm[1] + 0.25, bp[2] - 0.25, bp[3] + 0.25,
+                   0.0, 0.5, 0.25, -0.125, 0.75, -0.25])
+    gen = np.random.default_rng(11)
+    sd = gen.uniform(0.5, 1.5, J)
+    tau = 1.0 / np.sqrt(N)
+    mu_hat = mu + tau * sd * gen.standard_normal(J)
+    dom = Domain(J)
+    band = BandSpec(Field(dom, bm), Field(dom, bp))
+    bands = ScopeBands(0.0, tau, Field(dom, sd))
+    oracle = mode == "oracle"
+    cal = Calibration(alpha=alpha, cov=("iid_t", N - 1), k=None if oracle else k)
+    test = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}[kind]
+    dec = test(Field(dom, mu_hat), band, bands, quantile=cal, mu=Field(dom, mu) if oracle else None)
+    est, d, (global_reject, rejected) = _hand_decision(
+        kind, mu_hat, mu if oracle else None, bm, bp, sd, tau, k, alpha, N - 1)
+    assert dec.kind == kind and dec.delta == d
+    assert dec.quantile_used == est
+    assert dec.global_reject == global_reject
+    assert dec.rejected == IndexSet.from_mask(rejected)
+
+
 class TestTPvalues:
     def test_zero_mean_column_gives_one(self):
         data = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0], [-2.0, 2.0]])

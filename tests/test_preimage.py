@@ -8,9 +8,7 @@ from scopesets.errors import DomainMismatchError, ParameterError
 from scopesets.preimage import (
     KPolicy,
     consistency_probe,
-    oracle_preimage,
     oracle_preimage_sets,
-    plugin_preimage,
     plugin_preimage_sets,
     resolve_k,
 )
@@ -25,38 +23,39 @@ class TestOraclePreimage:
     def test_exact_match_everywhere(self):
         mu = fld(1.0, -2.0, 0.5)
         for eta in (0.0, 0.3):
-            for side in ("plus", "minus", "both"):
-                assert oracle_preimage(mu, [mu], eta, side) == IndexSet.full(3)
+            sets = oracle_preimage_sets(mu, [mu], eta)
+            assert sets.plus == sets.minus == sets.both == IndexSet.full(3)
 
     def test_zero_eta_split(self):
         mu = fld(-1.0, 0.0, 1.0)
         zero = Field.constant(mu.domain, 0.0)
-        assert oracle_preimage(mu, [zero], 0.0, "plus") == IndexSet([1])
-        assert oracle_preimage(mu, [zero], 0.0, "minus") == IndexSet([1])
+        sets = oracle_preimage_sets(mu, [zero], 0.0)
+        assert sets.plus == sets.minus == IndexSet([1])
 
     def test_thickened_split(self):
         mu = fld(-1.0, 0.0, 1.0)
         zero = Field.constant(mu.domain, 0.0)
-        assert oracle_preimage(mu, [zero], 1.0, "plus") == IndexSet([1, 2])
-        assert oracle_preimage(mu, [zero], 1.0, "minus") == IndexSet([0, 1])
-        assert oracle_preimage(mu, [zero], 1.0, "both") == IndexSet.full(3)
+        sets = oracle_preimage_sets(mu, [zero], 1.0)
+        assert sets.plus == IndexSet([1, 2])
+        assert sets.minus == IndexSet([0, 1])
+        assert sets.both == IndexSet.full(3)
 
     def test_opposite_infinities_follow_the_sign(self):
         # an infinite tolerance admits every point, on the side of the difference's sign
         for target in (-np.inf, -5.0):
             mu = fld(target)
             c = Field(mu.domain, [np.inf])
-            assert oracle_preimage(mu, [c], np.inf, "plus") == IndexSet()
-            assert oracle_preimage(mu, [c], np.inf, "minus") == IndexSet([0])
+            sets = oracle_preimage_sets(mu, [c], np.inf)
+            assert sets.plus == IndexSet() and sets.minus == IndexSet([0])
         mu = fld(np.inf)
         c = Field(mu.domain, [-np.inf])
-        assert oracle_preimage(mu, [c], np.inf, "plus") == IndexSet([0])
-        assert oracle_preimage(mu, [c], np.inf, "minus") == IndexSet()
+        sets = oracle_preimage_sets(mu, [c], np.inf)
+        assert sets.plus == IndexSet([0]) and sets.minus == IndexSet()
 
     def test_negative_eta(self):
         mu = fld(0.0)
         with pytest.raises(ParameterError):
-            oracle_preimage(mu, [mu], -0.1)
+            oracle_preimage_sets(mu, [mu], -0.1)
 
     def test_monotone_in_eta(self):
         rng = np.random.default_rng(42)
@@ -66,24 +65,24 @@ class TestOraclePreimage:
             mu = Field(dom, rng.normal(size=J))
             c = Field(dom, rng.normal(size=J))
             eta1, eta2 = sorted(rng.uniform(0, 2, 2))
+            small = oracle_preimage_sets(mu, [c], eta1)
+            big = oracle_preimage_sets(mu, [c], eta2)
             for side in ("plus", "minus", "both"):
-                small = oracle_preimage(mu, [c], eta1, side)
-                big = oracle_preimage(mu, [c], eta2, side)
-                assert small.issubset(big)
+                assert getattr(small, side).issubset(getattr(big, side))
 
 
 class TestPluginPreimage:
     def test_exact_match(self):
         mu_hat = fld(1.0, 2.0)
         sigma = Field.constant(mu_hat.domain, 1.0)
-        for side in ("plus", "minus", "both"):
-            assert plugin_preimage(mu_hat, [mu_hat], sigma, 1.0, 0.5, side) == IndexSet.full(2)
+        sets = plugin_preimage_sets(mu_hat, [mu_hat], sigma, 1.0, 0.5)
+        assert sets.plus == sets.minus == sets.both == IndexSet.full(2)
 
     def test_tolerance_covers_range(self):
         mu_hat = fld(0.3, -0.2, 0.1)
         zero = Field.constant(mu_hat.domain, 0.0)
         sigma = Field.constant(mu_hat.domain, 1.0)
-        assert plugin_preimage(mu_hat, [zero], sigma, 1.0, 0.31) == IndexSet.full(3)
+        assert plugin_preimage_sets(mu_hat, [zero], sigma, 1.0, 0.31).both == IndexSet.full(3)
 
     def test_sided_split(self):
         mu_hat = fld(0.1, -0.05, 0.5)
@@ -117,10 +116,10 @@ class TestPluginPreimage:
             tau = 0.7
             eta = float(rng.uniform(0, 0.5))
             k = (eta + rng.uniform(0, 1)) / (tau * sigma.values.min())
+            o = oracle_preimage_sets(mu, [c], eta)
+            p = plugin_preimage_sets(mu, [c], sigma, tau, k)
             for side in ("plus", "minus", "both"):
-                o = oracle_preimage(mu, [c], eta, side)
-                p = plugin_preimage(mu, [c], sigma, tau, k, side)
-                assert o.issubset(p)
+                assert getattr(o, side).issubset(getattr(p, side))
 
     def test_equal_infinite_estimate_touches_infinite_threshold(self):
         # inf - inf is NaN; both estimators count an equal infinity as distance 0
@@ -134,9 +133,9 @@ class TestPluginPreimage:
         mu_hat = fld(0.0)
         sigma = Field.constant(mu_hat.domain, 1.0)
         with pytest.raises(ParameterError):
-            plugin_preimage(mu_hat, [mu_hat], sigma, 1.0, 0.0)
+            plugin_preimage_sets(mu_hat, [mu_hat], sigma, 1.0, 0.0)
         with pytest.raises(ParameterError):
-            plugin_preimage(mu_hat, [mu_hat], sigma, 0.0, 1.0)
+            plugin_preimage_sets(mu_hat, [mu_hat], sigma, 0.0, 1.0)
 
 
 class TestResolveK:
