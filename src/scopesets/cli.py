@@ -22,7 +22,7 @@ from .errors import ParameterError, ScopeSetsError
 from .excursion import ScopeBands, widened_excursions
 from .hypotests import BandSpec, Calibration, et, grt, let_, lrt
 from .insig import insig_report, write_insig_report
-from .preimage import KPolicy, plugin_preimage_sets, resolve_k
+from .preimage import KPolicy, _plugin_masks, resolve_k
 from .quantile import _check_alpha, column_summary, iid_quantile
 from .scheffe import LinearModelSpec, detect_nonzero_contrasts, ols_fit, scheffe_band
 from .sim import SimConfig, run_simulation, write_plot_data, write_sim_table
@@ -188,11 +188,9 @@ def cmd_scope(args) -> int:
     mean, sd = column_summary(data)
     tau = 1.0 / np.sqrt(N)
     k = resolve_k(policy, N, J, df=N - 1)
-    mu_hat = Field(dom, mean)
-    sigma_hat = Field(dom, sd)
     fam = (lower,) if lower is upper else (lower, upper)
-    sets = plugin_preimage_sets(mu_hat, fam, sigma_hat, tau, k)
-    m_hat = len(sets.both)
+    touch = _plugin_masks(Field(dom, mean), fam, Field(dom, sd), tau, k)
+    m_hat = int(np.count_nonzero(np.logical_or(*touch)))
     est = iid_quantile(m_hat, args.alpha, df=N - 1, sided=args.sided)
 
     below, above = widened_excursions(mean, lower.values, upper.values, est.q * tau * sd)

@@ -73,8 +73,8 @@ class Partition3:
 
 
 def _moved(c, delta):
-    """c + delta, except that infinite thresholds never move."""
-    return np.where(np.isinf(c), c, c + delta)
+    """c + delta, except that infinite thresholds never move (nor meet an opposite infinity)."""
+    return c + np.where(np.isinf(c), 0.0, delta)
 
 
 def widened_excursions(values, lower, upper, w):

@@ -28,8 +28,8 @@ from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, shift_threshold, widened_excursions
-from .preimage import oracle_preimage_sets, plugin_preimage_sets
-from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, iid_exact_quantile,
+from .preimage import _oracle_masks, _plugin_masks
+from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
 
@@ -93,19 +93,22 @@ def delta_eqv(mu: Field, band: BandSpec) -> float:
     return float(max(over, under))
 
 
-def _solve_q(neg: IndexSet, pos: IndexSet, cal: Calibration, tail: str) -> QuantileEstimate:
-    """The one parser of ``Calibration.cov``: iid noise goes to the exact solver."""
+def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> QuantileEstimate:
+    """The one parser of ``Calibration.cov``.  iid noise reads only how many points the touch
+    masks ``neg`` and ``pos`` hold alone or together; a correlation matrix reads their members.
+    """
     cov = cal.cov
-    if isinstance(cov, str) and cov == "iid_normal":
-        return iid_exact_quantile(neg, pos, cal.alpha, df=np.inf, tail=tail)
     named = isinstance(cov, tuple) and len(cov) > 0 and isinstance(cov[0], str)
-    if named and cov[0] == "iid_t" and len(cov) == 2 and isinstance(cov[1], Real):
-        return iid_exact_quantile(neg, pos, cal.alpha, df=float(cov[1]), tail=tail)
-    if named or isinstance(cov, str):
+    if not (named or isinstance(cov, str)):
+        rng = cal.rng if cal.rng is not None else Rng(0)
+        return mc_oracle_quantile(cov, IndexSet.from_mask(neg), IndexSet.from_mask(pos),
+                                  cal.alpha, cal.reps, rng, tail=tail)
+    iid_t = named and cov[0] == "iid_t" and len(cov) == 2 and isinstance(cov[1], Real)
+    if not (iid_t or cov == "iid_normal"):
         raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation matrix, '
                              f"got {cov!r}")
-    rng = cal.rng if cal.rng is not None else Rng(0)
-    return mc_oracle_quantile(cov, neg, pos, cal.alpha, cal.reps, rng, tail=tail)
+    return _iid_exact(int(np.count_nonzero(neg ^ pos)), int(np.count_nonzero(neg & pos)),
+                      cal.alpha, float(cov[1]) if iid_t else np.inf, tail)
 
 
 def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile,
@@ -130,13 +133,13 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     else:
         fams = [shift_threshold(first, s)], [shift_threshold(second, -s)]
         if mu is not None:
-            neg, pos = (oracle_preimage_sets(mu, fam) for fam in fams)
+            (neg, _), (_, pos) = (_oracle_masks(mu, fam, 0.0) for fam in fams)
         elif quantile.k is None:
             raise ParameterError("plug-in calibration needs k")
         else:
-            neg, pos = (plugin_preimage_sets(mu_hat, fam, bands.sigma, bands.tau, quantile.k)
-                        for fam in fams)
-        est = _solve_q(neg.plus, pos.minus, quantile, "lower" if kind == "eT" else "upper")
+            (neg, _), (_, pos) = (_plugin_masks(mu_hat, fam, bands.sigma, bands.tau, quantile.k)
+                                  for fam in fams)
+        est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
     same_domain(mu_hat, first, second, bands.sigma)
     w = est.q * bands.tau * bands.sigma.values
     below, above = widened_excursions(mu_hat.values, first.values, second.values, w)

@@ -4,6 +4,9 @@ The oracle preimage of a threshold family under a target field collects the
 points where the target meets the family within a tolerance eta, split by the
 side from which the graphs touch.  The plugin estimate replaces the target by
 an estimate and eta by k * tau * sigma.
+
+Inside the package touch sets are masks (``_oracle_masks``, ``_plugin_masks``);
+the ``*_preimage_sets`` functions are the public boundary.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Rng, quantile
+from .dist import Rng
 from .domain import Field, IndexSet, _gap, hausdorff_distance, same_domain
 from .errors import ParameterError
+from .quantile import iid_quantile
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,7 @@ def resolve_k(policy: KPolicy, N: int, J: int, df: float) -> float:
     if policy.kind == "log_over_kappa":
         return float(np.log(N) / policy.kappa)
     if policy.kind == "scb_level":
-        target = (1.0 + (1.0 - policy.beta) ** (1.0 / J)) / 2.0
-        return quantile("t", target, df=df)
+        return iid_quantile(J, policy.beta, df, "two_sided").q
     return float(policy.k)
 
 
@@ -154,7 +157,7 @@ def consistency_probe(
         raise ParameterError("reps must be >= 1")
     fam = tuple(fam)
     dom = same_domain(mu, *fam)
-    target = oracle_preimage_sets(mu, fam, eta=0.0)
+    target = IndexSet.from_mask(np.logical_or(*_oracle_masks(mu, fam, 0.0)))
     out = []
     for ni, N in enumerate(n_list):
         k = resolve_k(policy, N, dom.size, df=N - 1)
@@ -169,11 +172,10 @@ def consistency_probe(
                 sigma_hat = y.std(axis=0, ddof=1)
             else:
                 mu_hat, sigma_hat = sampler(gen, N)
-            est = plugin_preimage_sets(
-                Field(dom, mu_hat), fam, Field(dom, sigma_hat), tau, k
-            )
-            dh_sum += hausdorff_distance(est.both, target.both, dom)
-            incl += target.both.issubset(est.both)
+            est = IndexSet.from_mask(np.logical_or(
+                *_plugin_masks(Field(dom, mu_hat), fam, Field(dom, sigma_hat), tau, k)))
+            dh_sum += hausdorff_distance(est, target, dom)
+            incl += target.issubset(est)
         out.append(
             {
                 "N": int(N),

@@ -1,9 +1,13 @@
 """Critical-value solvers for simultaneous excursion inclusion.
 
-Four routes to the same kind of number: an exact product-CDF solver for iid
-noise, Storey's null-count plugin, and a Monte-Carlo oracle and a multiplier
-bootstrap that share one solver of the limiting max-sup law, differing only in
-the square root they push standard normals through.
+Four routes to the same kind of number.  Under iid noise q depends on the
+touch sets only through the counts of points touched from one side (n_one) and
+from both (n_both), so one solver keyed by those counts, ``_iid_exact``, serves
+``iid_quantile``, ``iid_exact_quantile``, Storey's null-count plugin, the band
+tests and the simulation tables: a closed form when one count is zero, a
+bracketed root otherwise.  A Monte-Carlo oracle and a multiplier bootstrap
+share one solver of the limiting max-sup law, differing only in the square root
+they push standard normals through.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dist import Rng, normal_cdf, quantile, t_cdf
+from .dist import Rng, quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
 from .excursion import signed_columns
@@ -67,6 +71,38 @@ def t_pvalues(data) -> np.ndarray:
     return 2.0 * t_cdf(-stat, N - 1)
 
 
+def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> QuantileEstimate:
+    """The iid critical value for ``n_one`` one-sided and ``n_both`` two-sided points.
+
+    q solves F(q)^n_one (2F(q) - 1)^n_both = 1 - alpha for the upper tail and
+    = alpha for the lower, with F the t CDF on ``df`` degrees of freedom.  With
+    one count zero, q = F^-1(base) or F^-1((1 + base) / 2) for base = target^(1/m);
+    with both non-zero, bracketed root finding.  Both zero gives q = 0 with a flag.
+    """
+    _check_alpha(alpha)
+    if tail not in ("upper", "lower"):
+        raise ParameterError(f"unknown tail {tail!r}")
+    if n_one < 0 or n_both < 0:
+        raise ParameterError(f"point counts must be >= 0, got {n_one} and {n_both}")
+    m = n_one + n_both
+    target = 1.0 - alpha if tail == "upper" else alpha
+    if m == 0:
+        q = 0.0
+    elif n_one == 0 or n_both == 0:
+        base = target ** (1.0 / m)
+        q = quantile("t", base if n_both == 0 else (1.0 + base) / 2.0, df=df)
+    else:
+        # stat_cdf is 0 on x <= 0, so -1 always brackets the root from below
+        stat_cdf = lambda x: max(0.0, 2.0 * t_cdf(x, df) - 1.0) ** n_both * t_cdf(x, df) ** n_one
+        hi = 1.0
+        while stat_cdf(hi) < target:
+            hi *= 2.0
+            if hi > 1e10:
+                raise ParameterError("failed to bracket quantile")
+        q = float(optimize.brentq(lambda x: stat_cdf(x) - target, -1.0, hi, xtol=1e-12))
+    return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)
+
+
 def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> QuantileEstimate:
     """Smallest q whose m-fold product CDF exceeds 1 - alpha.
 
@@ -74,20 +110,10 @@ def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> Q
     (2 F(q) - 1)^m = 1 - alpha, the law of the max of m absolute values.
     m = 0 returns q = 0 (every inclusion holds with probability one).
     """
-    _check_alpha(alpha)
-    if m < 0:
-        raise ParameterError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return QuantileEstimate(0.0, f"iid_{sided}", alpha, 0, empty_sets=True)
-    base = (1.0 - alpha) ** (1.0 / m)
-    if sided == "one_sided":
-        target = base
-    elif sided == "two_sided":
-        target = (1.0 + base) / 2.0
-    else:
+    if sided not in ("one_sided", "two_sided"):
         raise ParameterError(f"unknown sided convention {sided!r}")
-    q = quantile("t", target, df=df)
-    return QuantileEstimate(q, f"iid_{sided}", alpha, m)
+    est = _iid_exact(*((m, 0) if sided == "one_sided" else (0, m)), alpha, df, "upper")
+    return QuantileEstimate(est.q, f"iid_{sided}", alpha, m, est.empty_sets)
 
 
 def storey_m0(pvalues) -> int:
@@ -114,36 +140,11 @@ def iid_exact_quantile(
     """Exact critical value of the max-sup statistic for iid symmetric noise.
 
     Coordinates in both sets contribute a two-sided factor 2F(q)-1, the rest
-    a one-sided factor F(q); the product CDF is inverted by bracketed root
-    finding.  Both sets empty gives q = 0 with a flag.
+    a one-sided factor F(q); ``_iid_exact`` inverts the product CDF.  Both
+    sets empty gives q = 0 with a flag.
     """
-    _check_alpha(alpha)
     n_both = len(neg_set.intersection(pos_set))
-    n_one = len(neg_set) + len(pos_set) - 2 * n_both
-    if n_both + n_one == 0:
-        return QuantileEstimate(0.0, "iid_exact", alpha, 0, empty_sets=True)
-
-    cdf = (lambda x: normal_cdf(x)) if np.isinf(df) else (lambda x: t_cdf(x, df))
-
-    def stat_cdf(x):
-        two = max(0.0, 2.0 * cdf(x) - 1.0) ** n_both if n_both else 1.0
-        one = cdf(x) ** n_one if n_one else 1.0
-        return two * one
-
-    target = 1.0 - alpha if tail == "upper" else alpha
-    if tail not in ("upper", "lower"):
-        raise ParameterError(f"unknown tail {tail!r}")
-    lo, hi = -1.0, 1.0
-    while stat_cdf(lo) > target:
-        lo *= 2.0
-        if lo < -1e10:
-            raise ParameterError("failed to bracket quantile")
-    while stat_cdf(hi) < target:
-        hi *= 2.0
-        if hi > 1e10:
-            raise ParameterError("failed to bracket quantile")
-    q = float(optimize.brentq(lambda x: stat_cdf(x) - target, lo, hi, xtol=1e-12))
-    return QuantileEstimate(q, "iid_exact", alpha, n_both + n_one)
+    return _iid_exact(len(neg_set) + len(pos_set) - 2 * n_both, n_both, alpha, df, tail)
 
 
 def _chunk_rows(reps: int, width: int) -> int:

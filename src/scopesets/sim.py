@@ -28,7 +28,7 @@ from .domain import Domain, Field
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
-from .preimage import KPolicy, oracle_preimage_sets, resolve_k
+from .preimage import KPolicy, _oracle_masks, resolve_k
 from .quantile import _chunk_rows, _map_chunks, iid_quantile
 
 
@@ -107,12 +107,6 @@ def parse_method(token: str):
     return (kind, policy, policy.label())
 
 
-def _quantile_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
-    return np.array(
-        [iid_quantile(m, alpha, df=df, sided=sided).q for m in range(J + 1)]
-    )
-
-
 def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> np.ndarray:
     """(nb, J) t-statistics of nb iid N(mu, 1) samples of size N.
 
@@ -188,7 +182,8 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
     rng = Rng(cfg.seed)
     for ni, N in enumerate(cfg.N_list):
         df = N - 1
-        q_tables = {s: _quantile_table(J, alpha, df, s) for s in sided_list}
+        q_tables = {s: np.array([iid_quantile(m, alpha, df, s).q for m in range(J + 1)])
+                    for s in sided_list}
         ks = {}
         for kind, policy, label in methods:
             if kind in ("log_kappa", "scb"):
@@ -265,10 +260,10 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
         raise ParameterError(f"unknown noise model {instance.noise!r}")
     if not (instance.lower_fam or instance.upper_fam):
         raise ParameterError("need at least one threshold")
-    neg_thick = oracle_preimage_sets(mu, instance.lower_fam, eta).plus.members
-    pos_thick = oracle_preimage_sets(mu, instance.upper_fam, eta).minus.members
-    neg_exact = oracle_preimage_sets(mu, instance.lower_fam).both.members
-    pos_exact = oracle_preimage_sets(mu, instance.upper_fam).both.members
+    neg_thick, _ = _oracle_masks(mu, instance.lower_fam, eta)
+    _, pos_thick = _oracle_masks(mu, instance.upper_fam, eta)
+    neg_exact = np.logical_or(*_oracle_masks(mu, instance.lower_fam, 0.0))
+    pos_exact = np.logical_or(*_oracle_masks(mu, instance.upper_fam, 0.0))
     sig_max = float(np.max(sigma.values))
     slack = q + eta / (tau * sig_max)
     w = q * tau * sigma.values

@@ -382,6 +382,41 @@ def test_calibrated_decision_matches_hand_masks(kind, mode):
     assert dec.rejected == IndexSet.from_mask(rejected)
 
 
+@pytest.mark.parametrize("mode", ["oracle", "plugin"])
+@pytest.mark.parametrize("test", [grt, lrt])
+def test_infinite_band_edges_never_meet_an_opposite_infinity(test, mode):
+    # on the band (-inf, inf) delta is -inf for grT and +inf for lrT, so each
+    # infinite edge is asked to move by the opposite infinity and must stay put
+    dom = Domain(3)
+    mu_hat = fld(0.0, 0.5, -1.0)
+    dec = test(mu_hat, const_band(dom, -np.inf, np.inf), unit_bands(dom, tau=0.1),
+               quantile=Calibration(k=1.0), mu=mu_hat if mode == "oracle" else None)
+    assert dec.quantile_used.q == 0.0 and dec.quantile_used.empty_sets
+    assert dec.global_reject in (False, None) and len(dec.rejected) == 0
+
+
+@pytest.mark.parametrize("mode", ["oracle", "plugin"])
+@pytest.mark.parametrize("kind", ["grT", "lrT", "eT", "leT"])
+def test_iid_calibration_builds_only_the_rejected_set(kind, mode, monkeypatch):
+    # touch sets stay masks: the only IndexSet is the decision's own
+    built = []
+    real = IndexSet.from_mask.__func__
+
+    def counting(cls, mask):
+        built.append(mask.shape)
+        return real(cls, mask)
+
+    monkeypatch.setattr(IndexSet, "from_mask", classmethod(counting))
+    dom = Domain(4)
+    mu = fld(-1.0, 0.0, 0.5, 1.0)
+    mu_hat = fld(-1.2, 0.1, 0.4, 1.3)
+    test = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}[kind]
+    cal = Calibration(cov=("iid_t", 49), k=None if mode == "oracle" else 1.0)
+    test(mu_hat, const_band(dom, -1.0, 1.0), unit_bands(dom, tau=0.1), quantile=cal,
+         mu=mu if mode == "oracle" else None)
+    assert len(built) == (0 if kind == "eT" else 1)
+
+
 class TestTPvalues:
     def test_zero_mean_column_gives_one(self):
         data = np.array([[1.0, -1.0], [-1.0, 1.0], [2.0, -2.0], [-2.0, 2.0]])

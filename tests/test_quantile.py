@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scopesets import quantile
-from scopesets.dist import Rng, normal_cdf, t_cdf
+from scopesets.dist import Rng, normal_cdf, quantile as dq, t_cdf
 from scopesets.domain import IndexSet
 from scopesets.errors import DegenerateDataError, ParameterError
 from scopesets.excursion import max_sup
@@ -153,8 +153,6 @@ class TestMcOracleQuantile:
         s = IndexSet([0])
         est = mc_oracle_quantile(np.eye(1), s, s, 0.1, 200_000, Rng(13), tail="lower")
         # alpha-quantile of |G|: P[|G| <= q] = 0.1
-        from scopesets.dist import quantile as dq
-
         assert est.q == pytest.approx(dq("normal", 0.55), abs=0.02)
 
     def test_reps_floor(self):
@@ -258,11 +256,40 @@ _CORR = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         pytest.param(lambda: _oracle(_with_cell(_CORR, 0, 2, 0.9)), id="oracle_asymmetric"),
         pytest.param(lambda: _oracle(np.ones(4)), id="oracle_1d_matrix"),
         pytest.param(lambda: _oracle(np.eye(2)), id="oracle_matrix_smaller_than_touched_index"),
+        # the iid solver checks its inputs before the nothing-to-calibrate shortcut
+        pytest.param(lambda: iid_quantile(0, 0.1, df=5, sided="bogus"),
+                     id="iid_unknown_sided_empty"),
+        pytest.param(lambda: iid_quantile(-1, 0.1, df=5), id="iid_negative_count"),
+        pytest.param(lambda: iid_exact_quantile(IndexSet(), IndexSet(), 0.1, tail="bogus"),
+                     id="iid_exact_unknown_tail_empty"),
     ],
 )
 def test_malformed_monte_carlo_input_raises_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("df", [np.inf, 4.0, 99.0])
+@pytest.mark.parametrize("tail", ["upper", "lower"])
+@pytest.mark.parametrize("n_one, n_both",
+                         [(1, 0), (7, 0), (80, 0), (0, 1), (0, 7), (0, 80), (3, 1), (1, 40),
+                          (25, 25)])
+def test_count_keyed_solver_hits_its_product_cdf(n_one, n_both, tail, df):
+    # one count zero takes the closed form, both non-zero the bracketed root
+    alpha = 0.1
+    est = quantile._iid_exact(n_one, n_both, alpha, df, tail)
+    F = t_cdf(est.q, df)
+    target = 1.0 - alpha if tail == "upper" else alpha
+    assert abs(F ** n_one * (2.0 * F - 1.0) ** n_both - target) <= 1e-12
+    assert est.support_size == n_one + n_both and not est.empty_sets
+
+
+def test_iid_quantile_is_the_closed_form_bit_for_bit():
+    for m in (1, 5, 80):
+        for df in (np.inf, 39.0):
+            base = 0.9 ** (1.0 / m)
+            assert iid_quantile(m, 0.1, df, "one_sided").q == dq("t", base, df=df)
+            assert iid_quantile(m, 0.1, df, "two_sided").q == dq("t", (1.0 + base) / 2.0, df=df)
 
 
 class TestMultiplierBootstrap:

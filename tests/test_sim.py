@@ -7,7 +7,7 @@ from scipy import stats
 from scopesets.dist import Rng
 from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
-from scopesets import sim
+from scopesets import quantile, sim
 from scopesets.quantile import _chunk_rows
 from scopesets.sim import (
     SandwichInstance,
@@ -131,7 +131,8 @@ class TestRunSimulation:
         cfg = SimConfig(model="B", N_list=(40,), methods=("oracle",), reps=30_000, seed=22)
         (row,) = run_simulation(cfg)
         methods = [parse_method("oracle")]
-        q_tables = {"two_sided": sim._quantile_table(80, 0.1, 39, "two_sided")}
+        q_tables = {"two_sided": np.array([quantile._iid_exact(0, m, 0.1, 39, "upper").q
+                                           for m in range(81)])}
         B = _chunk_rows(30_000, 4 * 80)
         parts = [
             sim._run_chunk(Rng(22).child(0).child(ci).generator(), min(B, 30_000 - start), 40,
