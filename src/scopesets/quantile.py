@@ -84,6 +84,8 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
         raise ParameterError(f"unknown tail {tail!r}")
     if n_one < 0 or n_both < 0:
         raise ParameterError(f"point counts must be >= 0, got {n_one} and {n_both}")
+    if not float(df) > 0:
+        raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
     m = n_one + n_both
     target = 1.0 - alpha if tail == "upper" else alpha
     if m == 0:

@@ -5,7 +5,8 @@ empirical probability that both zero-threshold excursion inclusions hold
 (Cov), the mean number of false detections (FD: a null detection or a
 directional error), and the mean number of true detections (TD).  Hommel and
 Benjamini-Hochberg baselines run on the same samples with FD counting type-I
-errors only.
+errors only.  They and Storey's null count take the t CDF only where a
+placeholder p-value could change a decision (``_t_pvalues``).
 
 Each replication's t-statistics are drawn from their sufficient statistics
 (Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .dist import Rng, t_cdf
+from .dist import Rng, quantile, t_cdf
 from .domain import Domain, Field
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
@@ -118,24 +119,41 @@ def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> n
     return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
 
 
+def _t_pvalues(tmat, df, alpha):
+    """P-values 2 t_cdf(-|t|, df) as Hommel and BH read them, and Storey's p >= 0.5 mask.
+
+    The step-up rules compare p only with thresholds in [alpha/J, alpha], so
+    p > alpha acts as 1 and p < alpha/(2J) as 0, Hommel's step count included.
+    Both cuts give up a relative 1e-6 (a rounded threshold can sit an ulp above
+    alpha); the t CDF runs between them, NaN included, and near |t| = t_{0.75}.
+    """
+    lo, hi, s75 = (quantile("t", 1 - p / 2, df=df) for p in
+                   (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * tmat.shape[1], 1), 0.5))
+    a = np.abs(tmat)
+    near75 = np.abs(a - s75) <= 1e-6 * s75
+    one = a < lo
+    exact = ~(one | (a > hi)) | near75
+    pv = one.astype(float)
+    pv[exact] = 2.0 * t_cdf(-a[exact], df)
+    return pv, np.where(near75, pv >= 0.5, a <= s75)
+
+
 def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha):
     """One chunk of nb replications drawn from ``gen``; partial (cov, fd, td) sums per key."""
     J = mu.size
-    df = N - 1
     is_null = mu == 0.0
     n_null = int(is_null.sum())
     tmat = _draw_tstats(gen, nb, N, mu)
 
-    pv = None
     if baselines or any(kind == "storey" for kind, _, _ in methods):
-        pv = 2.0 * t_cdf(-np.abs(tmat), df)
+        pv, p_half = _t_pvalues(tmat, N - 1, alpha)
 
     out = {}
     for kind, _policy, label in methods:
         if kind == "oracle":
             m_vec = np.full(nb, n_null)
         elif kind == "storey":
-            m_vec = np.minimum(J, 2 * (pv >= 0.5).sum(axis=1))
+            m_vec = np.minimum(J, 2 * p_half.sum(axis=1))
         else:
             m_vec = (np.abs(tmat) <= ks[label]).sum(axis=1)
         for s in sided_list:

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scopesets.dist import Rng, quantile as dq
 from scopesets.domain import Domain, Field, IndexSet
@@ -628,6 +629,27 @@ class TestHommelRejectMask:
         mask = hommel_reject_mask(p, alpha)
         assert mask.shape == (1, J)
         assert mask.sum() >= np.count_nonzero(p <= alpha / J)
+
+
+@settings(max_examples=300, deadline=None)
+@given(J=st.integers(1, 200), alpha=st.floats(1e-100, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+@example(J=3, alpha=0.1, seed=7)
+def test_step_up_masks_ignore_p_beyond_their_thresholds(J, alpha, seed):
+    # the simulation harness reads p > alpha (1 + 1e-6) as 1 and p < alpha/(2J) as 0;
+    # the margin matters: 3 * 0.1 / 3 rounds an ulp above 0.1, so at the example
+    # BH rejects a p one ulp above alpha
+    rng = np.random.default_rng(seed)
+    top, cut = alpha * (1 + 1e-6), alpha / (2 * J)
+    p = np.exp(rng.uniform(np.log(cut) - 2.0, 0.0, size=(4, J)))
+    marks = np.array([alpha, top, cut])
+    edges = np.concatenate([[0.0, 1.0], marks, np.nextafter(marks, 0), np.nextafter(marks, 2)])
+    pool = np.concatenate([edges, p[0, :3]])  # ties among edges and drawn values
+    p = np.where(rng.uniform(size=p.shape) < 0.4, rng.choice(pool, size=p.shape), p)
+    p = np.minimum(p, 1.0)
+    placeholders = np.where(p > top, 1.0, np.where(p < cut, 0.0, p))
+    for rule in (hommel_reject_mask, bh_reject_mask):
+        np.testing.assert_array_equal(rule(placeholders, alpha), rule(p, alpha))
 
 
 class TestBh:

@@ -262,6 +262,9 @@ _CORR = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         pytest.param(lambda: iid_quantile(-1, 0.1, df=5), id="iid_negative_count"),
         pytest.param(lambda: iid_exact_quantile(IndexSet(), IndexSet(), 0.1, tail="bogus"),
                      id="iid_exact_unknown_tail_empty"),
+        pytest.param(lambda: iid_quantile(0, 0.1, df=-1), id="iid_negative_df_empty"),
+        pytest.param(lambda: iid_exact_quantile(IndexSet(), IndexSet(), 0.1, df=np.nan),
+                     id="iid_exact_nan_df_empty"),
     ],
 )
 def test_malformed_monte_carlo_input_raises_parameter_error(call):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scopesets.dist import Rng
+from scopesets.dist import Rng, quantile as dq, t_cdf
 from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
+from scopesets.hypotests import bh_reject_mask, hommel_reject_mask
 from scopesets import quantile, sim
 from scopesets.quantile import _chunk_rows
 from scopesets.sim import (
@@ -116,6 +117,49 @@ class TestDrawTstats:
         run_simulation(SimConfig(model="A", N_list=(5, 2000), J=20_000,
                                  methods=("oracle",), reps=120, seed=6))
         assert seen[5] == seen[2000] == [50, 50, 20]
+
+
+class TestTPvalues:
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.6, 1 - 1e-5, 1 - 1e-8])
+    @pytest.mark.parametrize("df", [1, 4, 29, 499, 2999])
+    def test_matches_the_full_matrix(self, df, alpha):
+        J = 80
+        # |t| at p = alpha, alpha/(2J) and 0.5, each also moved by a relative 1e-6 in p
+        # and in t, their float neighbours, and +-inf
+        pads = (1 - 1e-6, 1, 1 + 1e-6)
+        levels = [1 - p * f / 2 for p in (alpha, alpha / (2 * J), 0.5) for f in pads]
+        edges = np.array([dq("t", v, df=df) * f for v in levels for f in pads])
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                                [np.inf]])
+        rng = np.random.default_rng(df)
+        tmat = rng.standard_t(df, size=(300, J)) * rng.uniform(0.5, 3.0, size=(300, 1))
+        pick = rng.uniform(size=tmat.shape) < 0.3
+        tmat[pick] = rng.choice(edges, size=pick.sum()) * rng.choice([-1, 1], size=pick.sum())
+        full = 2.0 * t_cdf(-np.abs(tmat), df)
+        pv, p_half = sim._t_pvalues(tmat, df, alpha)
+        np.testing.assert_array_equal(p_half, full >= 0.5)
+        for rule in (hommel_reject_mask, bh_reject_mask):
+            np.testing.assert_array_equal(rule(pv, alpha), rule(full, alpha))
+
+    def test_nan_still_reaches_the_pvalue_check(self):
+        pv, _ = sim._t_pvalues(np.array([[np.nan, 0.5, 9.0]]), 29, 0.1)
+        assert np.isnan(pv[0, 0])
+        for rule in (hommel_reject_mask, bh_reject_mask):
+            with pytest.raises(ParameterError):
+                rule(pv, 0.1)
+
+    def test_t_cdf_reads_a_minority_of_values(self, monkeypatch):
+        # model B at N = 500: most |t| sit far from every cut point
+        seen = []
+
+        def counting_t_cdf(x, df):
+            seen.append(np.size(x))
+            return t_cdf(x, df)
+
+        monkeypatch.setattr(sim, "t_cdf", counting_t_cdf)
+        run_simulation(SimConfig(model="B", N_list=(500,), methods=("storey",),
+                                 baselines=("hommel", "bh"), reps=500, seed=7))
+        assert seen and sum(seen) <= 500 * 80 / 4
 
 
 class TestRunSimulation:
