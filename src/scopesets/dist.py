@@ -86,6 +86,9 @@ def quantile(dist: str, p: float, *, df=None, k=None, d1=None, d2=None) -> float
             raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
         if np.isinf(df):
             return float(special.ndtri(p))
+        if abs(p - 0.5) < 1e-4:  # stdtrit misses the root here; invert |2p-1| = I_y(1/2, df/2)
+            y = special.betaincinv(0.5, df / 2.0, abs(2.0 * p - 1.0))
+            return float(np.copysign(np.sqrt(df * y / (1.0 - y)), p - 0.5))
         return float(special.stdtrit(df, p))
     if dist == "chisq":
         if k is None or not k > 0:

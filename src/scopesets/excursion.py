@@ -106,16 +106,6 @@ def max_sup(g, neg_idx, pos_idx):
     return np.maximum(neg, np.max(g[..., pos_idx], axis=-1, initial=-np.inf))
 
 
-def signed_columns(m, neg_idx, pos_idx):
-    """[-m[..., neg_idx] | m[..., pos_idx]] along the last axis.
-
-    The row max of ``signed_columns(g, neg, pos)`` is ``max_sup(g, neg, pos)``,
-    and ``x @ signed_columns(m, neg, pos)`` equals ``signed_columns(x @ m, neg, pos)``,
-    so for a linear draw the signs and column picks fold into the map once.
-    """
-    return np.concatenate((-m[..., neg_idx], m[..., pos_idx]), axis=-1)
-
-
 def shift_threshold(c: Field, delta) -> Field:
     """Threshold shifted by delta; infinite thresholds never move."""
     return Field(c.domain, _moved(c.values, delta))

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg.blas import dtrmm
 
 from .dist import Rng, quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
-from .excursion import signed_columns
+from .excursion import max_sup
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,14 @@ def _map_chunks(fn, reps: int, width: int, rng: Rng) -> list:
 
 def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet, alpha,
                            reps, rng: Rng, tail: str) -> QuantileEstimate:
-    """Order statistic of ``reps`` max-sup draws max(z @ signed_columns(root, neg, pos)).
+    """Order statistic of ``reps`` max-sup draws max_sup(z @ root, neg, pos).
 
-    ``root = root_of(union)`` has one column per point of the union of the
-    touch sets, and z holds one standard normal per row of ``root``; neg and
-    pos are the positions of the sets in that union.  Both sets empty gives
-    q = 0 with a flag.  The upper tail returns the order statistic at
-    ceil((1-alpha)*reps), the lower tail (for the equivalence test) the one
-    at floor(alpha*reps).
+    ``root, upper = root_of(union)``: root has one column per point of the union of the
+    touch sets and z one standard normal per row of root; ``upper`` marks a triangular
+    root, which a chunk multiplies in place by ``dtrmm``.  Columns of points only in neg
+    are negated once, so a draw is max(row max, negated max over points in both sets).
+    Both sets empty gives q = 0 with a flag.  The upper tail returns the order statistic at
+    ceil((1-alpha)*reps), the lower tail (for the equivalence test) the one at floor(alpha*reps).
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -182,10 +183,16 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
     if len(neg_set) == 0 and len(pos_set) == 0:
         return QuantileEstimate(0.0, method, alpha, 0, empty_sets=True)
     union = np.union1d(neg_set.members, pos_set.members)
-    signed = signed_columns(root_of(union), np.searchsorted(union, neg_set.members),
-                            np.searchsorted(union, pos_set.members))
-    draw = lambda gen, n: (gen.standard_normal((n, signed.shape[0])) @ signed).max(axis=1)
-    stats = np.sort(np.concatenate(_map_chunks(draw, reps, max(signed.shape), rng)))
+    root, upper = root_of(union)
+    root *= np.where(np.isin(union, pos_set.members), 1.0, -1.0)
+    both = np.searchsorted(union, neg_set.intersection(pos_set).members)
+
+    def draw(gen, n):
+        z = gen.standard_normal((n, root.shape[0]))  # C-ordered: z.T is a Fortran view
+        x = dtrmm(1.0, root, z.T, trans_a=1, overwrite_b=1).T if upper else z @ root
+        return max_sup(x, both, slice(None))
+    width = max(root.shape[0], union.size + both.size)
+    stats = np.sort(np.concatenate(_map_chunks(draw, reps, width, rng)))
     if tail == "upper":
         q = stats[min(reps, int(np.ceil((1.0 - alpha) * reps))) - 1]
     else:
@@ -209,16 +216,16 @@ def _symmetric_block(m, idx: np.ndarray, what: str) -> np.ndarray:
                          f"{idx.max(initial=-1)}, got shape {m.shape}")
 
 
-def _sqrt_factor(corr: np.ndarray) -> np.ndarray:
-    """R with R.T @ R == corr: the Cholesky factor, or an eigenvalue root if that fails."""
+def _sqrt_factor(corr: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(R, triangular) with R.T @ R == corr: the Cholesky factor, else an eigenvalue root."""
     try:
-        return np.linalg.cholesky(corr).T
+        return np.linalg.cholesky(corr).T, True
     except np.linalg.LinAlgError:
         pass  # singular or indefinite
     w, v = np.linalg.eigh(corr)
     if np.any(w < -1e-8):
         raise ParameterError("correlation matrix is not positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))).T
+    return (v * np.sqrt(np.clip(w, 0.0, None))).T, False
 
 
 def mc_oracle_quantile(
@@ -275,7 +282,7 @@ def multiplier_bootstrap_quantile(
         if np.any(sd == 0.0):
             bad = union[np.flatnonzero(sd == 0.0)]
             raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
-        return (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0]))
+        return (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0])), False
 
     return _gaussian_max_quantile("multiplier_bootstrap", root_of, sets.plus, sets.minus, alpha,
                                   R, rng, tail)

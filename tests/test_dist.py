@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from scopesets.dist import (
@@ -137,6 +138,20 @@ class TestQuantile:
         ref = bisect(lambda x: t_cdf(x, 99), 0.95, 0.0, 50.0)
         assert quantile("t", 0.95, df=99) == pytest.approx(ref, abs=1e-9)
         assert quantile("t", 0.95, df=99) == pytest.approx(1.6604, abs=5e-5)
+
+    @pytest.mark.parametrize("df", [4, 6])
+    @pytest.mark.parametrize("p", [0.500000005, 0.499999995])
+    def test_t_roundtrip_near_the_median(self, df, p):
+        # stdtrit returns 2.98e-8 (df=4) and 0.0 (df=6) here, CDF errors of 6.2e-9 and 5e-9
+        assert abs(t_cdf(quantile("t", p, df=df), df) - p) <= 1e-9
+
+    def test_t_levels_outside_the_median_window_are_stdtrit(self):
+        # only levels within 1e-4 of 0.5 take the incomplete-beta inversion
+        gaps = [m * 10.0**-k for k in (1, 2, 3) for m in (1, 2, 4.9)] + [1.0000001e-4]
+        levels = [0.5 + s * g for g in gaps for s in (1, -1)] + [1e-300, 1e-12, 1 - 1e-12]
+        for df in (0.05, 0.5, 1, 4, 6, 29, 499, 1e4, 1e9):
+            for p in levels:
+                assert quantile("t", p, df=df) == float(special.stdtrit(df, p)), (df, p)
 
     def test_out_of_range(self):
         for p in (0.0, 1.0, -0.2, 1.7):

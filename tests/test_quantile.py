@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import peak_traced_mb
 
 from scopesets import quantile
 from scopesets.dist import Rng, normal_cdf, quantile as dq, t_cdf
@@ -195,6 +196,108 @@ class TestMcOracleQuantile:
         est = mc_oracle_quantile(corr, neg, pos, 0.1, 200_000, Rng(21))
         ref = _eigh_root_quantile_reference(corr, neg.members, pos.members, 0.1, 200_000, 22)
         assert est.q == pytest.approx(ref, abs=0.02)
+
+
+def _ar1(J, rho):
+    i = np.arange(J)
+    return rho ** np.abs(i[:, None] - i[None, :])
+
+
+def _signed_gemm_reference(root, union, neg, pos, alpha, reps, rng, tail="upper"):
+    """The solver as one matmul per chunk with [-root[:, neg] | root[:, pos]] and a row max."""
+    signed = np.concatenate((-root[:, np.searchsorted(union, neg)],
+                             root[:, np.searchsorted(union, pos)]), axis=1)
+    rows = max(1, min(reps, 4_000_000 // max(signed.shape)))
+    chunks = [rng.child(i).generator().standard_normal((min(rows, reps - start), len(signed)))
+              @ signed for i, start in enumerate(range(0, reps, rows))]
+    stats = np.sort(np.concatenate([c.max(axis=1) for c in chunks]))
+    if tail == "upper":
+        return stats[min(reps, int(np.ceil((1 - alpha) * reps))) - 1]
+    return stats[max(1, int(np.floor(alpha * reps))) - 1]
+
+
+def _oracle_root(corr, union):
+    block = corr[np.ix_(union, union)]
+    try:
+        return np.linalg.cholesky(block).T
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(block)
+        return (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+
+def _bootstrap_root(data, union):
+    y = data[:, union]
+    return (y - y.mean(axis=0)) / (y.std(axis=0, ddof=1) * np.sqrt(len(data)))
+
+
+_PERM = np.random.default_rng(8).permutation(60)
+_SET_CASES = {
+    "disjoint": (_PERM[:25], _PERM[25:55]),
+    "full_overlap": (_PERM[:40], _PERM[:40]),
+    "partial_overlap": (_PERM[:35], _PERM[20:]),
+    "neg_empty": ([], _PERM[10:50]),
+    "pos_empty": (_PERM[5:45], []),
+}
+
+
+class TestSignFoldedSolverMatchesSignedMatmul:
+    """Both Monte-Carlo routes against the signed-column matmul on the same seeded chunks."""
+
+    @staticmethod
+    def _check(est, ref, union):
+        assert abs(est.q - ref) <= 1e-12
+        assert est.support_size == len(union) and not est.empty_sets
+
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    @pytest.mark.parametrize("case", sorted(_SET_CASES))
+    def test_oracle(self, case, tail):
+        neg, pos = (np.sort(np.asarray(s, dtype=int)) for s in _SET_CASES[case])
+        union, corr = np.union1d(neg, pos), _ar1(60, 0.9)
+        est = mc_oracle_quantile(corr, IndexSet(neg), IndexSet(pos), 0.1, 5000, Rng(17), tail)
+        assert est.method == "mc_oracle"
+        self._check(est, _signed_gemm_reference(_oracle_root(corr, union), union, neg, pos, 0.1,
+                                                5000, Rng(17), tail), union)
+
+    @pytest.mark.parametrize("tail", ["upper", "lower"])
+    @pytest.mark.parametrize("case", sorted(_SET_CASES))
+    def test_bootstrap(self, case, tail):
+        neg, pos = (np.sort(np.asarray(s, dtype=int)) for s in _SET_CASES[case])
+        union = np.union1d(neg, pos)
+        data = np.random.default_rng(9).normal(size=(30, 60))
+        sets = PreimageSets(IndexSet(neg), IndexSet(pos), IndexSet(union))
+        est = multiplier_bootstrap_quantile(data, sets, 0.1, 3000, Rng(18), tail)
+        assert est.method == "multiplier_bootstrap"
+        self._check(est, _signed_gemm_reference(_bootstrap_root(data, union), union, neg, pos,
+                                                0.1, 3000, Rng(18), tail), union)
+
+    @pytest.mark.parametrize("corr, members", [
+        pytest.param(_ar1(101, 0.5), np.arange(101), id="three_chunks"),
+        pytest.param(np.ones((2, 2)), np.arange(2), id="eigenvalue_fallback"),
+    ])
+    def test_oracle_over_chunks_and_on_the_eigenvalue_root(self, corr, members):
+        s = IndexSet(members)
+        est = mc_oracle_quantile(corr, s, s, 0.1, 50_000, Rng(4))
+        self._check(est, _signed_gemm_reference(_oracle_root(corr, members), members, members,
+                                                members, 0.1, 50_000, Rng(4)), members)
+
+    def test_bootstrap_over_several_chunks(self):
+        # neg = pos = 2,000 columns: 4,000 signed columns, chunks of 1,000 replicates
+        data = np.random.default_rng(10).normal(size=(30, 2000))
+        s = IndexSet.full(2000)
+        est = multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 3000, Rng(19))
+        self._check(est, _signed_gemm_reference(_bootstrap_root(data, s.members), s.members,
+                                                s.members, s.members, 0.1, 3000, Rng(19)),
+                    s.members)
+
+
+def test_oracle_memory_at_the_benchmark_shape():
+    # J = 2,000 AR(1) matrix, 667 + 667 disjoint points, 5,000 draws: chunks of 2,998 rows
+    corr = _ar1(2000, 0.9)
+    chosen = np.random.default_rng(0).permutation(2000)[:1334]
+    neg, pos = IndexSet(chosen[:667]), IndexSet(chosen[667:])
+    with peak_traced_mb() as peak:
+        mc_oracle_quantile(corr, neg, pos, 0.1, 5000, Rng(0))
+    assert peak.mb < 64
 
 
 def _eigh_root_quantile_reference(corr, neg_idx, pos_idx, alpha, reps, seed):
