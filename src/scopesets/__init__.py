@@ -18,10 +18,12 @@ from .excursion import (
 from .preimage import (
     KPolicy,
     PreimageSets,
+    ScopePartition,
     consistency_probe,
     oracle_preimage_sets,
     plugin_preimage_sets,
     resolve_k,
+    scope_partition,
 )
 from .quantile import (
     QuantileEstimate,

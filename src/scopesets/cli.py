@@ -19,11 +19,11 @@ from .csvio import read_table, write_csv
 from .dist import chisq_cdf, quantile as dist_quantile
 from .domain import Domain, Field, load_field
 from .errors import ParameterError, ScopeSetsError
-from .excursion import ScopeBands, widened_excursions
+from .excursion import ScopeBands
 from .hypotests import BandSpec, Calibration, et, grt, let_, lrt
 from .insig import insig_report, write_insig_report
-from .preimage import KPolicy, _plugin_masks, resolve_k
-from .quantile import _check_alpha, column_summary, iid_quantile
+from .preimage import KPolicy, resolve_k, scope_partition
+from .quantile import _check_alpha, column_summary
 from .scheffe import LinearModelSpec, detect_nonzero_contrasts, ols_fit, scheffe_band
 from .sim import SimConfig, run_simulation, write_plot_data, write_sim_table
 
@@ -176,35 +176,29 @@ def cmd_scope(args) -> int:
         raise UsageError("--level must be a number, got nan")
     data = _load_matrix(args.data)
     N, J = data.shape
-    dom = Domain(J)
     if args.level is not None:
-        lower = upper = Field.constant(dom, args.level)
+        lower = upper = args.level
     else:
-        lower = _from_flags(load_field, args.lower, dom)
-        upper = _from_flags(load_field, args.upper, dom)
-    if np.any(lower.values > upper.values):
+        lower, upper = (_from_flags(load_field, path, Domain(J)).values
+                        for path in (args.lower, args.upper))
+    if np.any(np.greater(lower, upper)):
         raise UsageError("lower threshold exceeds upper threshold somewhere")
 
-    mean, sd = column_summary(data)
-    tau = 1.0 / np.sqrt(N)
-    k = resolve_k(policy, N, J, df=N - 1)
-    fam = (lower,) if lower is upper else (lower, upper)
-    touch = _plugin_masks(Field(dom, mean), fam, Field(dom, sd), tau, k)
-    m_hat = int(np.count_nonzero(np.logical_or(*touch)))
-    est = iid_quantile(m_hat, args.alpha, df=N - 1, sided=args.sided)
-
-    below, above = widened_excursions(mean, lower.values, upper.values, est.q * tau * sd)
+    part = scope_partition(data, lower, upper, args.alpha, policy, args.sided)
+    below, above = part.below, part.above
+    # distance of a detection to the edge it crossed, in standard errors
+    height = np.sqrt(N) * np.abs(part.mean - np.where(below, lower, upper)) / part.sd
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(k)}", f"m_hat={m_hat}",
-            f"q_hat={_fmt(est.q)}", f"sided={args.sided}"]
+    meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(part.k)}", f"m_hat={part.m_hat}",
+            f"q_hat={_fmt(part.q_hat)}", f"sided={args.sided}"]
     write_csv(out / "partition.csv", ["index", "mean", "sd", "class"],
-              ([j, _fmt(mean[j]), _fmt(sd[j]),
+              ([j, _fmt(part.mean[j]), _fmt(part.sd[j]),
                 "below" if below[j] else ("above" if above[j] else "middle")] for j in range(J)),
               meta)
     write_csv(out / "detections.csv", ["index", "direction", "height"],
-              ([j, "below" if below[j] else "above", _fmt(np.sqrt(N) * abs(mean[j]) / sd[j])]
+              ([j, "below" if below[j] else "above", _fmt(height[j])]
                for j in range(J) if below[j] or above[j]),
               meta)
     return 0
@@ -323,6 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="k from a (1-beta)-simultaneous band")
         sp.add_argument("--k", type=float, default=None, help="fixed thickening factor")
 
+    def add_output_flags(sp, fn):
+        # these commands draw nothing; they accept --seed for a uniform command line
+        sp.add_argument("--out", default=".")
+        sp.add_argument("--seed", type=int, default=0, help="ignored: only simulate reads --seed")
+        sp.set_defaults(fn=fn)
+
     sc = sub.add_parser("scope", help="zero/band threshold partition of sample data")
     sc.add_argument("--data", required=True, help="N x J numeric CSV (rows = observations)")
     sc.add_argument("--level", type=float, default=None, help="constant threshold")
@@ -332,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--sided", default="one_sided",
                     choices=["one_sided", "two_sided"])
     add_policy_flags(sc)
-    sc.add_argument("--out", default=".")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.set_defaults(fn=cmd_scope)
+    add_output_flags(sc, cmd_scope)
 
     ins = sub.add_parser("insig", help="insignificance-value report")
     ins.add_argument("--data", required=True)
@@ -342,18 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--sided", default="one_sided",
                      choices=["one_sided", "two_sided"])
     add_policy_flags(ins)
-    ins.add_argument("--out", default=".")
-    ins.add_argument("--seed", type=int, default=0)
-    ins.set_defaults(fn=cmd_insig)
+    add_output_flags(ins, cmd_insig)
 
     sch = sub.add_parser("scheffe", help="contrast inference for a linear model")
     sch.add_argument("--data", default=None,
                      help="CSV with header; covariate columns then response")
     sch.add_argument("--K", type=int, default=None, help="contrast dimension (analytic mode)")
     sch.add_argument("--alpha", type=float, default=0.05)
-    sch.add_argument("--out", default=".")
-    sch.add_argument("--seed", type=int, default=0)
-    sch.set_defaults(fn=cmd_scheffe)
+    add_output_flags(sch, cmd_scheffe)
 
     ts = sub.add_parser("tests", help="band relevance/equivalence tests")
     ts.add_argument("--data", required=True)
@@ -364,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("--alpha", type=float, default=0.1)
     ts.add_argument("--kappa", type=float, default=None,
                     help="plug-in thickening kappa (default 3)")
-    ts.add_argument("--out", default=".")
-    ts.add_argument("--seed", type=int, default=0)
-    ts.set_defaults(fn=cmd_tests)
+    add_output_flags(ts, cmd_tests)
 
     return p
 

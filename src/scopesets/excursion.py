@@ -102,7 +102,8 @@ def inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
 
 def max_sup(g, neg_idx, pos_idx):
     """max(sup_{neg} -g, sup_{pos} g) over the last axis; empty sets give -inf."""
-    neg = np.max(-g[..., neg_idx], axis=-1, initial=-np.inf)
+    # minus the min, not the max of a negated copy: one gathered copy alive, not two
+    neg = -np.min(g[..., neg_idx], axis=-1, initial=np.inf)
     return np.maximum(neg, np.max(g[..., pos_idx], axis=-1, initial=-np.inf))
 
 

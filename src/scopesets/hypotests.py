@@ -27,8 +27,8 @@ import numpy as np
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, shift_threshold, widened_excursions
-from .preimage import _oracle_masks, _plugin_masks
+from .excursion import ScopeBands, _moved, widened_excursions
+from .preimage import _touch_masks
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
@@ -124,6 +124,7 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     d = delta_rel(reference, band)[0] if local else delta_eqv(reference, band)
     first, second = (band.b_plus, band.b_minus) if kind == "leT" else (band.b_minus, band.b_plus)
     s = d if local else -d
+    same_domain(mu_hat, first, second, bands.sigma)
     if quantile is None:
         est = QuantileEstimate(bands.q, "given", float("nan"))
     elif isinstance(quantile, QuantileEstimate):
@@ -131,16 +132,17 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     elif not isinstance(quantile, Calibration):
         raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
     else:
-        fams = [shift_threshold(first, s)], [shift_threshold(second, -s)]
         if mu is not None:
-            (neg, _), (_, pos) = (_oracle_masks(mu, fam, 0.0) for fam in fams)
+            ref, tol = mu.values, 0.0
         elif quantile.k is None:
             raise ParameterError("plug-in calibration needs k")
+        elif not quantile.k > 0:
+            raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
-            (neg, _), (_, pos) = (_plugin_masks(mu_hat, fam, bands.sigma, bands.tau, quantile.k)
-                                  for fam in fams)
+            ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
+        neg = _touch_masks(ref, (_moved(first.values, s),), tol)[0]
+        pos = _touch_masks(ref, (_moved(second.values, -s),), tol)[1]
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
-    same_domain(mu_hat, first, second, bands.sigma)
     w = est.q * bands.tau * bands.sigma.values
     below, above = widened_excursions(mu_hat.values, first.values, second.values, w)
     hits = below & above if kind == "leT" else below | above

@@ -17,8 +17,8 @@ from .dist import binom_tail, t_cdf
 from .domain import IndexSet
 from .errors import ParameterError
 from .hypotests import bh, hommel
-from .preimage import KPolicy, resolve_k
-from .quantile import column_summary, iid_quantile, storey_m0
+from .preimage import KPolicy, scope_partition
+from .quantile import storey_m0
 
 
 @dataclass(frozen=True)
@@ -59,66 +59,32 @@ def iv_obs(heights, discoveries: IndexSet, M: int, m: int, df: float) -> float |
     return iv_qhat(M, m, q_min, df)
 
 
-def insig_report(
-    data,
-    alpha: float,
-    policy: KPolicy,
-    df: float | None = None,
-    sided: str = "one_sided",
-) -> InsigReport:
+def insig_report(data, alpha: float, policy: KPolicy, sided: str = "one_sided") -> InsigReport:
     """Full zero-threshold discovery analysis of an N x J sample.
 
-    Pipeline: resolve the thickening factor, count the estimated null set,
-    solve the critical value, collect discoveries on both sides of zero, and
-    evaluate the insignificance-value grid
-    IV_J^obs, IV_J^qhat, IV_{J-m1}^qhat, IV_{m0}^qhat.
+    Pipeline: the plug-in partition at level 0 (``scope_partition``), whose
+    classes below and above zero are the discoveries, then the
+    insignificance-value grid IV_J^obs, IV_J^qhat, IV_{J-m1}^qhat, IV_{m0}^qhat
+    with N - 1 degrees of freedom.
     """
-    mean, sd = column_summary(data)
+    part = scope_partition(data, 0.0, 0.0, alpha, policy, sided)
     N, J = np.shape(data)
-    if df is None:
-        df = N - 1
-    tstat = np.sqrt(N) * mean / sd
-
-    k = resolve_k(policy, N, J, df)
-    m_hat = int(np.count_nonzero(np.abs(tstat) <= k))
-    est = iid_quantile(m_hat, alpha, df=df, sided=sided)
-    q_hat = est.q
-
-    lower = tstat < -q_hat
-    upper = tstat > q_hat
-    discoveries = IndexSet.from_mask(lower | upper)
+    df = N - 1
+    heights = np.sqrt(N) * np.abs(part.mean) / part.sd
+    discoveries = IndexSet.from_mask(part.below | part.above)
     m1 = len(discoveries)
-    heights = np.abs(tstat)
 
-    pvals = 2.0 * t_cdf(-heights, N - 1)
+    pvals = 2.0 * t_cdf(-heights, df)
     m0 = storey_m0(pvals)
 
-    iv_q = {(J, 1): iv_qhat(J, 1, q_hat, df)}
-    if J - m1 >= 1:
-        iv_q[(J - m1, 1)] = iv_qhat(J - m1, 1, q_hat, df)
-    if m0 >= 1:
-        iv_q[(m0, 1)] = iv_qhat(m0, 1, q_hat, df)
-    min_height = float(np.min(heights[discoveries.members])) if m1 else None
-    iv_o = {} if min_height is None else {(J, 1): iv_qhat(J, 1, min_height, df)}
+    iv_q = {(M, 1): iv_qhat(M, 1, part.q_hat, df) for M in (J, J - m1, m0) if M >= 1}
+    iv_o = {} if m1 == 0 else {(J, 1): iv_obs(heights, discoveries, J, 1, df)}
 
-    counts = {
-        "scope": m1,
-        "hommel": len(hommel(pvals, alpha)),
-        "bh": len(bh(pvals, alpha)),
-    }
-    return InsigReport(
-        q_hat=q_hat,
-        k_used=k,
-        m_hat=m_hat,
-        m0=m0,
-        m1=m1,
-        iv_qhat=iv_q,
-        iv_obs=iv_o,
-        min_discovery_height=min_height,
-        counts=counts,
-        discoveries=discoveries,
-        alpha=alpha,
-    )
+    counts = {"scope": m1, "hommel": len(hommel(pvals, alpha)), "bh": len(bh(pvals, alpha))}
+    min_height = float(np.min(heights[discoveries.members])) if m1 else None
+    return InsigReport(q_hat=part.q_hat, k_used=part.k, m_hat=part.m_hat, m0=m0, m1=m1,
+                       iv_qhat=iv_q, iv_obs=iv_o, min_discovery_height=min_height,
+                       counts=counts, discoveries=discoveries, alpha=alpha)
 
 
 def write_insig_report(report: InsigReport, path, J: int) -> None:

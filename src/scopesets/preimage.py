@@ -5,8 +5,8 @@ points where the target meets the family within a tolerance eta, split by the
 side from which the graphs touch.  The plugin estimate replaces the target by
 an estimate and eta by k * tau * sigma.
 
-Inside the package touch sets are masks (``_oracle_masks``, ``_plugin_masks``);
-the ``*_preimage_sets`` functions are the public boundary.
+Inside the package touch sets are masks of plain arrays (``_touch_masks``); the
+``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, hausdorff_distance, same_domain
-from .errors import ParameterError
-from .quantile import iid_quantile
+from .errors import ParameterError, ThresholdOrderError
+from .excursion import widened_excursions
+from .quantile import column_summary, iid_quantile
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,18 @@ class KPolicy:
         return f"k={format(self.k, 'g')}"
 
 
-def _touch_masks(values: np.ndarray, fam, tol):
-    """Plus-side 0 <= values - c <= tol and minus-side masks, OR-ed over ``fam``.
+def _touch_masks(values: np.ndarray, thresholds, tol):
+    """Plus-side 0 <= values - c <= tol and minus-side masks, OR-ed over ``thresholds``.
 
+    All arguments are plain arrays (or scalars) that broadcast together.
     Equal values, infinite ones included, are at distance 0; any other
     difference involving an infinity is infinite with its own sign, so it
     counts on that side and only under an infinite tolerance.
     """
-    plus = np.zeros(values.shape, dtype=bool)
-    minus = np.zeros(values.shape, dtype=bool)
-    for c in fam:
-        diff = _gap(values, c.values)
+    plus = np.zeros(np.shape(values), dtype=bool)
+    minus = np.zeros(np.shape(values), dtype=bool)
+    for c in thresholds:
+        diff = _gap(values, c)
         plus |= (diff >= 0) & (diff <= tol)
         minus |= (diff <= 0) & (-diff <= tol)
     return plus, minus
@@ -90,36 +92,28 @@ def _sets(plus: np.ndarray, minus: np.ndarray) -> PreimageSets:
     )
 
 
-def _oracle_masks(mu: Field, fam, eta: float):
-    if eta < 0:
-        raise ParameterError(f"eta must be >= 0, got {eta}")
-    fam = tuple(fam)
-    same_domain(mu, *fam)
-    return _touch_masks(mu.values, fam, eta)
-
-
-def _plugin_masks(mu_hat: Field, fam, sigma: Field, tau: float, k: float):
-    if not k > 0:
-        raise ParameterError(f"k must be > 0, got {k}")
-    if not tau > 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    fam = tuple(fam)
-    same_domain(mu_hat, sigma, *fam)
-    return _touch_masks(mu_hat.values, fam, k * tau * sigma.values)
-
-
 def oracle_preimage_sets(mu: Field, fam, eta: float = 0.0) -> PreimageSets:
     """Points where ``mu`` meets the family within eta, by side.
 
     Plus side: 0 <= mu - c <= eta for some member c; minus side mirrored;
     ``both`` is the union.  eta = 0 gives the exact preimage.
     """
-    return _sets(*_oracle_masks(mu, fam, eta))
+    if eta < 0:
+        raise ParameterError(f"eta must be >= 0, got {eta}")
+    fam = tuple(fam)
+    same_domain(mu, *fam)
+    return _sets(*_touch_masks(mu.values, [c.values for c in fam], eta))
 
 
 def plugin_preimage_sets(mu_hat: Field, fam, sigma: Field, tau: float, k: float) -> PreimageSets:
     """Thickened plugin estimate of the preimage sets with tolerance k*tau*sigma."""
-    return _sets(*_plugin_masks(mu_hat, fam, sigma, tau, k))
+    if not k > 0:
+        raise ParameterError(f"k must be > 0, got {k}")
+    if not tau > 0:
+        raise ParameterError(f"tau must be > 0, got {tau}")
+    fam = tuple(fam)
+    same_domain(mu_hat, sigma, *fam)
+    return _sets(*_touch_masks(mu_hat.values, [c.values for c in fam], k * tau * sigma.values))
 
 
 def resolve_k(policy: KPolicy, N: int, J: int, df: float) -> float:
@@ -131,6 +125,41 @@ def resolve_k(policy: KPolicy, N: int, J: int, df: float) -> float:
     if policy.kind == "scb_level":
         return iid_quantile(J, policy.beta, df, "two_sided").q
     return float(policy.k)
+
+
+@dataclass(frozen=True, eq=False)
+class ScopePartition:
+    """Column means and sds, k, touch count m_hat, q_hat, and the below/above column masks."""
+
+    mean: np.ndarray
+    sd: np.ndarray
+    k: float
+    m_hat: int
+    q_hat: float
+    below: np.ndarray
+    above: np.ndarray
+
+
+def scope_partition(data, lower, upper, alpha: float, policy: KPolicy,
+                    sided: str = "one_sided") -> ScopePartition:
+    """Plug-in SCoPE partition of the columns of an N x J sample (rows are observations).
+
+    With tau = 1/sqrt(N), m_hat counts the columns whose mean is within k*tau*sd
+    of ``lower`` or ``upper`` (scalars or length-J arrays, lower <= upper), q_hat
+    is the iid t critical value for m_hat points and N - 1 degrees of freedom,
+    and a column is below if its mean is under lower - q_hat*tau*sd, above if
+    over upper + q_hat*tau*sd.  Infinite edges never move.
+    """
+    if np.any(np.greater(lower, upper)):
+        raise ThresholdOrderError("lower must be <= upper pointwise")
+    mean, sd = column_summary(data)
+    N, J = np.shape(data)
+    tau = 1.0 / np.sqrt(N)
+    k = resolve_k(policy, N, J, df=N - 1)
+    m_hat = int(np.count_nonzero(np.logical_or(*_touch_masks(mean, (lower, upper), k * tau * sd))))
+    q_hat = iid_quantile(m_hat, alpha, df=N - 1, sided=sided).q
+    below, above = widened_excursions(mean, lower, upper, q_hat * tau * sd)
+    return ScopePartition(mean, sd, k, m_hat, q_hat, below, above)
 
 
 def consistency_probe(
@@ -157,7 +186,8 @@ def consistency_probe(
         raise ParameterError("reps must be >= 1")
     fam = tuple(fam)
     dom = same_domain(mu, *fam)
-    target = IndexSet.from_mask(np.logical_or(*_oracle_masks(mu, fam, 0.0)))
+    thresholds = [c.values for c in fam]
+    target = IndexSet.from_mask(np.logical_or(*_touch_masks(mu.values, thresholds, 0.0)))
     out = []
     for ni, N in enumerate(n_list):
         k = resolve_k(policy, N, dom.size, df=N - 1)
@@ -171,9 +201,10 @@ def consistency_probe(
                 mu_hat = y.mean(axis=0)
                 sigma_hat = y.std(axis=0, ddof=1)
             else:
-                mu_hat, sigma_hat = sampler(gen, N)
+                # a field checks the sampler's output: length J, no NaN
+                mu_hat, sigma_hat = (Field(dom, v).values for v in sampler(gen, N))
             est = IndexSet.from_mask(np.logical_or(
-                *_plugin_masks(Field(dom, mu_hat), fam, Field(dom, sigma_hat), tau, k)))
+                *_touch_masks(mu_hat, thresholds, k * tau * sigma_hat)))
             dh_sum += hausdorff_distance(est, target, dom)
             incl += target.issubset(est)
         out.append(

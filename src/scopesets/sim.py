@@ -25,11 +25,11 @@ import numpy as np
 
 from .csvio import write_csv
 from .dist import Rng, quantile, t_cdf
-from .domain import Domain, Field
+from .domain import Domain, Field, same_domain
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
-from .preimage import KPolicy, _oracle_masks, resolve_k
+from .preimage import KPolicy, _touch_masks, resolve_k
 from .quantile import _chunk_rows, _map_chunks, iid_quantile
 
 
@@ -252,7 +252,6 @@ class SandwichInstance:
     tau: float
     q: float
     eta: float
-    noise: str = "normal"
 
 
 def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
@@ -274,19 +273,20 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
         instance.q,
         instance.eta,
     )
-    if instance.noise != "normal":
-        raise ParameterError(f"unknown noise model {instance.noise!r}")
     if not (instance.lower_fam or instance.upper_fam):
         raise ParameterError("need at least one threshold")
-    neg_thick, _ = _oracle_masks(mu, instance.lower_fam, eta)
-    _, pos_thick = _oracle_masks(mu, instance.upper_fam, eta)
-    neg_exact = np.logical_or(*_oracle_masks(mu, instance.lower_fam, 0.0))
-    pos_exact = np.logical_or(*_oracle_masks(mu, instance.upper_fam, 0.0))
+    if eta < 0:
+        raise ParameterError(f"eta must be >= 0, got {eta}")
+    same_domain(mu, *instance.lower_fam, *instance.upper_fam)
+    lower_vals = [c.values for c in instance.lower_fam]
+    upper_vals = [c.values for c in instance.upper_fam]
+    neg_thick, _ = _touch_masks(mu.values, lower_vals, eta)
+    _, pos_thick = _touch_masks(mu.values, upper_vals, eta)
+    neg_exact = np.logical_or(*_touch_masks(mu.values, lower_vals, 0.0))
+    pos_exact = np.logical_or(*_touch_masks(mu.values, upper_vals, 0.0))
     sig_max = float(np.max(sigma.values))
     slack = q + eta / (tau * sig_max)
     w = q * tau * sigma.values
-    lower_vals = [c.values for c in instance.lower_fam]
-    upper_vals = [c.values for c in instance.upper_fam]
 
     # one sequential stream: the counts do not depend on the chunk size
     gen = rng.generator()

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import inspect
 import re
 import warnings
 from pathlib import Path
@@ -10,6 +12,8 @@ from scopesets import cli
 from scopesets.cli import main, parse_config, UsageError
 from scopesets.dist import Rng
 from scopesets.domain import Domain, Field, save_field
+from scopesets.insig import insig_report
+from scopesets.preimage import KPolicy
 
 
 SIM_CONFIG = """\
@@ -116,6 +120,40 @@ class TestScopeCommand:
             main(["scope", "--data", str(data_path), "--level", "0", "--kappa", "3",
                   "--seed", "5", "--out", str(o)])
         assert (o1 / "partition.csv").read_bytes() == (o2 / "partition.csv").read_bytes()
+
+    def test_heights_measure_the_distance_to_the_crossed_edge(self, tmp_path):
+        # columns 0-3 sit below the lower edge 0.5, 8-11 above the upper edge 3; the
+        # infinite edges at 0 and 11 are never crossed, and at 5 both edges are +inf
+        data_path = tmp_path / "d.csv"
+        data = write_data(data_path, Rng(5), N=50, J=12, mu=np.repeat([-1.0, 2.0, 5.0], 4))
+        dom = Domain(12)
+        lower = np.where(np.arange(12) == 0, -np.inf, 0.5)
+        upper = np.where(np.arange(12) == 11, np.inf, 3.0)
+        lower[5] = upper[5] = np.inf
+        save_field(Field(dom, lower), tmp_path / "lo.csv")
+        save_field(Field(dom, upper), tmp_path / "hi.csv")
+        runs = {"band": (["--lower", str(tmp_path / "lo.csv"), "--upper", str(tmp_path / "hi.csv")],
+                         lower, upper),
+                "level": (["--level", "2"], np.full(12, 2.0), np.full(12, 2.0))}
+        mean, sd = data.mean(axis=0), data.std(axis=0, ddof=1)
+        for name, (flags, lo, hi) in runs.items():
+            out = tmp_path / name
+            assert main(["scope", "--data", str(data_path), *flags, "--k", "1",
+                         "--out", str(out)]) == 0
+            lines = (out / "detections.csv").read_text().splitlines()
+            rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+            for r in rows:
+                j = int(r["index"])
+                edge = (lo if r["direction"] == "below" else hi)[j]
+                expected = np.sqrt(50) * abs(mean[j] - edge) / sd[j]
+                assert float(r["height"]) == pytest.approx(expected, rel=1e-5)
+            if name == "band":
+                assert [(int(r["index"]), r["direction"]) for r in rows] == [
+                    (1, "below"), (2, "below"), (3, "below"), (5, "below"),
+                    (8, "above"), (9, "above"), (10, "above")]
+                assert rows[3]["height"] == "inf"
+            else:
+                assert {r["direction"] for r in rows} == {"below", "above"}
 
     def test_policy_flags_are_exclusive(self, tmp_path, capsys):
         data_path = tmp_path / "d.csv"
@@ -383,11 +421,43 @@ class TestTestsCommand:
         assert not (tmp_path / "o").exists()
 
 
-def test_every_flag_is_read_somewhere_in_cli():
-    # a flag whose value cli.py never reads changes nothing and should not exist
-    source = Path(cli.__file__).read_text()
+def test_every_flag_is_read_by_its_own_command():
+    # a flag whose value its command never reads changes nothing and should not exist;
+    # the one exception is --seed, which only simulate reads (the others draw nothing)
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for parser in sub.choices.values() for a in parser._actions
-             if not isinstance(a, argparse._HelpAction)}
-    assert "b_minus" in dests and "K" in dests
-    assert sorted(d for d in dests if not re.search(rf"\bargs\.{d}\b", source)) == []
+    unread = set()
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("fn"))
+        # helpers the command hands its args to read flags on its behalf
+        for helper in re.findall(r"(?<!def )\b(\w+)\(args\)", source):
+            source += inspect.getsource(getattr(cli, helper))
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        unread |= {(name, d) for d in dests if not re.search(rf"\bargs\.{d}\b", source)}
+    assert unread == {(name, "seed") for name in ("scope", "insig", "scheffe", "tests")}
+    for name in ("scope", "insig", "scheffe", "tests"):
+        assert "only simulate reads --seed" in " ".join(sub.choices[name].format_help().split())
+
+
+@pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
+@pytest.mark.parametrize("flags, policy", [
+    (["--kappa", "3"], KPolicy("log_over_kappa", kappa=3.0)),
+    (["--scb-beta", "0.2"], KPolicy("scb_level", beta=0.2)),
+    (["--k", "1.2"], KPolicy("fixed", k=1.2)),
+])
+def test_scope_at_level_zero_and_insig_share_one_partition(tmp_path, capsys, flags, policy, sided):
+    data_path = tmp_path / "d.csv"
+    write_data(data_path, Rng(6), N=40, J=30, mu=np.repeat([-0.6, 0.0, 0.4], 10))
+    common = ["--data", str(data_path), *flags, "--sided", sided, "--alpha", "0.1"]
+    assert main(["scope", *common, "--level", "0", "--out", str(tmp_path / "s")]) == 0
+    assert main(["insig", *common, "--out", str(tmp_path / "i")]) == 0
+    printed = dict(item.split("=") for item in capsys.readouterr().out.split())
+    lines = (tmp_path / "s" / "partition.csv").read_text().splitlines()
+    meta = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+    row = next(csv.DictReader((tmp_path / "i" / "insig_report.csv").read_text().splitlines()))
+    assert meta["k"] == row["k"] == printed["k"]
+    assert meta["q_hat"] == row["q_hat"] == printed["q_hat"]
+    report = insig_report(np.loadtxt(data_path, delimiter=","), 0.1, policy, sided=sided)
+    assert int(meta["m_hat"]) == report.m_hat
+    detections = (tmp_path / "s" / "detections.csv").read_text().splitlines()
+    n_rows = len([line for line in detections if not line.startswith("#")]) - 1
+    assert n_rows == int(row["n_scope"]) == report.m1 > 0

@@ -63,6 +63,15 @@ class TestTCdf:
         assert t_cdf(1.0, 1e7) == pytest.approx(normal_cdf(1.0), abs=1e-5)
         assert t_cdf(1.0, np.inf) == normal_cdf(1.0)
 
+    def test_cauchy_against_mpmath(self):
+        # stdtr at df = 1 errs by up to 2.2e-9 here, near 0 and in the far left tail
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x = np.concatenate([s * np.logspace(-12, 8, 201) for s in (1.0, -1.0)])
+        ref = np.array([float(0.5 + mpmath.atan(mpmath.mpf(v)) / mpmath.pi) for v in x])
+        assert np.all(np.abs(t_cdf(x, 1) - ref) <= 1e-15 * ref)
+        assert (t_cdf(-np.inf, 1), t_cdf(0.0, 1), t_cdf(np.inf, 1)) == (0.0, 0.5, 1.0)
+
     def test_bad_df(self):
         with pytest.raises(ParameterError):
             t_cdf(1.0, 0.0)
@@ -139,10 +148,11 @@ class TestQuantile:
         assert quantile("t", 0.95, df=99) == pytest.approx(ref, abs=1e-9)
         assert quantile("t", 0.95, df=99) == pytest.approx(1.6604, abs=5e-5)
 
-    @pytest.mark.parametrize("df", [4, 6])
+    @pytest.mark.parametrize("df", [1, 4, 6])
     @pytest.mark.parametrize("p", [0.500000005, 0.499999995])
     def test_t_roundtrip_near_the_median(self, df, p):
-        # stdtrit returns 2.98e-8 (df=4) and 0.0 (df=6) here, CDF errors of 6.2e-9 and 5e-9
+        # stdtrit returns 2.98e-8 (df=4) and 0.0 (df=6) here, CDF errors of 6.2e-9 and 5e-9;
+        # at df = 1 the CDF itself is the Cauchy closed form (stdtr reads 0.5 + 4.7e-9 at 1e-8)
         assert abs(t_cdf(quantile("t", p, df=df), df) - p) <= 1e-9
 
     def test_t_levels_outside_the_median_window_are_stdtrit(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import peak_traced_mb
 from scopesets.domain import Domain, Field, IndexSet
 from scopesets.errors import ThresholdOrderError
 from scopesets.excursion import (
@@ -358,3 +359,14 @@ class TestBatchedKernels:
     def test_max_sup_of_empty_sets_is_minus_inf(self, b):
         empty = np.array([], dtype=int)
         assert np.all(max_sup(b["mu_hat"], empty, empty) == -np.inf)
+
+    def test_max_sup_keeps_one_gathered_copy_on_overlapping_sets(self):
+        # neg = pos = every column: each gather is a full 8 MB copy of g, and
+        # negating a gathered copy would hold a second one
+        g = np.random.default_rng(0).standard_normal((2000, 500))
+        idx = np.arange(500)
+        expected = np.abs(g).max(axis=1)
+        with peak_traced_mb() as peak:
+            stat = max_sup(g, idx, idx)
+        assert np.array_equal(stat, expected)
+        assert peak.mb < 1.5 * g.nbytes / 1e6

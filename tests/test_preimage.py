@@ -4,14 +4,16 @@ from conftest import peak_traced_mb
 
 from scopesets.dist import Rng, t_cdf
 from scopesets.domain import Domain, Field, IndexSet, line_domain
-from scopesets.errors import DomainMismatchError, ParameterError
+from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.preimage import (
     KPolicy,
     consistency_probe,
     oracle_preimage_sets,
     plugin_preimage_sets,
     resolve_k,
+    scope_partition,
 )
+from scopesets.quantile import iid_quantile
 from scopesets.sim import model_mu
 
 
@@ -165,6 +167,32 @@ class TestResolveK:
             resolve_k(KPolicy("fixed", k=1.0), 1, 10, df=9)
 
 
+class TestScopePartition:
+    def test_matches_the_standardized_rule_at_level_zero(self):
+        N, J = 60, 40
+        data = Rng(3).generator().standard_normal((N, J)) + np.repeat([-0.5, 0.0, 0.3, 0.0], 10)
+        for sided in ("one_sided", "two_sided"):
+            part = scope_partition(data, 0.0, 0.0, 0.1, KPolicy("fixed", k=1.5), sided)
+            t = np.sqrt(N) * data.mean(axis=0) / data.std(axis=0, ddof=1)
+            assert part.k == 1.5
+            assert part.m_hat == np.count_nonzero(np.abs(t) <= 1.5)
+            assert part.q_hat == iid_quantile(part.m_hat, 0.1, N - 1, sided).q
+            assert np.array_equal(part.below, t < -part.q_hat)
+            assert np.array_equal(part.above, t > part.q_hat)
+            assert part.below.any() and part.above.any()
+
+    def test_infinite_edges_never_move_and_order_is_checked(self):
+        data = Rng(4).generator().standard_normal((30, 6)) + np.array([-9, -9, 0, 0, 9, 9.0])
+        lower = np.array([-np.inf, -1, -1, -1, -1, -1])
+        upper = np.array([1, 1, 1, 1, 1, np.inf])
+        part = scope_partition(data, lower, upper, 0.1, KPolicy("log_over_kappa", kappa=3.0))
+        assert part.m_hat == 0
+        assert part.below.tolist() == [False, True, False, False, False, False]
+        assert part.above.tolist() == [False, False, False, False, True, False]
+        with pytest.raises(ThresholdOrderError):
+            scope_partition(data, upper, lower, 0.1, KPolicy("fixed", k=1.0))
+
+
 class TestConsistencyProbe:
     def test_zero_noise_recovers_target(self):
         mu = model_mu("B")
@@ -180,6 +208,17 @@ class TestConsistencyProbe:
         for rec in out:
             assert rec["mean_hausdorff"] == 0.0
             assert rec["inclusion_freq"] == 1.0
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda J: (np.zeros(J + 1), np.ones(J)), DomainMismatchError),
+        (lambda J: (np.zeros(J), np.full(J, np.nan)), ParameterError),
+    ])
+    def test_sampler_output_is_checked_like_a_field(self, bad, error):
+        mu = model_mu("B")
+        zero = Field.constant(mu.domain, 0.0)
+        with pytest.raises(error):
+            consistency_probe(mu, [zero], KPolicy("fixed", k=1.0), [20], reps=2, rng=Rng(0),
+                              sampler=lambda gen, N: bad(mu.domain.size))
 
     def test_trend_and_analytic_inclusion_frequency(self):
         # the estimated set contains the 20 true zeros of model B independently
