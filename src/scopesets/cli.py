@@ -193,13 +193,12 @@ def cmd_scope(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(part.k)}", f"m_hat={part.m_hat}",
             f"q_hat={_fmt(part.q_hat)}", f"sided={args.sided}"]
+    cls = ["below" if b else ("above" if a else "middle")
+           for b, a in zip(below.tolist(), above.tolist())]
     write_csv(out / "partition.csv", ["index", "mean", "sd", "class"],
-              ([j, _fmt(part.mean[j]), _fmt(part.sd[j]),
-                "below" if below[j] else ("above" if above[j] else "middle")] for j in range(J)),
-              meta)
+              zip(range(J), map(_fmt, part.mean.tolist()), map(_fmt, part.sd.tolist()), cls), meta)
     write_csv(out / "detections.csv", ["index", "direction", "height"],
-              ([j, "below" if below[j] else "above", _fmt(height[j])]
-               for j in range(J) if below[j] or above[j]),
+              ([j, c, _fmt(h)] for j, c, h in zip(range(J), cls, height.tolist()) if c != "middle"),
               meta)
     return 0
 

@@ -86,12 +86,7 @@ def quantile(dist: str, p: float, *, df=None, k=None, d1=None, d2=None) -> float
         df = float(df)
         if not df > 0:
             raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
-        if np.isinf(df):
-            return float(special.ndtri(p))
-        if abs(p - 0.5) < 1e-4:  # stdtrit misses the root here; invert |2p-1| = I_y(1/2, df/2)
-            y = special.betaincinv(0.5, df / 2.0, abs(2.0 * p - 1.0))
-            return float(np.copysign(np.sqrt(df * y / (1.0 - y)), p - 0.5))
-        return float(special.stdtrit(df, p))
+        return float(_t_quantile(p, df))
     if dist == "chisq":
         if k is None or not k > 0:
             raise ParameterError(f"chi-square dof must be > 0, got {k}")
@@ -101,6 +96,20 @@ def quantile(dist: str, p: float, *, df=None, k=None, d1=None, d2=None) -> float
             raise ParameterError("F degrees of freedom must be positive")
         return float(special.fdtri(d1, d2, p))
     raise ParameterError(f"unknown distribution {dist!r}")
+
+
+def _t_quantile(p, df):
+    """Student-t inverse CDF, elementwise over levels in (0, 1); the caller checks ``df > 0``."""
+    if df == np.inf:
+        return special.ndtri(p)
+    q = special.stdtrit(df, p)
+    mid = abs(p - 0.5) < 1e-4  # stdtrit misses the root here; invert |2p-1| = I_y(1/2, df/2)
+    if mid is False or not np.any(mid):  # a float level gives a plain bool: no numpy call
+        return q
+    p, q = np.asarray(p, dtype=float), np.array(q)
+    y = special.betaincinv(0.5, df / 2.0, np.abs(2.0 * p[mid] - 1.0))
+    q[mid] = np.copysign(np.sqrt(df * y / (1.0 - y)), p[mid] - 0.5)
+    return q
 
 
 def binom_tail(M: int, p: float, m: int) -> float:

@@ -107,11 +107,6 @@ def max_sup(g, neg_idx, pos_idx):
     return np.maximum(neg, np.max(g[..., pos_idx], axis=-1, initial=-np.inf))
 
 
-def shift_threshold(c: Field, delta) -> Field:
-    """Threshold shifted by delta; infinite thresholds never move."""
-    return Field(c.domain, _moved(c.values, delta))
-
-
 def lower_excursion(f: Field, c: Field, closed: bool = False) -> IndexSet:
     """{s : f(s) < c(s)}, or <= when ``closed``."""
     same_domain(f, c)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg.blas import dtrmm
 
-from .dist import Rng, quantile, t_cdf
+from .dist import Rng, _t_quantile, quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
 from .excursion import max_sup
@@ -117,6 +117,17 @@ def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> Q
         raise ParameterError(f"unknown sided convention {sided!r}")
     est = _iid_exact(*((m, 0) if sided == "one_sided" else (0, m)), alpha, df, "upper")
     return QuantileEstimate(est.q, f"iid_{sided}", alpha, m, est.empty_sets)
+
+
+def _iid_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
+    """``iid_quantile(m, alpha, df, sided).q`` for m = 0..J, bit for bit, from one t quantile call."""
+    q0 = iid_quantile(0, alpha, df, sided).q  # 0.0, once the arguments pass its checks
+    # Python's pow, as in _iid_exact, so each level is the scalar route's to the bit
+    base = np.array([(1.0 - alpha) ** (1.0 / m) for m in range(1, J + 1)])
+    level = base if sided == "one_sided" else (1.0 + base) / 2.0
+    if not np.all(level < 1.0):
+        raise ParameterError(f"quantile level must be in (0, 1), got {level.max()}")
+    return np.concatenate([[q0], _t_quantile(level, df)])
 
 
 def storey_m0(pvalues) -> int:

@@ -5,8 +5,11 @@ empirical probability that both zero-threshold excursion inclusions hold
 (Cov), the mean number of false detections (FD: a null detection or a
 directional error), and the mean number of true detections (TD).  Hommel and
 Benjamini-Hochberg baselines run on the same samples with FD counting type-I
-errors only.  They and Storey's null count take the t CDF only where a
-placeholder p-value could change a decision (``_t_pvalues``).
+errors only.  They and Storey's null count read |t| against cuts in t: one
+per-N table maps each step-up threshold k*alpha/m to its cut, a value far from
+every cut takes a stand-in p between the thresholds around it, and the t CDF
+runs only near a cut (``_step_up_cuts``, ``_t_pvalues``).  The critical values
+q(m) for m = 0..J come from one vector t quantile (``quantile._iid_table``).
 
 Each replication's t-statistics are drawn from their sufficient statistics
 (Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
@@ -18,19 +21,20 @@ results are byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import write_csv
-from .dist import Rng, quantile, t_cdf
+from .dist import Rng, _t_quantile, quantile, t_cdf
 from .domain import Domain, Field, same_domain
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
 from .preimage import KPolicy, _touch_masks, resolve_k
-from .quantile import _chunk_rows, _map_chunks, iid_quantile
+from .quantile import _chunk_rows, _iid_table, _map_chunks
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,26 +123,55 @@ def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> n
     return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
 
 
-def _t_pvalues(tmat, df, alpha):
+def _step_up_cuts(df, alpha, J):
+    """The |t| cuts of every step-up threshold, ascending, and a p-value for each gap between them.
+
+    Hommel and BH compare p only with k*alpha/m for 1 <= k <= m <= J (the
+    float expression both kernels use; k = m = 1 is alpha).  Gap i lies between
+    cuts i - 1 and i; its p is 1.0 below the first cut, 0.0 above the last and
+    otherwise the midpoint of the two thresholds, so it compares with every
+    threshold as any p in the gap does.
+    """
+    k, m = np.triu_indices(J)
+    tau = np.unique((k + 1) * alpha / (m + 1))[::-1]
+    return -_t_quantile(tau / 2, df), np.concatenate([[1.0], (tau[:-1] + tau[1:]) / 2, [0.0]])
+
+
+def _t_pvalues(tmat, df, alpha, cuts=None):
     """P-values 2 t_cdf(-|t|, df) as Hommel and BH read them, and Storey's p >= 0.5 mask.
 
     The step-up rules compare p only with thresholds in [alpha/J, alpha], so
     p > alpha acts as 1 and p < alpha/(2J) as 0, Hommel's step count included.
     Both cuts give up a relative 1e-6 (a rounded threshold can sit an ulp above
-    alpha); the t CDF runs between them, NaN included, and near |t| = t_{0.75}.
+    alpha).  Between them the t CDF runs, NaN included, and near |t| = t_{0.75}.
+    Where that leaves at least J(J+1)/2 values to the CDF, a value farther than
+    1e-6 (1 + |t|) from every cut of ``_step_up_cuts`` takes its gap's p
+    instead, and the CDF runs only on the rest.  ``cuts``, if given, returns
+    that table, so a caller can build it once for many chunks.
     """
+    J = tmat.shape[1]
     lo, hi, s75 = (quantile("t", 1 - p / 2, df=df) for p in
-                   (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * tmat.shape[1], 1), 0.5))
+                   (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * J, 1), 0.5))
     a = np.abs(tmat)
     near75 = np.abs(a - s75) <= 1e-6 * s75
     one = a < lo
     exact = ~(one | (a > hi)) | near75
     pv = one.astype(float)
+    if np.count_nonzero(exact) >= J * (J + 1) // 2:
+        cut, gap_p = cuts() if cuts else _step_up_cuts(df, alpha, J)
+        band = a[exact]
+        i = np.searchsorted(cut, band)  # rounding may swap cuts an ulp apart; far values sort alike
+        near = np.minimum(np.abs(band - cut[np.maximum(i - 1, 0)]),
+                          np.abs(band - cut[np.minimum(i, cut.size - 1)]))
+        far = near > 1e-6 * (1.0 + band)  # NaN is never far
+        pv[exact] = gap_p[i]
+        exact[exact] = ~far
+        exact |= near75
     pv[exact] = 2.0 * t_cdf(-a[exact], df)
     return pv, np.where(near75, pv >= 0.5, a <= s75)
 
 
-def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha):
+def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha, cuts=None):
     """One chunk of nb replications drawn from ``gen``; partial (cov, fd, td) sums per key."""
     J = mu.size
     is_null = mu == 0.0
@@ -146,7 +179,7 @@ def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alp
     tmat = _draw_tstats(gen, nb, N, mu)
 
     if baselines or any(kind == "storey" for kind, _, _ in methods):
-        pv, p_half = _t_pvalues(tmat, N - 1, alpha)
+        pv, p_half = _t_pvalues(tmat, N - 1, alpha, cuts)
 
     out = {}
     for kind, _policy, label in methods:
@@ -200,14 +233,14 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
     rng = Rng(cfg.seed)
     for ni, N in enumerate(cfg.N_list):
         df = N - 1
-        q_tables = {s: np.array([iid_quantile(m, alpha, df, s).q for m in range(J + 1)])
-                    for s in sided_list}
+        q_tables = {s: _iid_table(J, alpha, df, s) for s in sided_list}
+        cuts = functools.cache(functools.partial(_step_up_cuts, df, alpha, J))
         ks = {}
         for kind, policy, label in methods:
             if kind in ("log_kappa", "scb"):
                 ks[label] = resolve_k(policy, N, J, df)
         run = lambda gen, nb: _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list,
-                                         cfg.baselines, alpha)
+                                         cfg.baselines, alpha, cuts)
         totals = {}
         # a chunk keeps about four (nb, J) float arrays alive
         for part in _map_chunks(run, cfg.reps, 4 * J, rng.child(ni)):

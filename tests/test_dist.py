@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 from scopesets.dist import (
     Rng,
+    _t_quantile,
     binom_tail,
     chisq_cdf,
     f_cdf,
@@ -167,6 +168,17 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ParameterError):
                 quantile("normal", p)
+
+    @pytest.mark.parametrize("df", [1, 4, 29, np.inf])
+    def test_vector_t_quantile_is_the_scalar_one_bit_for_bit(self, df):
+        # the grid straddles both edges of the incomplete-beta window |p - 0.5| < 1e-4
+        near = 0.5 + np.concatenate([np.geomspace(1e-12, 3e-4, 60), -np.geomspace(1e-12, 3e-4, 60),
+                                     [1e-4, -1e-4, 0.0]])
+        levels = np.concatenate([near, np.linspace(1e-6, 1 - 1e-6, 301),
+                                 [1e-300, 1e-12, 1 - 1e-12]])
+        got = _t_quantile(levels, df)
+        want = np.array([quantile("t", p, df=df) for p in levels])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestBinomTail:

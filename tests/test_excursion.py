@@ -8,6 +8,7 @@ from scopesets.errors import ThresholdOrderError
 from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
+    _moved,
     contour_regions,
     inclusion_event,
     lower_excursion,
@@ -16,7 +17,6 @@ from scopesets.excursion import (
     roi_adapt,
     scb_scope_equivalence,
     scope_event,
-    shift_threshold,
     t_stat,
     upper_excursion,
     widened_excursions,
@@ -234,11 +234,10 @@ class TestRoiAdapt:
             assert lower_excursion(f, cm).issubset(roi)
 
 
-class TestShiftThreshold:
+class TestMoved:
     def test_infinite_thresholds_never_move(self):
-        c = fld(np.inf, -np.inf, 1.0)
-        shifted = shift_threshold(c, 5.0)
-        np.testing.assert_array_equal(shifted.values, [np.inf, -np.inf, 6.0])
+        np.testing.assert_array_equal(_moved(np.array([np.inf, -np.inf, 1.0]), 5.0),
+                                      [np.inf, -np.inf, 6.0])
 
 
 class TestBandInclusionDuality:
@@ -278,13 +277,10 @@ class TestBandInclusionDuality:
         dom = Domain(8)
         f = Field(dom, rng.normal(size=8))
         c = Field(dom, rng.normal(size=8))
+        moved = lambda delta: Field(dom, _moved(c.values, delta))
         for q, q_hi in ((0.0, 0.5), (0.5, 1.5)):
-            lo_s = lower_excursion(f, shift_threshold(c, -q_hi))
-            lo = lower_excursion(f, shift_threshold(c, -q))
-            assert lo_s.issubset(lo)
-            up_s = upper_excursion(f, shift_threshold(c, q_hi))
-            up = upper_excursion(f, shift_threshold(c, q))
-            assert up_s.issubset(up)
+            assert lower_excursion(f, moved(-q_hi)).issubset(lower_excursion(f, moved(-q)))
+            assert upper_excursion(f, moved(q_hi)).issubset(upper_excursion(f, moved(q)))
 
 
 FINITE = st.floats(-3.0, 3.0)

@@ -54,6 +54,20 @@ class TestIidQuantile:
         with pytest.raises(ParameterError):
             iid_quantile(5, 0.0, df=10)
 
+    @pytest.mark.parametrize("df", [1, 4, 29, 99, 499])
+    def test_table_is_the_scalar_solver_bit_for_bit(self, df):
+        for alpha in (0.05, 0.1, 0.3, 0.9):
+            for sided in ("one_sided", "two_sided"):
+                got = quantile._iid_table(120, alpha, df, sided)
+                want = np.array([iid_quantile(m, alpha, df, sided).q for m in range(121)])
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_table_keeps_the_scalar_checks(self):
+        for args in ((5, 0.0, 10, "two_sided"), (5, 0.1, 0, "two_sided"),
+                     (5, 0.1, 10, "both"), (5, 1e-17, 10, "one_sided")):
+            with pytest.raises(ParameterError):
+                quantile._iid_table(*args)
+
 
 class TestStorey:
     def test_no_large_pvalues(self):

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from scopesets.dist import Rng, quantile as dq, t_cdf
@@ -161,8 +162,112 @@ class TestTPvalues:
                                  baselines=("hommel", "bh"), reps=500, seed=7))
         assert seen and sum(seen) <= 500 * 80 / 4
 
+    @pytest.mark.parametrize("N", [30, 100])
+    def test_t_cdf_reads_one_percent_where_the_cut_table_runs(self, monkeypatch, N):
+        # model B at N = 30 and 100 leaves 30% and 46% of |t| between the outer cuts
+        seen = []
+
+        def counting_t_cdf(x, df):
+            seen.append(np.size(x))
+            return t_cdf(x, df)
+
+        monkeypatch.setattr(sim, "t_cdf", counting_t_cdf)
+        run_simulation(SimConfig(model="B", N_list=(N,), methods=("storey",),
+                                 baselines=("hommel", "bh"), reps=500, seed=7))
+        assert seen and sum(seen) <= 500 * 80 / 100
+
+
+def _full_matrix_pvalues(tmat, df, alpha, cuts=None):
+    pv = 2.0 * t_cdf(-np.abs(tmat), df)
+    return pv, pv >= 0.5
+
+
+class TestStepUpCuts:
+    @settings(max_examples=60, deadline=None)
+    @given(J=st.integers(1, 120), df=st.sampled_from([1, 4, 29, 499]),
+           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.6, 1 - 1e-5, 1 - 1e-12]),
+           seed=st.integers(0, 2**32 - 1))
+    # near p = 1 the cuts sit near t = 0, where a window relative to |t| alone is too thin
+    @example(J=55, df=1, alpha=1 - 1e-12, seed=0)
+    def test_masks_match_the_full_matrix_on_and_beside_the_cuts(self, J, df, alpha, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(1, J + 1, size=100)
+        tau = np.append(rng.integers(1, m + 1) * alpha / m, alpha)
+        cut = np.array([dq("t", 1 - x / 2, df=df) for x in tau])
+        # each cut, one ulp either side, and moved by a relative 1e-15 .. 1e-3 either way
+        steps = np.geomspace(1e-15, 1e-3, 13)
+        moves = np.concatenate([[0.0], steps, -steps])
+        at = np.concatenate([cut, np.nextafter(cut, 0), np.nextafter(cut, np.inf),
+                             (cut[:, None] * (1 + moves)).ravel()])
+        B = J + 1
+        tmat = rng.standard_t(df, size=(B, J)) * rng.uniform(0.5, 3.0, size=(B, 1))
+        pick = rng.uniform(size=tmat.shape) < 0.8
+        tmat[pick] = rng.choice(at, size=pick.sum()) * rng.choice([-1, 1], size=pick.sum())
+        # J(J+1)/2 values right on a cut, all between the outer cuts, call for the table
+        on = rng.choice(tmat.size, size=J * (J + 1) // 2, replace=False)
+        tmat.flat[on] = rng.choice(cut, size=on.size) * rng.choice([-1, 1], size=on.size)
+        built = []
+        pv, p_half = sim._t_pvalues(tmat, df, alpha,
+                                    lambda: built.append(1) or sim._step_up_cuts(df, alpha, J))
+        full, full_half = _full_matrix_pvalues(tmat, df, alpha)
+        np.testing.assert_array_equal(p_half, full_half)
+        for rule in (hommel_reject_mask, bh_reject_mask):
+            np.testing.assert_array_equal(rule(pv, alpha), rule(full, alpha))
+        assert built  # the table decided the values far from every cut
+
+    def test_nan_still_reaches_the_pvalue_check_past_the_table(self):
+        tmat = np.random.default_rng(5).standard_t(4, size=(40, 10)) * 3.0
+        tmat[7, 3] = np.nan
+        built = []
+        pv, _ = sim._t_pvalues(tmat, 4, 0.3,
+                               lambda: built.append(1) or sim._step_up_cuts(4, 0.3, 10))
+        assert built
+        np.testing.assert_array_equal(np.isnan(pv), np.isnan(tmat))
+
+    def test_gaps_are_ordered_and_keep_their_thresholds(self):
+        cut, gap_p = sim._step_up_cuts(29, 0.1, 80)
+        k, m = np.triu_indices(80)
+        tau = np.unique((k + 1) * 0.1 / (m + 1))
+        assert gap_p.size == cut.size + 1 == tau.size + 1
+        assert gap_p[0] == 1.0 and gap_p[-1] == 0.0
+        # gap i sits between the thresholds of cuts i - 1 and i, strictly unless they are ulps apart
+        upper, lower, mid = tau[::-1][:-1], tau[::-1][1:], gap_p[1:-1]
+        assert np.all((mid <= upper) & (mid >= lower))
+        wide = upper - lower > 4 * np.spacing(upper)
+        assert np.all((mid < upper) & (mid > lower) | ~wide) and wide.mean() > 0.9
+        # rounding may reorder the cuts of thresholds an ulp apart, by no more than that
+        assert np.all(np.diff(cut) >= -1e-14 * cut[1:])
+
 
 class TestRunSimulation:
+    def test_tables_match_the_full_pvalue_matrix(self, monkeypatch):
+        configs = [SimConfig(model=model, N_list=(5, 30, 100, 500), alpha=alpha,
+                             methods=("oracle", "storey"), baselines=("hommel", "bh"),
+                             reps=200, seed=31)
+                   for model in "ABCD" for alpha in (0.05, 0.1, 0.3)]
+        built, cdf_sizes = [], []
+        real_cuts, real_cdf = sim._step_up_cuts, sim.t_cdf
+        monkeypatch.setattr(sim, "_step_up_cuts",
+                            lambda df, alpha, J: built.append(df) or real_cuts(df, alpha, J))
+        monkeypatch.setattr(sim, "t_cdf",
+                            lambda x, df: cdf_sizes.append(np.size(x)) or real_cdf(x, df))
+        rows = [run_simulation(cfg) for cfg in configs]
+        monkeypatch.setattr(sim, "_t_pvalues", _full_matrix_pvalues)
+        assert rows == [run_simulation(cfg) for cfg in configs]
+        # the table decided some configurations, the t CDF alone the others
+        assert 0 < len(built) < len(configs) * 4
+        assert sum(cdf_sizes) > 0
+
+    def test_cut_table_is_built_once_per_n(self, monkeypatch):
+        built = []
+        real = sim._step_up_cuts
+        monkeypatch.setattr(sim, "_step_up_cuts",
+                            lambda df, alpha, J: built.append(df) or real(df, alpha, J))
+        # J = 300: 7,000 reps run as chunks of 3,333, 3,333 and 334 rows
+        run_simulation(SimConfig(model="A", J=300, N_list=(5, 30), alpha=0.3, methods=(),
+                                 baselines=("bh",), reps=7000, seed=8))
+        assert built == [4, 29]
+
     def test_determinism(self):
         cfg = SimConfig(model="C", N_list=(50,), methods=("oracle", "storey"),
                         baselines=("hommel", "bh"), reps=300, seed=21)
