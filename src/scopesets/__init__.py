@@ -1,6 +1,6 @@
 """Simultaneous coverage control for excursion sets over finite domains."""
 
-from .domain import Domain, Field, IndexSet, hausdorff_distance, line_domain
+from .domain import Domain, Field, IndexSet, hausdorff_distance, line_domain, load_field, save_field
 from .dist import Rng
 from .excursion import (
     Partition3,

@@ -1,10 +1,10 @@
 """Distribution kernel: CDFs, quantiles and the random streams used by the solvers.
 
-Only the five families the methodology needs are exposed: normal, Student-t,
-chi-square, F and binomial tails.  Evaluation is delegated to the scipy
-special functions (regularized incomplete beta / gamma), which stay well
-inside the accuracy budgets asserted by the test suite (normal 1e-12,
-t / chi-square 1e-10).
+Only what the methodology needs is exposed: Student-t and chi-square CDFs,
+normal, Student-t, chi-square and F quantiles, and binomial tails.
+Evaluation is delegated to the scipy special functions (regularized
+incomplete beta / gamma), which stay well inside the accuracy budgets
+asserted by the test suite (t / chi-square 1e-10, quantiles 1e-9).
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class Rng:
         return Rng(self.seed, self.spawn_key + (int(index),))
 
 
-def normal_cdf(x):
-    """Standard normal CDF."""
-    return special.ndtr(x)
-
-
 def t_cdf(x, df):
     """Student-t CDF; ``df=inf`` falls back to the normal, ``df=1`` is the Cauchy closed form."""
     df = float(df)
@@ -60,15 +55,6 @@ def chisq_cdf(x, k):
     if not k > 0:
         raise ParameterError(f"chi-square dof must be > 0, got {k}")
     return special.gammainc(k / 2.0, np.asarray(x) / 2.0)
-
-
-def f_cdf(x, d1, d2):
-    """F-distribution CDF via the regularized incomplete beta."""
-    if d1 <= 0 or d2 <= 0:
-        raise ParameterError("F degrees of freedom must be positive")
-    if np.any(np.asarray(x) < 0):
-        raise ParameterError("F argument must be >= 0")
-    return special.fdtr(d1, d2, x)
 
 
 def quantile(dist: str, p: float, *, df=None, k=None, d1=None, d2=None) -> float:

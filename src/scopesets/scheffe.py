@@ -42,7 +42,7 @@ class LinearModelSpec:
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (self.K,):
             raise ParameterError(f"beta must have length K={self.K}")
-        lm = _checked_limit_matrix(self.limit_matrix, self.K)
+        lm = _checked_limit_matrix(self.limit_matrix, self.K)[0]
         if not self.xi > 0:
             raise ParameterError("xi must be > 0")
         if not self.tau > 0:
@@ -51,14 +51,16 @@ class LinearModelSpec:
         object.__setattr__(self, "limit_matrix", lm)
 
 
-def _checked_limit_matrix(m, K: int) -> np.ndarray:
-    """``m`` as a float array, or ``ParameterError`` unless it is K x K, finite, symmetric and PD."""
+def _checked_limit_matrix(m, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` as a float array and its upper Cholesky factor R (R' R = m), or ``ParameterError``
+    unless it is K x K, finite, symmetric and positive definite to working precision."""
     if np.shape(m) != (K, K):
         raise ParameterError(f"limit matrix must be {K} x {K}, got shape {np.shape(m)}")
     lm = _symmetric_block(m, np.arange(K), "limit matrix")
-    if np.any(np.linalg.eigvalsh(lm) <= 0):
-        raise ParameterError("limit matrix must be positive definite")
-    return lm
+    try:
+        return lm, np.linalg.cholesky(lm).T
+    except np.linalg.LinAlgError:
+        raise ParameterError("limit matrix must be positive definite") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +94,6 @@ def ols_fit(X, y) -> OlsFit:
     resid = y - X @ beta_hat
     s2 = float(resid @ resid) / df_resid
     return OlsFit(beta_hat, s2, df_resid)
-
-
-def _matrix_sqrt_inv(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v / np.sqrt(w)) @ v.T
 
 
 def slice_max(w, a, l: float, sign: int = +1, absolute: bool = False) -> float:
@@ -142,12 +139,13 @@ def detect_nonzero_contrasts(spec: LinearModelSpec, q: float, beta_hat=None) -> 
     if q < 0:
         raise ParameterError("q must be >= 0")
     b = np.asarray(spec.beta if beta_hat is None else beta_hat, dtype=float)
-    root_inv = _matrix_sqrt_inv(spec.limit_matrix)
-    stat = float(np.linalg.norm(root_inv @ b))
+    chol = np.linalg.cholesky(spec.limit_matrix)  # LinearModelSpec checked that it factors
+    white = np.linalg.solve(chol, b)  # ||white|| = ||limit_matrix^{-1/2} b||
+    stat = float(np.linalg.norm(white))
     threshold = spec.tau * spec.xi * q
     detected = stat > threshold
     if np.any(b != 0):
-        direction = np.linalg.solve(spec.limit_matrix, b)
+        direction = np.linalg.solve(chol.T, white)
         direction = direction / np.linalg.norm(direction)
     else:
         direction = np.zeros_like(b)
@@ -189,8 +187,14 @@ def _slice_ratio_maxima(w: np.ndarray, root: np.ndarray, c: np.ndarray) -> np.nd
     rho = sqrt(1 - c^2) and u a unit vector.
 
     Each (row, level) pair starts at the best of 512 fixed directions u, all
-    scored by one matmul, then takes 60 projected-gradient steps along great
-    circles; its step length grows by 1.5 after a gain and halves after a loss.
+    scored by one matmul, then climbs for at most 60 iterations: the Riemannian
+    Newton step on the sphere of u (Absil, Mahony & Sepulchre 2008, ch. 6)
+    where it ascends, else a great-circle gradient step whose length grows by
+    1.5 after a gain and halves after a loss.  A pair stops once its tangent
+    gradient is zero, as on the two-point (K = 2) and one-point (|c| = 1)
+    slices, or once the gain its Newton step predicts is below rounding.
+    The climb is local: a start in the basin of a lower local maximum (about
+    1 in 1,000 at condition numbers of root' root above 40) ends there.
     """
     n, K = w.shape
     rho = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
@@ -200,28 +204,54 @@ def _slice_ratio_maxima(w: np.ndarray, root: np.ndarray, c: np.ndarray) -> np.nd
     vals = (w @ pts.T).reshape(-1, 512)  # one row per (replicate, level)
     u = grid[vals.argmax(axis=1)]
     x0, r, wr = np.tile(c, n)[:, None], np.tile(rho, n)[:, None], np.repeat(w, c.size, axis=0)
+    eps, M = np.finfo(float).eps, (root.T @ root)[1:, 1:]
+    # the ratio rounds to within about K eps ||w|| / ||root x||: a smaller predicted gain is noise
+    start = np.hstack([x0, r * u]) @ root.T
+    tol = K * eps * np.linalg.norm(wr, axis=1) / np.linalg.norm(start, axis=1)
 
-    def ratio(u):
-        """x'w / ||root x|| at x = (c, rho u), and its gradient in u."""
-        x = np.hstack([x0, r * u])
+    def ratio(rows, u):
+        """x'w / ||root x|| at x = (c, rho u) on ``rows``, its tangent gradient in u, and its
+        Hessian in u less (u' gradient) I: the Riemannian Hessian on tangents, up to u."""
+        x = np.hstack([x0[rows], r[rows] * u])
         rx = x @ root.T
         norm = np.linalg.norm(rx, axis=1, keepdims=True)
-        f = np.einsum("ij,ij->i", x, wr)[:, None] / norm
-        return f, r * (wr - f * (rx @ root) / norm)[:, 1:] / norm
+        f = np.einsum("ij,ij->i", x, wr[rows])[:, None] / norm
+        m = (rx @ root)[:, 1:] / norm  # (M x)_u / ||root x||
+        g = (wr[rows, 1:] - f * m) / norm
+        gm = g[:, :, None] * m[:, None, :]
+        hess = (r[rows] ** 2 / norm)[:, :, None] * (f[:, :, None] * (
+            m[:, :, None] * m[:, None, :] - M) / norm[:, :, None] - gm - gm.transpose(0, 2, 1))
+        s = np.einsum("ij,ij->i", r[rows] * g, u)
+        return f[:, 0], r[rows] * g - s[:, None] * u, hess - s[:, None, None] * np.eye(K - 1)
 
-    f, grad = ratio(u)
-    step = np.full_like(f, 0.1)
+    f, tangent, hess = ratio(np.arange(len(u)), u)
+    rows = np.flatnonzero(tangent.any(axis=1))  # two-point and one-point slices stay put
+    tangent, hess, step = tangent[rows], hess[rows], np.full(len(u), 0.1)
     for _ in range(60):
-        tangent = grad - np.einsum("ij,ij->i", grad, u)[:, None] * u
-        size = np.linalg.norm(tangent, axis=1, keepdims=True)
-        trial = np.cos(step) * u + np.sin(step) * np.divide(
-            tangent, size, out=np.zeros_like(tangent), where=size > 0)
+        if not rows.size:
+            break
+        # Newton: hess eta + lam u = -tangent with u' eta = 0, bordered by u
+        border = np.zeros((rows.size, K, K))
+        border[:, :-1, :-1] = hess
+        border[:, -1, :-1] = border[:, :-1, -1] = u[rows]
+        rhs = np.append(-tangent, np.zeros((rows.size, 1)), axis=1)[:, :, None]
+        eta = np.linalg.solve(border, rhs)[:, :-1, 0]
+        live = np.abs(np.einsum("ij,ij->i", tangent, eta)) > tol[rows]
+        trial = u[rows] + eta
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        f_trial, grad_trial = ratio(trial)
-        up = f_trial > f
-        u, f, grad = np.where(up, trial, u), np.where(up, f_trial, f), np.where(up, grad_trial, grad)
-        step = np.where(up, 1.5 * step, 0.5 * step)
-    return np.maximum(f[:, 0], vals.max(axis=1)).reshape(n, c.size).max(axis=1)
+        f_trial, t_trial, h_trial = ratio(rows, trial)
+        back = np.flatnonzero(live & (f_trial <= f[rows]))
+        if back.size:  # great-circle gradient step where Newton does not ascend
+            t, size = step[rows[back], None], np.linalg.norm(tangent[back], axis=1, keepdims=True)
+            trial[back] = np.cos(t) * u[rows[back]] + np.sin(t) * tangent[back] / size
+            trial[back] /= np.linalg.norm(trial[back], axis=1, keepdims=True)
+            f_trial[back], t_trial[back], h_trial[back] = ratio(rows[back], trial[back])
+            step[rows[back]] *= np.where(f_trial[back] > f[rows[back]], 1.5, 0.5)
+        up = f_trial > f[rows]
+        u[rows[up]], f[rows[up]] = trial[up], f_trial[up]
+        tangent = np.where(up[:, None], t_trial, tangent)[live]
+        hess, rows = np.where(up[:, None, None], h_trial, hess)[live], rows[live]
+    return np.maximum(f, vals.max(axis=1)).reshape(n, c.size).max(axis=1)
 
 
 def extract_limit_cdf(
@@ -241,8 +271,8 @@ def extract_limit_cdf(
     the slice maxima collapse to closed forms in one Gaussian coordinate plus
     an independent chi distributed radius.  A general ``limit_matrix`` takes
     all slice maxima in batches of replicates, so memory stays bounded in
-    ``reps``: the best of 512 fixed slice directions, then 60
-    projected-gradient ascent steps (``_slice_ratio_maxima``).  ``interval``
+    ``reps``: the best of 512 fixed slice directions, then a Riemannian Newton
+    climb to the local maximum (``_slice_ratio_maxima``).  ``interval``
     mode is exact, as in the identity case: the supremum of x'w / ||root x||
     with w = root' eps is ||eps|| when the free maximiser M^-1 w lies in the
     cone |x_0| <= (Delta/||beta||) ||x||, else the larger slice maximum at
@@ -257,7 +287,7 @@ def extract_limit_cdf(
     if mode not in ("single_level", "interval"):
         raise ParameterError(f"unknown mode {mode!r}")
     if limit_matrix is not None:  # any square root with root' root = the matrix will do
-        root = np.linalg.cholesky(_checked_limit_matrix(limit_matrix, K)).T
+        root = _checked_limit_matrix(limit_matrix, K)[1]
     if Delta > beta_norm:
         return 1.0 if mode == "single_level" else float(chisq_cdf(q * q, K))
     if beta_norm == 0.0:
@@ -298,24 +328,3 @@ def sphere_grid(K: int, n: int, rng: Rng) -> np.ndarray:
     """n roughly uniform directions on the unit sphere in R^K."""
     g = rng.generator().standard_normal((n, K))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def zero_inclusion_event(spec: LinearModelSpec, beta_hat, q: float) -> bool:
-    """Exact zero-level inclusion event for an estimate, via the half-space form.
-
-    The event fails iff some direction u with u'b <= 0 has u'v > q ||u||,
-    where v and b are the whitened estimate and target; the constrained
-    maximum is ||v|| when v'b <= 0 and the norm of v projected off b
-    otherwise.
-    """
-    root_inv = _matrix_sqrt_inv(spec.limit_matrix)
-    scale = spec.tau * spec.xi
-    v = root_inv @ np.asarray(beta_hat, dtype=float) / scale
-    b = root_inv @ spec.beta / scale
-    nb = np.linalg.norm(b)
-    if nb == 0.0 or float(v @ b) <= 0.0:
-        stat = float(np.linalg.norm(v))
-    else:
-        proj = v - (float(v @ b) / (nb * nb)) * b
-        stat = float(np.linalg.norm(proj))
-    return stat <= q

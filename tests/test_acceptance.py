@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import record_criterion, zero_inclusion_event
 
 from scopesets.dist import Rng, chisq_cdf, quantile as dq
 from scopesets.domain import Domain, Field, IndexSet
@@ -32,7 +32,6 @@ from scopesets.scheffe import (
     ols_fit,
     scheffe_zero_cdf,
     slice_max,
-    zero_inclusion_event,
 )
 from scopesets.sim import (
     SandwichInstance,

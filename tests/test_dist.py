@@ -3,13 +3,13 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from conftest import f_cdf, normal_cdf
+
 from scopesets.dist import (
     Rng,
     _t_quantile,
     binom_tail,
     chisq_cdf,
-    f_cdf,
-    normal_cdf,
     quantile,
     t_cdf,
 )

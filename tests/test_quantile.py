@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import peak_traced_mb
+from conftest import normal_cdf, peak_traced_mb
 
 from scopesets import quantile
-from scopesets.dist import Rng, normal_cdf, quantile as dq, t_cdf
+from scopesets.dist import Rng, quantile as dq, t_cdf
 from scopesets.domain import IndexSet
 from scopesets.errors import DegenerateDataError, ParameterError
 from scopesets.excursion import max_sup

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import peak_traced_mb
+from conftest import f_cdf, normal_cdf, peak_traced_mb, zero_inclusion_event
 from hypothesis import given, settings, strategies as st
 
-from scopesets.dist import Rng, chisq_cdf, f_cdf, normal_cdf, quantile
+from scopesets.dist import Rng, chisq_cdf, quantile
 from scopesets.errors import InfeasibleSliceError, ParameterError, SingularDesignError
 from scopesets.scheffe import (
     LinearModelSpec,
@@ -15,7 +15,6 @@ from scopesets.scheffe import (
     scheffe_zero_cdf,
     slice_max,
     sphere_grid,
-    zero_inclusion_event,
 )
 
 
@@ -320,6 +319,93 @@ class TestExtractLimitCdf:
         assert peak.mb < 200.0
         assert 0.0 < val < 1.0
 
+    def test_near_singular_matrix_raises_parameter_error_or_runs(self):
+        # eigvalsh reads some of these as positive definite while Cholesky
+        # fails on them; that used to escape as a bare LinAlgError.  A matrix
+        # that factors must also give a finite nonzero-contrast statistic.
+        g = np.random.default_rng(11)
+        rejected = 0
+        for seed in range(60):
+            q = np.linalg.qr(g.standard_normal((4, 4)))[0]
+            lm = (q * np.r_[10 ** g.uniform(-19, -14), g.uniform(0.5, 2.0, 3)]) @ q.T
+            lm = (lm + lm.T) / 2
+            try:
+                val = extract_limit_cdf(2.0, 4, 0.5, 1.0, 20, Rng(seed), limit_matrix=lm)
+            except ParameterError:
+                rejected += 1
+                with pytest.raises(ParameterError):
+                    LinearModelSpec(4, np.ones(4), 1.0, lm, 1.0)
+            else:
+                assert 0.0 <= val <= 1.0
+                res = detect_nonzero_contrasts(LinearModelSpec(4, np.ones(4), 1.0, lm, 1.0), 2.0)
+                assert np.isfinite(res["stat"]) and np.all(np.isfinite(res["upper_direction"]))
+        assert rejected > 0
+
+
+def slice_points(K, c):
+    """Every point of the slice {||x|| = 1, x_0 = c} where it has at most two: K = 2 or |c| = 1."""
+    rho = np.sqrt(1.0 - c * c)
+    return np.array([[c, rho], [c, -rho]]) if K == 2 else np.eye(K)[:1] * c
+
+
+def brute_slice_maxima(w, root, levels):
+    """Per row of ``w``, the largest x'w / ||root x|| over the slice points at ``levels``."""
+    pts = np.vstack([slice_points(w.shape[1], c) for c in levels])
+    return ((w @ pts.T) / np.linalg.norm(pts @ root.T, axis=1)).max(axis=1)
+
+
+@pytest.fixture
+def no_singular_solve(monkeypatch):
+    """Fail on any ``np.linalg.solve`` handed a singular matrix: it would fail the whole batch."""
+    solve = np.linalg.solve
+
+    def checked(a, b):
+        assert np.all(np.linalg.matrix_rank(a) == a.shape[-1]), "singular matrix passed to solve"
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", checked)
+
+
+@pytest.mark.usefixtures("no_singular_solve")
+class TestDegenerateSlices:
+    """K = 2 slices are two points and |c| = 1 slices one point: neither has a tangent space."""
+
+    @pytest.mark.parametrize("K, levels", [(2, [0.3]), (2, [-0.6, 0.6]), (2, [0.0]), (2, [1.0]),
+                                           (3, [1.0]), (5, [-1.0, 1.0])])
+    def test_slice_maxima_are_the_best_point(self, K, levels):
+        g = np.random.default_rng(K)
+        a = g.standard_normal((K, K))
+        root = np.linalg.cholesky(a @ a.T + K * np.eye(K)).T
+        w = g.standard_normal((200, K)) @ root
+        got = _slice_ratio_maxima(w, root, np.array(levels))
+        # the kernel and the brute force round x'w / ||root x|| in different orders
+        tol = 4 * np.finfo(float).eps * np.linalg.norm(w, axis=1)
+        assert np.all(np.abs(got - brute_slice_maxima(w, root, levels)) <= tol)
+
+    @pytest.mark.parametrize("mode", ["single_level", "interval"])
+    @pytest.mark.parametrize("K, Delta", [(2, 0.5), (2, 1.3), (4, 1.3)])
+    def test_general_matrix_cdf_matches_brute_force(self, K, Delta, mode):
+        # beta_norm = 1.3, so Delta = 1.3 puts the level at |c| = 1
+        g = np.random.default_rng(20 + K)
+        a = g.standard_normal((K, K))
+        lm = a @ a.T + K * np.eye(K)
+        root = np.linalg.cholesky(lm).T
+        reps, s = 200, Delta / 1.3
+        eps = Rng(7).generator().standard_normal((reps, K))  # the one chunk extract_limit_cdf draws
+        w = eps @ root
+        if mode == "single_level":
+            stats = brute_slice_maxima(w, root, [s])
+        else:
+            x = np.linalg.solve(root, eps.T).T
+            free = np.abs(x[:, 0]) <= s * np.linalg.norm(x, axis=1)
+            stats = np.where(free, np.linalg.norm(eps, axis=1),
+                             brute_slice_maxima(w, root, [-s, s]))
+        ordered = np.sort(stats)
+        for j in (9, 49, 99, 149, 189):
+            q = (ordered[j] + ordered[j + 1]) / 2
+            assert extract_limit_cdf(q, K, Delta, 1.3, reps, Rng(7), mode=mode,
+                                     limit_matrix=lm) == (j + 1) / reps
+
 
 class TestSliceRatioMaxima:
     @pytest.mark.parametrize("K", [4, 5])
@@ -348,6 +434,59 @@ class TestSliceRatioMaxima:
         batched = _slice_ratio_maxima(w, np.eye(K), np.array([level / beta_norm]))
         closed = [slice_max(row, beta, level) for row in w]
         np.testing.assert_allclose(batched, closed, rtol=0, atol=1e-9)
+
+    def test_ill_conditioned_rows_reach_the_polished_maximum(self):
+        # Known limitation: at condition numbers above about 40, about 1 row in
+        # 1,000 starts in the basin of a lower local maximum, and the local
+        # climb ends there.  Such rows are counted, printed and bounded; every
+        # other row must reach the polished maximum of a dense grid, and no
+        # row may stall short of the maximum of its own start's basin.
+        from scipy.optimize import minimize
+
+        def polished(w, root, c, u0):
+            """BFGS on v with u = v / ||v||, from u0, with the analytic gradient."""
+            rho = np.sqrt(1 - c * c)
+
+            def neg(v):
+                u = v / np.sqrt(v @ v)
+                x = np.concatenate([[c], rho * u])
+                rx = root @ x
+                n = np.sqrt(rx @ rx)
+                f = (x @ w) / n
+                grad = rho * (w - f * (root.T @ rx) / n)[1:] / n
+                return -f, -(grad - (grad @ u) * u) / np.sqrt(v @ v)
+
+            return -minimize(neg, u0, jac=True, method="BFGS", options={"gtol": 1e-12}).fun
+
+        def best_direction(w, root, c, grid):
+            pts = np.column_stack([np.full(len(grid), c), np.sqrt(1 - c * c) * grid])
+            pts /= np.linalg.norm(pts @ root.T, axis=1, keepdims=True)
+            return grid[(w @ pts.T).argmax(axis=1)]
+
+        rows = stalled = lower_basin = 0
+        for K in (4, 5, 6):
+            for seed in range(2):
+                g = np.random.default_rng(1000 + 10 * K + seed)
+                q = np.linalg.qr(g.standard_normal((K, K)))[0]
+                lm = (q * np.geomspace(1.0, g.uniform(29, 121), K)) @ q.T
+                root = np.linalg.cholesky((lm + lm.T) / 2).T
+                w = g.standard_normal((25, K)) @ root
+                # the kernel's own start grid, and a 20,000-point one
+                grid, fine = sphere_grid(K - 1, 512, Rng(0)), sphere_grid(K - 1, 20_000, Rng(1))
+                for c in (0.0, 0.5):
+                    got = _slice_ratio_maxima(w, root, np.array([c]))
+                    starts = best_direction(w, root, c, grid)
+                    dense = best_direction(w, root, c, fine)
+                    for i, row in enumerate(w):
+                        rows += 1
+                        best = polished(row, root, c, dense[i])
+                        if got[i] < best - 1e-12:  # the kernel's own basin tells why
+                            local = polished(row, root, c, starts[i])
+                            stalled += got[i] < local - 1e-12
+                            lower_basin += local < best - 1e-12
+        print(f"lower-basin rows: {lower_basin} of {rows}")
+        assert stalled == 0
+        assert lower_basin <= rows // 100
 
 
 class TestZeroInclusionEvent:
