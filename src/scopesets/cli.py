@@ -85,9 +85,8 @@ def _checked_matrix(path, data: np.ndarray) -> np.ndarray:
     """Reject samples with fewer than two rows or a NaN/inf cell (0-based indices)."""
     if data.shape[0] < 2:
         raise UsageError(f"{path}: data must have at least two rows")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(data).all():  # locate the first bad cell only once one is known to exist
+        row, col = np.argwhere(~np.isfinite(data))[0]
         raise UsageError(f"{path}: non-finite value at row {row}, column {col}")
     return data
 

@@ -75,8 +75,8 @@ class Field:
 
 def _gap(a, b) -> np.ndarray:
     """a - b over extended reals, with equal values (equal infinities too) at gap 0."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN before np.where replaces it
-        return np.where(a == b, 0.0, np.subtract(a, b))
+    differ = np.not_equal(a, b)  # subtracting only there never forms inf - inf
+    return np.subtract(a, b, out=np.zeros(differ.shape), where=differ)
 
 
 def same_domain(*fields: Field) -> Domain:
@@ -115,7 +115,7 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "IndexSet":
         s = cls.__new__(cls)
-        s.members = np.flatnonzero(mask)  # already sorted, unique and nonnegative
+        s.members = mask.ravel().nonzero()[0]  # already sorted, unique and nonnegative
         s.members.flags.writeable = False
         return s
 

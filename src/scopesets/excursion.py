@@ -53,6 +53,8 @@ class ScopeBands:
     sigma: Field
 
     def __post_init__(self):
+        if np.isnan(self.q):  # a NaN margin would silently decide nothing
+            raise ParameterError("the critical value q must not be NaN")
         if not self.tau > 0:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
         v = self.sigma.values
@@ -74,6 +76,8 @@ class Partition3:
 
 def _moved(c, delta):
     """c + delta, except that infinite thresholds never move (nor meet an opposite infinity)."""
+    if isinstance(delta, float) and -np.inf < delta < np.inf:  # then c + delta keeps infinities
+        return c + delta
     return c + np.where(np.isinf(c), 0.0, delta)
 
 

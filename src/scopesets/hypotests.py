@@ -11,7 +11,8 @@ touches the first shifted edge from above and whose plain sup runs where it
 touches the second from below.  The decision reads the sets where the estimate
 lies below the first edge minus q*tau*sigma and above the second plus
 q*tau*sigma: their union for grT and lrT, their intersection for leT, their
-emptiness for eT.
+emptiness for eT.  The template runs on plain arrays: each target-edge gap is
+computed once, and each shifted edge yields only the touch side its sup reads.
 
 Oracle calibration (target known) is the validated path; plug-in calibration,
 which estimates the touch sets from the data, is exposed but experimental.
@@ -28,7 +29,7 @@ from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, _moved, widened_excursions
-from .preimage import _touch_masks
+from .preimage import _touch_side
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
@@ -80,16 +81,16 @@ class Calibration:
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
     """Smallest distances of the target to each band edge (and their min)."""
     same_domain(mu, band.b_minus)
-    d_minus = float(np.min(np.abs(_gap(mu.values, band.b_minus.values))))
-    d_plus = float(np.min(np.abs(_gap(mu.values, band.b_plus.values))))
+    d_minus = float(np.abs(_gap(mu.values, band.b_minus.values)).min())
+    d_plus = float(np.abs(_gap(mu.values, band.b_plus.values)).min())
     return min(d_minus, d_plus), d_minus, d_plus
 
 
 def delta_eqv(mu: Field, band: BandSpec) -> float:
     """Largest signed exceedance of the target over the band (<= 0 inside)."""
     same_domain(mu, band.b_minus)
-    over = np.max(_gap(mu.values, band.b_plus.values))
-    under = np.max(_gap(band.b_minus.values, mu.values))
+    over = _gap(mu.values, band.b_plus.values).max()
+    under = _gap(band.b_minus.values, mu.values).max()
     return float(max(over, under))
 
 
@@ -117,7 +118,7 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     ``quantile`` itself when it is a ``QuantileEstimate``, and calibrated on ``mu`` (oracle)
     or on ``mu_hat`` (plug-in, needs ``k``) when it is a ``Calibration``.
     """
-    if kind in ("eT", "leT") and not np.all(band.gap() > 0):
+    if kind in ("eT", "leT") and not (band.b_plus.values > band.b_minus.values).all():
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     local = kind in ("lrT", "leT")
     reference = mu if mu is not None else mu_hat
@@ -140,8 +141,8 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
             raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
             ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
-        neg = _touch_masks(ref, (_moved(first.values, s),), tol)[0]
-        pos = _touch_masks(ref, (_moved(second.values, -s),), tol)[1]
+        neg = _touch_side(ref, _moved(first.values, s), tol)
+        pos = _touch_side(_moved(second.values, -s), ref, tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
     w = est.q * bands.tau * bands.sigma.values
     below, above = widened_excursions(mu_hat.values, first.values, second.values, w)

@@ -5,8 +5,8 @@ points where the target meets the family within a tolerance eta, split by the
 side from which the graphs touch.  The plugin estimate replaces the target by
 an estimate and eta by k * tau * sigma.
 
-Inside the package touch sets are masks of plain arrays (``_touch_masks``); the
-``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
+Inside the package touch sets are masks of plain arrays (``_touch_side``, ``_touch_masks``);
+the ``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
 """
 
 from __future__ import annotations
@@ -69,20 +69,26 @@ class KPolicy:
         return f"k={format(self.k, 'g')}"
 
 
-def _touch_masks(values: np.ndarray, thresholds, tol):
-    """Plus-side 0 <= values - c <= tol and minus-side masks, OR-ed over ``thresholds``.
+def _touch_side(values, c, tol):
+    """Plus-side touch mask 0 <= values - c <= tol; swapping values and c gives the minus side.
 
-    All arguments are plain arrays (or scalars) that broadcast together.
-    Equal values, infinite ones included, are at distance 0; any other
-    difference involving an infinity is infinite with its own sign, so it
-    counts on that side and only under an infinite tolerance.
+    Arrays or scalars that broadcast.  Equal values, infinities included, are at distance 0,
+    the only distance a zero tolerance keeps; other differences with an infinity are infinite
+    with their own sign, so they count on that side and only under an infinite tolerance.
     """
+    if isinstance(tol, float) and tol == 0.0:
+        return np.equal(values, c)
+    diff = _gap(values, c)
+    return (diff >= 0) & (diff <= tol)
+
+
+def _touch_masks(values: np.ndarray, thresholds, tol):
+    """Plus-side and minus-side touch masks (``_touch_side``), OR-ed over ``thresholds``."""
     plus = np.zeros(np.shape(values), dtype=bool)
     minus = np.zeros(np.shape(values), dtype=bool)
     for c in thresholds:
-        diff = _gap(values, c)
-        plus |= (diff >= 0) & (diff <= tol)
-        minus |= (diff <= 0) & (-diff <= tol)
+        plus |= _touch_side(values, c, tol)
+        minus |= _touch_side(c, values, tol)
     return plus, minus
 
 

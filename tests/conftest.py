@@ -1,6 +1,8 @@
 """Shared pytest hooks and helpers: collect acceptance-criterion outcomes and
 print them as a summary section at the end of the run; measure the traced
-memory peak of a block; reference functions that only the tests call."""
+memory peak of a block; reference functions that only the tests call, among
+them the earlier band-test template that ``hypotests._band_test`` must match
+bit for bit."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -9,7 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import special
 
+from scopesets.domain import IndexSet, same_domain
 from scopesets.errors import ParameterError
+from scopesets.hypotests import Calibration, TestDecision, _solve_q
+from scopesets.quantile import QuantileEstimate
 
 CRITERION_LINES = []
 
@@ -64,6 +69,79 @@ def zero_inclusion_event(spec, beta_hat, q: float) -> bool:
         proj = v - (float(v @ b) / (nb * nb)) * b
         stat = float(np.linalg.norm(proj))
     return stat <= q
+
+
+def _ref_gap(a, b):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN before np.where replaces it
+        return np.where(a == b, 0.0, np.subtract(a, b))
+
+
+def _ref_moved(c, delta):
+    return c + np.where(np.isinf(c), 0.0, delta)
+
+
+def _ref_touch_masks(values, thresholds, tol):
+    plus = np.zeros(np.shape(values), dtype=bool)
+    minus = np.zeros(np.shape(values), dtype=bool)
+    for c in thresholds:
+        diff = _ref_gap(values, c)
+        plus |= (diff >= 0) & (diff <= tol)
+        minus |= (diff <= 0) & (-diff <= tol)
+    return plus, minus
+
+
+def _ref_delta_rel(mu, band):
+    same_domain(mu, band.b_minus)
+    d_minus = float(np.min(np.abs(_ref_gap(mu.values, band.b_minus.values))))
+    d_plus = float(np.min(np.abs(_ref_gap(mu.values, band.b_plus.values))))
+    return min(d_minus, d_plus), d_minus, d_plus
+
+
+def _ref_delta_eqv(mu, band):
+    same_domain(mu, band.b_minus)
+    over = np.max(_ref_gap(mu.values, band.b_plus.values))
+    under = np.max(_ref_gap(band.b_minus.values, mu.values))
+    return float(max(over, under))
+
+
+def reference_band_test(kind, mu_hat, band, bands, quantile, mu):
+    """The band-test template as it was before it moved onto plain arrays, with its
+    helpers of that time: each call builds both touch sides of each shifted edge
+    and keeps one, and computes d through ``delta_rel`` / ``delta_eqv``."""
+    if kind in ("eT", "leT") and not np.all(_ref_gap(band.b_plus.values, band.b_minus.values) > 0):
+        raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
+    local = kind in ("lrT", "leT")
+    reference = mu if mu is not None else mu_hat
+    d = _ref_delta_rel(reference, band)[0] if local else _ref_delta_eqv(reference, band)
+    first, second = (band.b_plus, band.b_minus) if kind == "leT" else (band.b_minus, band.b_plus)
+    s = d if local else -d
+    same_domain(mu_hat, first, second, bands.sigma)
+    if quantile is None:
+        est = QuantileEstimate(bands.q, "given", float("nan"))
+    elif isinstance(quantile, QuantileEstimate):
+        est = quantile
+    elif not isinstance(quantile, Calibration):
+        raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
+    else:
+        if mu is not None:
+            ref, tol = mu.values, 0.0
+        elif quantile.k is None:
+            raise ParameterError("plug-in calibration needs k")
+        elif not quantile.k > 0:
+            raise ParameterError(f"k must be > 0, got {quantile.k}")
+        else:
+            ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
+        neg = _ref_touch_masks(ref, (_ref_moved(first.values, s),), tol)[0]
+        pos = _ref_touch_masks(ref, (_ref_moved(second.values, -s),), tol)[1]
+        est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
+    w = est.q * bands.tau * bands.sigma.values
+    below = mu_hat.values < _ref_moved(first.values, -w)
+    above = mu_hat.values > _ref_moved(second.values, w)
+    hits = below & above if kind == "leT" else below | above
+    if kind == "eT":
+        return TestDecision(kind, est, d, global_reject=not hits.any())
+    return TestDecision(kind, est, d, global_reject=bool(hits.any()) if kind == "grT" else None,
+                        rejected=IndexSet.from_mask(hits))
 
 
 def record_criterion(line: str) -> None:

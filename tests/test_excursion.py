@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import peak_traced_mb
 from scopesets.domain import Domain, Field, IndexSet
-from scopesets.errors import ThresholdOrderError
+from scopesets.errors import ParameterError, ThresholdOrderError
 from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
@@ -21,6 +21,7 @@ from scopesets.excursion import (
     upper_excursion,
     widened_excursions,
 )
+from scopesets.hypotests import BandSpec, et, lrt
 
 DOM3 = Domain(3)
 
@@ -135,6 +136,34 @@ class TestScopeEvent:
                 assert scope_event(mu_hat, mu, ScopeBands(q, tau, sigma), fam)
         assert hits > 50  # the premise fired often enough to be meaningful
 
+
+class TestScopeBandsCriticalValue:
+    def test_nan_q_is_rejected(self):
+        # a NaN q used to pass: partition3 then put every point in the middle
+        # class and lrT rejected nothing, with no error
+        dom = Domain(3)
+        sigma, zero = Field.constant(dom, 1.0), Field.constant(dom, 0.0)
+        mu = Field(dom, [-2.0, 0.0, 2.0])
+        with pytest.raises(ParameterError, match="NaN"):
+            partition3(mu, zero, zero, ScopeBands(np.nan, 0.5, sigma))
+        with pytest.raises(ParameterError, match="NaN"):
+            lrt(mu, BandSpec(zero, zero), ScopeBands(float("nan"), 0.5, sigma))
+        with pytest.raises(ParameterError, match="NaN"):
+            scb_scope_equivalence(mu, mu, sigma, 0.5, np.nan, [zero])
+
+    def test_negative_and_infinite_q_stay_valid(self):
+        # eT's lower-tail q can be negative (partition3 alone refuses it); an
+        # infinite q decides nothing
+        dom = Domain(3)
+        sigma = Field.constant(dom, 1.0)
+        mu = Field(dom, [-2.0, 0.0, 2.0])
+        band = BandSpec(Field.constant(dom, -1.0), Field.constant(dom, 1.0))
+        assert et(mu, band, ScopeBands(-0.5, 0.5, sigma)).global_reject is False
+        with pytest.raises(ParameterError, match="nonnegative"):
+            partition3(mu, band.b_minus, band.b_plus, ScopeBands(-0.5, 0.5, sigma))
+        wide = ScopeBands(np.inf, 0.5, sigma)
+        assert len(partition3(mu, band.b_minus, band.b_plus, wide).middle) == 3
+        assert len(lrt(mu, band, wide).rejected) == 0
 
 class TestPartition3:
     def test_simple_split(self):

@@ -1,13 +1,16 @@
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import reference_band_test
 from scopesets.dist import Rng, quantile as dq
 from scopesets.domain import Domain, Field, IndexSet
-from scopesets.errors import DegenerateDataError, ParameterError, ThresholdOrderError
-from scopesets.excursion import ScopeBands
+from scopesets.errors import (DegenerateDataError, DomainMismatchError, ParameterError,
+                              ThresholdOrderError)
+from scopesets.excursion import ScopeBands, roi_adapt
 from scopesets.hypotests import (
     BandSpec,
     Calibration,
@@ -416,6 +419,118 @@ def test_iid_calibration_builds_only_the_rejected_set(kind, mode, monkeypatch):
     test(mu_hat, const_band(dom, -1.0, 1.0), unit_bands(dom, tau=0.1), quantile=cal,
          mu=mu if mode == "oracle" else None)
     assert len(built) == (0 if kind == "eT" else 1)
+
+
+_KINDS = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}
+# dyadic values keep every shift exact, so targets land exactly on shifted edges
+_GRID = (-1.5, -1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _outcome(fn, *args):
+    """Everything a band test decides, with floats compared bit for bit."""
+    try:
+        dec = fn(*args)
+    except ParameterError as exc:
+        return type(exc), str(exc)
+    est = dec.quantile_used
+    return (dec.kind, _bits(est.q), est.method, _bits(est.alpha), est.support_size,
+            est.empty_sets, _bits(dec.delta), dec.global_reject, dec.rejected.members.tolist())
+
+
+_QS = (0.0, 0.5, 1.25, -0.5, np.inf)
+# strategies built once: building one per draw costs more than the band tests under test
+_ROWS = {name: st.lists(st.sampled_from(pool), min_size=5, max_size=5) for name, pool in (
+    ("edge", _GRID), ("width", (0.25, 0.5, 1.0)), ("roi", (True, True, False)),
+    ("target", _GRID + (np.inf, -np.inf)), ("noise", (0.0, 0.0, 0.25, -0.25, 0.5, -1.0)),
+    ("sigma", (0.5, 1.0, 2.0)))}
+_PICKS = {name: st.sampled_from(pool) for name, pool in (
+    ("point_band", (True, False, False, False)), ("edges", (0, 1, 2)), ("q", _QS),
+    ("tau", (0.25, 0.5, 1.0)), ("form", ("given", "estimate", "calibration", "calibration")),
+    ("cov", ("iid_normal", ("iid_t", 5.0), "ar")), ("k", (None, 0.5, 2.0, 2.0)),
+    ("oracle", (True, False)))}
+
+
+@st.composite
+def _band_cases(draw):
+    J = draw(st.integers(1, 5))
+    dom = Domain(J)
+    pick = lambda name: draw(_PICKS[name])
+    row = lambda name: np.array(draw(_ROWS[name])[:J])
+    lo = row("edge")
+    hi = lo + (0.0 if pick("point_band") else row("width"))
+    # off a region of interest each edge is +inf or -inf, as roi_adapt builds it
+    roi = IndexSet.from_mask(row("roi"))
+    lo_plus, lo_minus = roi_adapt(Field(dom, lo), roi)
+    hi_plus, hi_minus = roi_adapt(Field(dom, hi), roi)
+    band = BandSpec(*((lo_minus, hi_plus), (lo_minus, hi_minus), (lo_plus, hi_plus))[pick("edges")])
+    mu = row("target")
+    mu_hat = mu + row("noise")
+    bands = ScopeBands(pick("q"), pick("tau"), Field(dom, row("sigma")))
+    form = pick("form")
+    if form == "given":
+        quantile = None
+    elif form == "estimate":
+        quantile = QuantileEstimate(pick("q"), "given", 0.1)
+    else:
+        cov = pick("cov")
+        if cov == "ar":
+            cov = 0.5 ** np.abs(np.subtract.outer(np.arange(J), np.arange(J)))
+        quantile = Calibration(0.1, cov, reps=1000, k=pick("k"))
+    return Field(dom, mu_hat), band, bands, quantile, Field(dom, mu) if pick("oracle") else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_KINDS)), case=_band_cases())
+@example(kind="grT", case=(fld(0.0, 0.25), const_band(Domain(2), 0.0, 1.0),  # d_eqv is +0.0
+                           unit_bands(Domain(2)), Calibration(), fld(0.0, 0.25)))
+def test_band_tests_match_the_reference_template_bit_for_bit(kind, case):
+    # the reference is the template before it moved onto plain arrays; every
+    # quantile form, both calibration modes, infinite edges, d = 0 and d = inf,
+    # q = 0 and q = inf, and errors raised must all match
+    assert _outcome(_KINDS[kind], *case) == _outcome(reference_band_test, kind, *case)
+
+
+# each fault, in the order the band tests check them, with the error it raises
+_FAULTS = {
+    "zero_gap": (ParameterError, "inf(b_plus - b_minus)"),  # eT and leT only
+    "mu_hat_domain": (DomainMismatchError, "domains"),
+    "sigma_domain": (DomainMismatchError, "domains"),
+    "mu_domain": (DomainMismatchError, "domains"),
+    "quantile_type": (ParameterError, "quantile must be"),
+    "no_k": (ParameterError, "needs k"),  # plug-in only
+    "k_not_positive": (ParameterError, "k must be > 0"),  # plug-in only
+}
+_QUANTILE_FAULTS = ("quantile_type", "no_k", "k_not_positive")  # one quantile at a time
+
+
+def _faulty_case(faults):
+    dom, other = Domain(3), Domain(4)
+    on = lambda fault: other if fault in faults else dom
+    quantile = (0.5 if "quantile_type" in faults else
+                Calibration(k=None if "no_k" in faults else 0.0 if "k_not_positive" in faults
+                            else 1.0))
+    return (Field.constant(on("mu_hat_domain"), 0.25),
+            const_band(dom, 0.0, 0.0) if "zero_gap" in faults else const_band(dom, -1.0, 1.0),
+            ScopeBands(0.0, 0.5, Field.constant(on("sigma_domain"), 1.0)), quantile,
+            Field.constant(other, 0.25) if "mu_domain" in faults else None)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("faults", [
+    pair for pair in combinations(_FAULTS, 2) if not set(pair) <= set(_QUANTILE_FAULTS)
+    and not ("mu_domain" in pair and pair[1] in ("no_k", "k_not_positive"))])  # mu: oracle
+def test_the_first_failing_check_names_the_error(kind, faults):
+    # with two inputs bad at once, the band tests and the reference template
+    # raise the error of the check that comes first
+    applies = [f for f in faults if f != "zero_gap" or kind in ("eT", "leT")]
+    error, fragment = _FAULTS[applies[0]]
+    for run in (_KINDS[kind], lambda *case: reference_band_test(kind, *case)):
+        with pytest.raises(error, match=re.escape(fragment)):
+            run(*_faulty_case(faults))
 
 
 class TestTPvalues:
