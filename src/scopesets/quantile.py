@@ -95,8 +95,9 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
         base = target ** (1.0 / m)
         q = quantile("t", base if n_both == 0 else (1.0 + base) / 2.0, df=df)
     else:
-        # stat_cdf is 0 on x <= 0, so -1 always brackets the root from below
-        stat_cdf = lambda x: max(0.0, 2.0 * t_cdf(x, df) - 1.0) ** n_both * t_cdf(x, df) ** n_one
+        def stat_cdf(x):  # 0 on x <= 0, so -1 always brackets the root from below
+            F = t_cdf(x, df)
+            return max(0.0, 2.0 * F - 1.0) ** n_both * F ** n_one
         hi = 1.0
         while stat_cdf(hi) < target:
             hi *= 2.0

@@ -59,6 +59,8 @@ class SimConfig:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.sided not in ("two_sided", "one_sided", "both"):
             raise ParameterError(f"unknown sided convention {self.sided!r}")
+        if min(self.N_list, default=2) < 2:
+            raise ParameterError(f"every N in N_list must be >= 2, got {min(self.N_list)}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,9 @@ def _draw_tstats(gen: np.random.Generator, nb: int, N: int, mu: np.ndarray) -> n
     """
     z = gen.standard_normal((nb, mu.size))
     chi2 = gen.chisquare(N - 1, (nb, mu.size))
-    return (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
+    z += np.sqrt(N) * mu
+    chi2 /= N - 1
+    return np.divide(z, np.sqrt(chi2, out=chi2), out=z)
 
 
 def _step_up_cuts(df, alpha, J):
@@ -147,7 +151,9 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
     Where that leaves at least J(J+1)/2 values to the CDF, a value farther than
     1e-6 (1 + |t|) from every cut of ``_step_up_cuts`` takes its gap's p
     instead, and the CDF runs only on the rest.  ``cuts``, if given, returns
-    that table, so a caller can build it once for many chunks.
+    that table, so a caller can build it once for many chunks.  The band is
+    searched in ascending order, so each binary search starts from the last
+    one's bound.
     """
     J = tmat.shape[1]
     lo, hi, s75 = (quantile("t", 1 - p / 2, df=df) for p in
@@ -160,7 +166,10 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
     if np.count_nonzero(exact) >= J * (J + 1) // 2:
         cut, gap_p = cuts() if cuts else _step_up_cuts(df, alpha, J)
         band = a[exact]
-        i = np.searchsorted(cut, band)  # rounding may swap cuts an ulp apart; far values sort alike
+        order = np.argsort(band)
+        i = np.empty_like(order)
+        # rounding may swap cuts an ulp apart; far values sort alike
+        i[order] = np.searchsorted(cut, band[order])
         near = np.minimum(np.abs(band - cut[np.maximum(i - 1, 0)]),
                           np.abs(band - cut[np.minimum(i, cut.size - 1)]))
         far = near > 1e-6 * (1.0 + band)  # NaN is never far
@@ -234,7 +243,7 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
     for ni, N in enumerate(cfg.N_list):
         df = N - 1
         q_tables = {s: _iid_table(J, alpha, df, s) for s in sided_list}
-        cuts = functools.cache(functools.partial(_step_up_cuts, df, alpha, J))
+        cuts = functools.lru_cache(maxsize=1)(functools.partial(_step_up_cuts, df, alpha, J))
         ks = {}
         for kind, policy, label in methods:
             if kind in ("log_kappa", "scb"):

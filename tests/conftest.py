@@ -2,7 +2,8 @@
 print them as a summary section at the end of the run; measure the traced
 memory peak of a block; reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
-bit for bit."""
+bit for bit and the earlier step-up p-value layer that ``sim._t_pvalues`` must
+match bit for bit."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -11,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import special
 
+from scopesets.dist import _t_quantile, quantile as dist_quantile, t_cdf
 from scopesets.domain import IndexSet, same_domain
 from scopesets.errors import ParameterError
 from scopesets.hypotests import Calibration, TestDecision, _solve_q
@@ -142,6 +144,37 @@ def reference_band_test(kind, mu_hat, band, bands, quantile, mu):
         return TestDecision(kind, est, d, global_reject=not hits.any())
     return TestDecision(kind, est, d, global_reject=bool(hits.any()) if kind == "grT" else None,
                         rejected=IndexSet.from_mask(hits))
+
+
+def _ref_step_up_cuts(df, alpha, J):
+    k, m = np.triu_indices(J)
+    tau = np.unique((k + 1) * alpha / (m + 1))[::-1]
+    return -_t_quantile(tau / 2, df), np.concatenate([[1.0], (tau[:-1] + tau[1:]) / 2, [0.0]])
+
+
+def reference_t_pvalues(tmat, df, alpha):
+    """The step-up p-value layer as it was before the band was searched in ascending order:
+    the band's values are looked up in the cut table in their own (unsorted) order."""
+    J = tmat.shape[1]
+    lo, hi, s75 = (dist_quantile("t", 1 - p / 2, df=df) for p in
+                   (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * J, 1), 0.5))
+    a = np.abs(tmat)
+    near75 = np.abs(a - s75) <= 1e-6 * s75
+    one = a < lo
+    exact = ~(one | (a > hi)) | near75
+    pv = one.astype(float)
+    if np.count_nonzero(exact) >= J * (J + 1) // 2:
+        cut, gap_p = _ref_step_up_cuts(df, alpha, J)
+        band = a[exact]
+        i = np.searchsorted(cut, band)
+        near = np.minimum(np.abs(band - cut[np.maximum(i - 1, 0)]),
+                          np.abs(band - cut[np.minimum(i, cut.size - 1)]))
+        far = near > 1e-6 * (1.0 + band)
+        pv[exact] = gap_p[i]
+        exact[exact] = ~far
+        exact |= near75
+    pv[exact] = 2.0 * t_cdf(-a[exact], df)
+    return pv, np.where(near75, pv >= 0.5, a <= s75)
 
 
 def record_criterion(line: str) -> None:

@@ -334,6 +334,7 @@ SIM_CONFIG_ERRORS = [
     ("reps=abc", "'reps'"),
     ("alpha=x", "'alpha'"),
     ("N_list=30,x", "'N_list'"),
+    ("N_list=30,1", "N_list must be >= 2, got 1"),
     ("J=8.5", "'J'"),
     ("seed=-1", "seed must be >= 0"),
     ("methods=log_kappa(x)", "log_kappa(x)"),

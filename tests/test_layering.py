@@ -1,7 +1,9 @@
-"""The package's internal import graph has no cycles, one module owns the CSV format, and every
-public definition is used inside the package or re-exported by it."""
+"""The package's internal import graph has no cycles, one module owns the CSV format, every
+public definition is used inside the package or re-exported by it, and every cache is bounded
+and lives inside one call."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scopesets"
@@ -127,3 +129,53 @@ def test_orphaned_public_names_flags_only_unreferenced_definitions():
 def test_every_public_name_is_used_in_the_package_or_exported():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_public_names(sources) == []
+
+
+def _callee(expr: ast.AST) -> str | None:
+    return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Line numbers of the functools caches in ``source`` that can grow without bound:
+    ``cache`` (imported, called or used as a decorator) and ``lru_cache`` whose ``maxsize``
+    is None or not an int literal.  A bare ``lru_cache`` keeps its default of 128."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bad += [d.lineno for d in node.decorator_list if _callee(d) == "cache"]
+        elif isinstance(node, ast.Call) and _callee(node.func) == "cache":
+            bad.append(node.lineno)
+        elif isinstance(node, ast.Call) and _callee(node.func) == "lru_cache":
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] or node.args[:1]
+            if size and not (isinstance(size[0], ast.Constant) and type(size[0].value) is int):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+def test_unbounded_caches_flags_cache_and_lru_cache_without_a_size():
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "@functools.cache\ndef a(x):\n    return x\n\n"
+              "@lru_cache(maxsize=None)\ndef b(x):\n    return x\n\n"
+              "@functools.lru_cache(4)\ndef c(x):\n    return x\n\n"
+              "@lru_cache\ndef d(x):\n    return x\n\n"
+              "def e(n):\n    f = functools.cache(abs)\n    g = functools.lru_cache(n)(abs)\n"
+              "    return f, g\n")
+    assert unbounded_caches(source) == [2, 4, 8, 21, 22]
+
+
+def test_every_cache_in_the_package_is_bounded():
+    found = {p.stem: unbounded_caches(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_no_cache_outlives_a_call():
+    """A module-level cache would hold its entries, and hand the same arrays to every caller,
+    for the life of the process; the package's caches live inside one call."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "scopesets" if path.stem == "__init__" else f"scopesets.{path.stem}"
+        module = importlib.import_module(name)
+        found = [attr for attr, obj in vars(module).items()
+                 if hasattr(obj, "cache_parameters") and obj.__module__ == name]
+        assert found == [], name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 from conftest import normal_cdf, peak_traced_mb
 
 from scopesets import quantile
@@ -402,6 +403,32 @@ def test_count_keyed_solver_hits_its_product_cdf(n_one, n_both, tail, df):
     target = 1.0 - alpha if tail == "upper" else alpha
     assert abs(F ** n_one * (2.0 * F - 1.0) ** n_both - target) <= 1e-12
     assert est.support_size == n_one + n_both and not est.empty_sets
+
+
+def _iid_exact_root_reference(n_one, n_both, alpha, df, tail):
+    """The bracketed-root branch of ``_iid_exact`` as it was, with two t CDF calls per step."""
+    target = 1.0 - alpha if tail == "upper" else alpha
+    stat_cdf = lambda x: (max(0.0, 2.0 * quantile.t_cdf(x, df) - 1.0) ** n_both
+                          * quantile.t_cdf(x, df) ** n_one)
+    hi = 1.0
+    while stat_cdf(hi) < target:
+        hi *= 2.0
+    return float(optimize.brentq(lambda x: stat_cdf(x) - target, -1.0, hi, xtol=1e-12))
+
+
+@pytest.mark.parametrize("df", [4.0, 29.0, np.inf])
+@pytest.mark.parametrize("tail", ["upper", "lower"])
+def test_bracketed_root_reads_the_t_cdf_once_per_step_bit_for_bit(monkeypatch, tail, df):
+    calls = []
+    monkeypatch.setattr(quantile, "t_cdf", lambda x, df: calls.append(x) or t_cdf(x, df))
+    for n_one, n_both in [(1, 1), (3, 1), (1, 40), (6, 10), (25, 25), (200, 3)]:
+        for alpha in (0.05, 0.3):
+            del calls[:]
+            q = quantile._iid_exact(n_one, n_both, alpha, df, tail).q
+            new_calls = len(calls)
+            del calls[:]
+            assert q == _iid_exact_root_reference(n_one, n_both, alpha, df, tail)
+            assert 2 * new_calls == len(calls) > 0
 
 
 def test_iid_quantile_is_the_closed_form_bit_for_bit():

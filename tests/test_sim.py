@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import reference_t_pvalues
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
@@ -94,6 +95,16 @@ class TestDrawTstats:
         ref = _draw_tstats_reference(Rng(33).generator(), 500, N, mu).ravel()
         assert stats.ks_2samp(t, ref).pvalue > 1e-3
 
+    @pytest.mark.parametrize("N", [2, 5, 30, 200])
+    def test_in_place_draw_matches_the_single_expression_bit_for_bit(self, N):
+        mu = np.linspace(-0.5, 0.5, 41)
+        t = _draw_tstats(Rng(35).generator(), 300, N, mu)
+        gen = Rng(35).generator()
+        z = gen.standard_normal((300, mu.size))
+        chi2 = gen.chisquare(N - 1, (300, mu.size))
+        ref = (np.sqrt(N) * mu + z) / np.sqrt(chi2 / (N - 1))
+        np.testing.assert_array_equal(t.view(np.uint64), ref.view(np.uint64))
+
     def test_columns_keep_their_own_mean(self):
         mu = np.array([-0.5, 0.0, 0.5])
         t = _draw_tstats(Rng(34).generator(), 4000, 100, mu)
@@ -182,45 +193,73 @@ def _full_matrix_pvalues(tmat, df, alpha, cuts=None):
     return pv, pv >= 0.5
 
 
-class TestStepUpCuts:
-    @settings(max_examples=60, deadline=None)
-    @given(J=st.integers(1, 120), df=st.sampled_from([1, 4, 29, 499]),
-           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.6, 1 - 1e-5, 1 - 1e-12]),
-           seed=st.integers(0, 2**32 - 1))
+def _count_table_calls(mp, built):
+    """Patch ``sim._step_up_cuts`` so that each call appends its (df, alpha, J) key to ``built``."""
+    real = sim._step_up_cuts
+    mp.setattr(sim, "_step_up_cuts", lambda *key: built.append(key) or real(*key))
+
+
+def _cut_straddling_tmat(J, df, alpha, seed):
+    """A (J + 1, J) t matrix with most entries on, an ulp beside or a relative 1e-15 .. 1e-3
+    away from a step-up cut, and J(J+1)/2 entries right on one, so the cut table runs."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(1, J + 1, size=100)
+    tau = np.append(rng.integers(1, m + 1) * alpha / m, alpha)
+    cut = np.array([dq("t", 1 - x / 2, df=df) for x in tau])
+    # each cut, one ulp either side, and moved by a relative 1e-15 .. 1e-3 either way
+    steps = np.geomspace(1e-15, 1e-3, 13)
+    moves = np.concatenate([[0.0], steps, -steps])
+    at = np.concatenate([cut, np.nextafter(cut, 0), np.nextafter(cut, np.inf),
+                         (cut[:, None] * (1 + moves)).ravel()])
+    B = J + 1
+    tmat = rng.standard_t(df, size=(B, J)) * rng.uniform(0.5, 3.0, size=(B, 1))
+    pick = rng.uniform(size=tmat.shape) < 0.8
+    tmat[pick] = rng.choice(at, size=pick.sum()) * rng.choice([-1, 1], size=pick.sum())
+    # J(J+1)/2 values right on a cut, all between the outer cuts, call for the table
+    on = rng.choice(tmat.size, size=J * (J + 1) // 2, replace=False)
+    tmat.flat[on] = rng.choice(cut, size=on.size) * rng.choice([-1, 1], size=on.size)
+    return tmat
+
+
+def cut_straddling(test):
+    """Run ``test`` over the (J, df, alpha, seed) inputs of ``_cut_straddling_tmat``."""
     # near p = 1 the cuts sit near t = 0, where a window relative to |t| alone is too thin
-    @example(J=55, df=1, alpha=1 - 1e-12, seed=0)
+    test = example(J=55, df=1, alpha=1 - 1e-12, seed=0)(test)
+    test = given(J=st.integers(1, 120), df=st.sampled_from([1, 4, 29, 499]),
+                 alpha=st.sampled_from([0.05, 0.1, 0.3, 0.6, 1 - 1e-5, 1 - 1e-12]),
+                 seed=st.integers(0, 2**32 - 1))(test)
+    return settings(max_examples=60, deadline=None)(test)
+
+
+class TestStepUpCuts:
+    @cut_straddling
     def test_masks_match_the_full_matrix_on_and_beside_the_cuts(self, J, df, alpha, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.integers(1, J + 1, size=100)
-        tau = np.append(rng.integers(1, m + 1) * alpha / m, alpha)
-        cut = np.array([dq("t", 1 - x / 2, df=df) for x in tau])
-        # each cut, one ulp either side, and moved by a relative 1e-15 .. 1e-3 either way
-        steps = np.geomspace(1e-15, 1e-3, 13)
-        moves = np.concatenate([[0.0], steps, -steps])
-        at = np.concatenate([cut, np.nextafter(cut, 0), np.nextafter(cut, np.inf),
-                             (cut[:, None] * (1 + moves)).ravel()])
-        B = J + 1
-        tmat = rng.standard_t(df, size=(B, J)) * rng.uniform(0.5, 3.0, size=(B, 1))
-        pick = rng.uniform(size=tmat.shape) < 0.8
-        tmat[pick] = rng.choice(at, size=pick.sum()) * rng.choice([-1, 1], size=pick.sum())
-        # J(J+1)/2 values right on a cut, all between the outer cuts, call for the table
-        on = rng.choice(tmat.size, size=J * (J + 1) // 2, replace=False)
-        tmat.flat[on] = rng.choice(cut, size=on.size) * rng.choice([-1, 1], size=on.size)
+        tmat = _cut_straddling_tmat(J, df, alpha, seed)
         built = []
-        pv, p_half = sim._t_pvalues(tmat, df, alpha,
-                                    lambda: built.append(1) or sim._step_up_cuts(df, alpha, J))
+        with pytest.MonkeyPatch.context() as mp:
+            _count_table_calls(mp, built)
+            pv, p_half = sim._t_pvalues(tmat, df, alpha)
         full, full_half = _full_matrix_pvalues(tmat, df, alpha)
         np.testing.assert_array_equal(p_half, full_half)
         for rule in (hommel_reject_mask, bh_reject_mask):
             np.testing.assert_array_equal(rule(pv, alpha), rule(full, alpha))
         assert built  # the table decided the values far from every cut
 
-    def test_nan_still_reaches_the_pvalue_check_past_the_table(self):
+    @cut_straddling
+    def test_pvalues_match_the_unsorted_search_bit_for_bit(self, J, df, alpha, seed):
+        tmat = _cut_straddling_tmat(J, df, alpha, seed)
+        tmat.flat[::7] = np.nan  # NaN sorts last and keeps the CDF's NaN
+        pv, p_half = sim._t_pvalues(tmat, df, alpha)
+        ref, ref_half = reference_t_pvalues(tmat, df, alpha)
+        np.testing.assert_array_equal(pv.view(np.uint64), ref.view(np.uint64))
+        np.testing.assert_array_equal(p_half, ref_half)
+
+    def test_nan_still_reaches_the_pvalue_check_past_the_table(self, monkeypatch):
         tmat = np.random.default_rng(5).standard_t(4, size=(40, 10)) * 3.0
         tmat[7, 3] = np.nan
         built = []
-        pv, _ = sim._t_pvalues(tmat, 4, 0.3,
-                               lambda: built.append(1) or sim._step_up_cuts(4, 0.3, 10))
+        _count_table_calls(monkeypatch, built)
+        pv, _ = sim._t_pvalues(tmat, 4, 0.3)
         assert built
         np.testing.assert_array_equal(np.isnan(pv), np.isnan(tmat))
 
@@ -260,13 +299,11 @@ class TestRunSimulation:
 
     def test_cut_table_is_built_once_per_n(self, monkeypatch):
         built = []
-        real = sim._step_up_cuts
-        monkeypatch.setattr(sim, "_step_up_cuts",
-                            lambda df, alpha, J: built.append(df) or real(df, alpha, J))
+        _count_table_calls(monkeypatch, built)
         # J = 300: 7,000 reps run as chunks of 3,333, 3,333 and 334 rows
         run_simulation(SimConfig(model="A", J=300, N_list=(5, 30), alpha=0.3, methods=(),
                                  baselines=("bh",), reps=7000, seed=8))
-        assert built == [4, 29]
+        assert built == [(4, 0.3, 300), (29, 0.3, 300)]
 
     def test_determinism(self):
         cfg = SimConfig(model="C", N_list=(50,), methods=("oracle", "storey"),
