@@ -167,7 +167,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scope(args) -> int:
-    _from_flags(_check_alpha, args.alpha)
     policy = _policy_from_args(args)
     if args.level is None and not (args.lower and args.upper):
         raise UsageError("give --level, or both --lower and --upper")
@@ -203,7 +202,6 @@ def cmd_scope(args) -> int:
 
 
 def cmd_insig(args) -> int:
-    _from_flags(_check_alpha, args.alpha)
     policy = _policy_from_args(args)
     data = _load_matrix(args.data)
     report = insig_report(data, args.alpha, policy, sided=args.sided)
@@ -218,7 +216,6 @@ def cmd_insig(args) -> int:
 
 
 def cmd_scheffe(args) -> int:
-    _from_flags(_check_alpha, args.alpha)
     out = Path(args.out)
     if args.data is None:
         if args.K is None:
@@ -260,7 +257,6 @@ def cmd_scheffe(args) -> int:
 
 
 def cmd_tests(args) -> int:
-    _from_flags(_check_alpha, args.alpha)
     kappa = args.kappa if args.kappa is not None else 3.0
     policy = _from_flags(KPolicy, "log_over_kappa", kappa=kappa)
     if not args.b_minus <= args.b_plus:
@@ -368,6 +364,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
+        if hasattr(args, "alpha"):  # every command but simulate, which reads alpha from its config
+            _from_flags(_check_alpha, args.alpha)
+            if args.alpha < np.finfo(float).eps:  # below it 1 - alpha/2 rounds to 1
+                raise UsageError(f"--alpha must be >= 2**-52, got {args.alpha}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

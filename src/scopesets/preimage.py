@@ -5,8 +5,8 @@ points where the target meets the family within a tolerance eta, split by the
 side from which the graphs touch.  The plugin estimate replaces the target by
 an estimate and eta by k * tau * sigma.
 
-Inside the package touch sets are masks of plain arrays (``_touch_side``, ``_touch_masks``);
-the ``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
+Inside the package touch sets are masks of plain arrays (``_touch_side``, ``_touch_masks``,
+``_touched``); the ``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ class KPolicy:
 
     def __post_init__(self):
         if self.kind == "log_over_kappa":
-            if not (self.kappa is not None and self.kappa > 0):
-                raise ParameterError("log_over_kappa needs kappa > 0")
+            if not (self.kappa is not None and 0 < self.kappa < np.inf):
+                raise ParameterError("log_over_kappa needs a finite kappa > 0")
         elif self.kind == "scb_level":
-            if not (self.beta is not None and 0.0 < self.beta < 1.0):
-                raise ParameterError("scb_level needs beta in (0, 1)")
+            if not (self.beta is not None and np.finfo(float).eps <= self.beta < 1.0):
+                raise ParameterError(f"scb_level needs beta in [2**-52, 1), got {self.beta}")
         elif self.kind == "fixed":
             if not (self.k is not None and self.k > 0):
                 raise ParameterError("fixed needs k > 0")
@@ -90,6 +90,15 @@ def _touch_masks(values: np.ndarray, thresholds, tol):
         plus |= _touch_side(values, c, tol)
         minus |= _touch_side(c, values, tol)
     return plus, minus
+
+
+def _touched(values: np.ndarray, thresholds, tol):
+    """Both ``_touch_masks`` sides at once, bit for bit: |values - c| <= tol for some c."""
+    out = np.zeros(np.shape(values), dtype=bool)
+    for c in thresholds:
+        finite = isinstance(c, float) and -np.inf < c < np.inf  # then values - c forms no inf - inf
+        out |= np.abs(values - c if finite else _gap(values, c)) <= tol
+    return out
 
 
 def _sets(plus: np.ndarray, minus: np.ndarray) -> PreimageSets:
@@ -162,7 +171,7 @@ def scope_partition(data, lower, upper, alpha: float, policy: KPolicy,
     N, J = np.shape(data)
     tau = 1.0 / np.sqrt(N)
     k = resolve_k(policy, N, J, df=N - 1)
-    m_hat = int(np.count_nonzero(np.logical_or(*_touch_masks(mean, (lower, upper), k * tau * sd))))
+    m_hat = int(np.count_nonzero(_touched(mean, (lower, upper), k * tau * sd)))
     q_hat = iid_quantile(m_hat, alpha, df=N - 1, sided=sided).q
     below, above = widened_excursions(mean, lower, upper, q_hat * tau * sd)
     return ScopePartition(mean, sd, k, m_hat, q_hat, below, above)
@@ -193,7 +202,7 @@ def consistency_probe(
     fam = tuple(fam)
     dom = same_domain(mu, *fam)
     thresholds = [c.values for c in fam]
-    target = IndexSet.from_mask(np.logical_or(*_touch_masks(mu.values, thresholds, 0.0)))
+    target = IndexSet.from_mask(_touched(mu.values, thresholds, 0.0))
     out = []
     for ni, N in enumerate(n_list):
         k = resolve_k(policy, N, dom.size, df=N - 1)
@@ -209,8 +218,7 @@ def consistency_probe(
             else:
                 # a field checks the sampler's output: length J, no NaN
                 mu_hat, sigma_hat = (Field(dom, v).values for v in sampler(gen, N))
-            est = IndexSet.from_mask(np.logical_or(
-                *_touch_masks(mu_hat, thresholds, k * tau * sigma_hat)))
+            est = IndexSet.from_mask(_touched(mu_hat, thresholds, k * tau * sigma_hat))
             dh_sum += hausdorff_distance(est, target, dom)
             incl += target.issubset(est)
         out.append(

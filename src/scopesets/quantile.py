@@ -131,10 +131,15 @@ def _iid_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     return np.concatenate([[q0], _t_quantile(level, df)])
 
 
+def _storey_count(half) -> np.ndarray:
+    """Storey's null count min(J, 2 * #half) per row of a (..., J) mask of p >= 0.5."""
+    return np.minimum(np.shape(half)[-1], 2 * np.count_nonzero(half, axis=-1))
+
+
 def storey_m0(pvalues) -> int:
     """Null-count estimate 2 * #{p >= 0.5}, capped at the number of tests."""
     p = _checked_pvalues(pvalues)
-    return int(min(p.size, 2 * np.count_nonzero(p >= 0.5)))
+    return int(_storey_count(np.ravel(p) >= 0.5))
 
 
 def storey_quantile(data, alpha: float, sided: str = "one_sided") -> QuantileEstimate:

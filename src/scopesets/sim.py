@@ -3,7 +3,9 @@
 Reproduces the benchmark tables: for each method and sample size, the
 empirical probability that both zero-threshold excursion inclusions hold
 (Cov), the mean number of false detections (FD: a null detection or a
-directional error), and the mean number of true detections (TD).  Hommel and
+directional error), and the mean number of true detections (TD).  Each method
+and sided convention is one rule whose touch count comes from the library's
+own rules, ``preimage._touched`` and ``quantile._storey_count``.  Hommel and
 Benjamini-Hochberg baselines run on the same samples with FD counting type-I
 errors only.  They and Storey's null count read |t| against cuts in t: one
 per-N table maps each step-up threshold k*alpha/m to its cut, a value far from
@@ -33,8 +35,8 @@ from .domain import Domain, Field, same_domain
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import bh_reject_mask, hommel_reject_mask
-from .preimage import KPolicy, _touch_masks, resolve_k
-from .quantile import _chunk_rows, _iid_table, _map_chunks
+from .preimage import KPolicy, _touch_masks, _touched, resolve_k
+from .quantile import _chunk_rows, _iid_table, _map_chunks, _storey_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,36 +182,28 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
     return pv, np.where(near75, pv >= 0.5, a <= s75)
 
 
-def _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha, cuts=None):
-    """One chunk of nb replications drawn from ``gen``; partial (cov, fd, td) sums per key."""
-    J = mu.size
+def _run_chunk(gen, nb, N, mu, rules, baselines, alpha, cuts):
+    """One chunk of nb replications drawn from ``gen``: a row of (cov, fd, td) sums per rule,
+    then per baseline; a rule (kind, k, q table) reads both inclusions at q(its touch count)."""
     is_null = mu == 0.0
-    n_null = int(is_null.sum())
     tmat = _draw_tstats(gen, nb, N, mu)
-
-    if baselines or any(kind == "storey" for kind, _, _ in methods):
+    if baselines or any(kind == "storey" for kind, _, _ in rules):
         pv, p_half = _t_pvalues(tmat, N - 1, alpha, cuts)
-
-    out = {}
-    for kind, _policy, label in methods:
+    out = np.zeros((len(rules) + len(baselines), 3))
+    for row, (kind, k, q_table) in zip(out, rules):
         if kind == "oracle":
-            m_vec = np.full(nb, n_null)
+            m = np.full(nb, np.count_nonzero(is_null))
         elif kind == "storey":
-            m_vec = np.minimum(J, 2 * p_half.sum(axis=1))
+            m = _storey_count(p_half)
         else:
-            m_vec = (np.abs(tmat) <= ks[label]).sum(axis=1)
-        for s in sided_list:
-            lower, upper = widened_excursions(tmat, 0.0, 0.0, q_tables[s][m_vec][:, None])
-            fd = (lower & (mu >= 0.0)).sum(axis=1) + (upper & (mu <= 0.0)).sum(axis=1)
-            td = (lower & (mu < 0.0)).sum(axis=1) + (upper & (mu > 0.0)).sum(axis=1)
-            out[(label, s)] = (int((fd == 0).sum()), float(fd.sum()), float(td.sum()))
-
-    if "hommel" in baselines:
-        rej = hommel_reject_mask(pv, alpha)
-        out[("hommel", None)] = (0, float((rej & is_null).sum()), float((rej & ~is_null).sum()))
-    if "bh" in baselines:
-        rej = bh_reject_mask(pv, alpha)
-        out[("bh", None)] = (0, float((rej & is_null).sum()), float((rej & ~is_null).sum()))
+            m = np.count_nonzero(_touched(tmat, (0.0,), k), axis=1)
+        lower, upper = widened_excursions(tmat, 0.0, 0.0, q_table[m][:, None])
+        fd = (lower & (mu >= 0.0)).sum(axis=1) + (upper & (mu <= 0.0)).sum(axis=1)
+        td = (lower & (mu < 0.0)).sum(axis=1) + (upper & (mu > 0.0)).sum(axis=1)
+        row[:] = np.count_nonzero(fd == 0), fd.sum(), td.sum()
+    for row, b in zip(out[len(rules):], baselines):
+        rej = (hommel_reject_mask if b == "hommel" else bh_reject_mask)(pv, alpha)
+        row[1:] = np.count_nonzero(rej & is_null), np.count_nonzero(rej & ~is_null)
     return out
 
 
@@ -231,12 +225,14 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
     )
 
     methods = [parse_method(t) for t in cfg.methods]
-    labels = [label for _, _, label in methods]
-    if len(set(labels)) != len(labels):
-        raise ParameterError(f"duplicate method labels: {labels}")
     for b in cfg.baselines:
         if b not in ("hommel", "bh"):
             raise ParameterError(f"unknown baseline {b!r}")
+    names = [label if len(sided_list) == 1 else f"{label}[{s}]"
+             for _, _, label in methods for s in sided_list] + list(cfg.baselines)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParameterError(f"duplicate method or baseline {name!r}")
 
     rows: list[SimTableRow] = []
     rng = Rng(cfg.seed)
@@ -244,42 +240,18 @@ def run_simulation(cfg: SimConfig) -> list[SimTableRow]:
         df = N - 1
         q_tables = {s: _iid_table(J, alpha, df, s) for s in sided_list}
         cuts = functools.lru_cache(maxsize=1)(functools.partial(_step_up_cuts, df, alpha, J))
-        ks = {}
-        for kind, policy, label in methods:
-            if kind in ("log_kappa", "scb"):
-                ks[label] = resolve_k(policy, N, J, df)
-        run = lambda gen, nb: _run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list,
-                                         cfg.baselines, alpha, cuts)
-        totals = {}
+        rules = []
+        for kind, policy, _ in methods:
+            k = resolve_k(policy, N, J, df) if policy else None
+            rules += [(kind, k, q_tables[s]) for s in sided_list]
+        run = lambda gen, nb: _run_chunk(gen, nb, N, mu, rules, cfg.baselines, alpha, cuts)
         # a chunk keeps about four (nb, J) float arrays alive
-        for part in _map_chunks(run, cfg.reps, 4 * J, rng.child(ni)):
-            for key, sums in part.items():
-                totals[key] = tuple(x + y for x, y in zip(totals.get(key, (0, 0.0, 0.0)), sums))
-
-        for kind, policy, label in methods:
-            for s in sided_list:
-                cov, fd, td = totals[(label, s)]
-                name = label if len(sided_list) == 1 else f"{label}[{s}]"
-                rows.append(
-                    SimTableRow(
-                        method=name,
-                        N=int(N),
-                        cov=100.0 * cov / cfg.reps,
-                        fd=fd / cfg.reps,
-                        td=(td / cfg.reps) if n_alt else None,
-                    )
-                )
-        for b in cfg.baselines:
-            _, fd, td = totals[(b, None)]
-            rows.append(
-                SimTableRow(
-                    method=b,
-                    N=int(N),
-                    cov=None,
-                    fd=(fd / cfg.reps) if n_null else None,
-                    td=(td / cfg.reps) if n_alt else None,
-                )
-            )
+        sums = sum(_map_chunks(run, cfg.reps, 4 * J, rng.child(ni)))
+        for i, (name, (cov, fd, td)) in enumerate(zip(names, sums.tolist())):
+            rule = i < len(rules)
+            rows.append(SimTableRow(name, int(N), 100.0 * cov / cfg.reps if rule else None,
+                                    fd / cfg.reps if rule or n_null else None,
+                                    td / cfg.reps if n_alt else None))
     return rows
 
 
@@ -324,8 +296,8 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
     upper_vals = [c.values for c in instance.upper_fam]
     neg_thick, _ = _touch_masks(mu.values, lower_vals, eta)
     _, pos_thick = _touch_masks(mu.values, upper_vals, eta)
-    neg_exact = np.logical_or(*_touch_masks(mu.values, lower_vals, 0.0))
-    pos_exact = np.logical_or(*_touch_masks(mu.values, upper_vals, 0.0))
+    neg_exact = _touched(mu.values, lower_vals, 0.0)
+    pos_exact = _touched(mu.values, upper_vals, 0.0)
     sig_max = float(np.max(sigma.values))
     slack = q + eta / (tau * sig_max)
     w = q * tau * sigma.values

@@ -2,9 +2,11 @@
 print them as a summary section at the end of the run; measure the traced
 memory peak of a block; reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
-bit for bit and the earlier step-up p-value layer that ``sim._t_pvalues`` must
-match bit for bit."""
+bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
+match bit for bit, and the earlier simulation loop whose tables ``simulate``
+must reproduce byte for byte."""
 
+import functools
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -12,11 +14,16 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import special
 
-from scopesets.dist import _t_quantile, quantile as dist_quantile, t_cdf
+from scopesets.dist import Rng, _t_quantile, quantile as dist_quantile, t_cdf
 from scopesets.domain import IndexSet, same_domain
 from scopesets.errors import ParameterError
-from scopesets.hypotests import Calibration, TestDecision, _solve_q
-from scopesets.quantile import QuantileEstimate
+from scopesets.excursion import widened_excursions
+from scopesets.hypotests import (Calibration, TestDecision, _solve_q, bh_reject_mask,
+                                 hommel_reject_mask)
+from scopesets.preimage import resolve_k
+from scopesets.quantile import QuantileEstimate, _iid_table, _map_chunks
+from scopesets.sim import (SimTableRow, _draw_tstats, _step_up_cuts, _t_pvalues, model_mu,
+                           parse_method)
 
 CRITERION_LINES = []
 
@@ -175,6 +182,75 @@ def reference_t_pvalues(tmat, df, alpha):
         exact |= near75
     pv[exact] = 2.0 * t_cdf(-a[exact], df)
     return pv, np.where(near75, pv >= 0.5, a <= s75)
+
+
+def _ref_run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list, baselines, alpha, cuts=None):
+    J = mu.size
+    is_null = mu == 0.0
+    n_null = int(is_null.sum())
+    tmat = _draw_tstats(gen, nb, N, mu)
+
+    if baselines or any(kind == "storey" for kind, _, _ in methods):
+        pv, p_half = _t_pvalues(tmat, N - 1, alpha, cuts)
+
+    out = {}
+    for kind, _policy, label in methods:
+        if kind == "oracle":
+            m_vec = np.full(nb, n_null)
+        elif kind == "storey":
+            m_vec = np.minimum(J, 2 * p_half.sum(axis=1))
+        else:
+            m_vec = (np.abs(tmat) <= ks[label]).sum(axis=1)
+        for s in sided_list:
+            lower, upper = widened_excursions(tmat, 0.0, 0.0, q_tables[s][m_vec][:, None])
+            fd = (lower & (mu >= 0.0)).sum(axis=1) + (upper & (mu <= 0.0)).sum(axis=1)
+            td = (lower & (mu < 0.0)).sum(axis=1) + (upper & (mu > 0.0)).sum(axis=1)
+            out[(label, s)] = (int((fd == 0).sum()), float(fd.sum()), float(td.sum()))
+
+    if "hommel" in baselines:
+        rej = hommel_reject_mask(pv, alpha)
+        out[("hommel", None)] = (0, float((rej & is_null).sum()), float((rej & ~is_null).sum()))
+    if "bh" in baselines:
+        rej = bh_reject_mask(pv, alpha)
+        out[("bh", None)] = (0, float((rej & is_null).sum()), float((rej & ~is_null).sum()))
+    return out
+
+
+def reference_run_simulation(cfg):
+    """The simulation loop as it was before it ran on one rule list: per-chunk dicts keyed by
+    (label, sided), its own touch count ``|t| <= k`` and Storey count, totals summed per key."""
+    mu = np.asarray(cfg.mu, dtype=float) if cfg.mu is not None else model_mu(cfg.model, cfg.J).values
+    J = mu.size
+    alpha = cfg.alpha
+    n_null = int((mu == 0.0).sum())
+    n_alt = J - n_null
+    sided_list = ["two_sided", "one_sided"] if cfg.sided == "both" else [cfg.sided]
+    methods = [parse_method(t) for t in cfg.methods]
+    rows = []
+    rng = Rng(cfg.seed)
+    for ni, N in enumerate(cfg.N_list):
+        df = N - 1
+        q_tables = {s: _iid_table(J, alpha, df, s) for s in sided_list}
+        cuts = functools.lru_cache(maxsize=1)(functools.partial(_step_up_cuts, df, alpha, J))
+        ks = {label: resolve_k(policy, N, J, df)
+              for kind, policy, label in methods if kind in ("log_kappa", "scb")}
+        run = lambda gen, nb: _ref_run_chunk(gen, nb, N, mu, methods, ks, q_tables, sided_list,
+                                             cfg.baselines, alpha, cuts)
+        totals = {}
+        for part in _map_chunks(run, cfg.reps, 4 * J, rng.child(ni)):
+            for key, sums in part.items():
+                totals[key] = tuple(x + y for x, y in zip(totals.get(key, (0, 0.0, 0.0)), sums))
+        for kind, policy, label in methods:
+            for s in sided_list:
+                cov, fd, td = totals[(label, s)]
+                name = label if len(sided_list) == 1 else f"{label}[{s}]"
+                rows.append(SimTableRow(name, int(N), 100.0 * cov / cfg.reps, fd / cfg.reps,
+                                        (td / cfg.reps) if n_alt else None))
+        for b in cfg.baselines:
+            _, fd, td = totals[(b, None)]
+            rows.append(SimTableRow(b, int(N), None, (fd / cfg.reps) if n_null else None,
+                                    (td / cfg.reps) if n_alt else None))
+    return rows
 
 
 def record_criterion(line: str) -> None:

@@ -258,10 +258,13 @@ def test_empty_sample_file_exits_2_with_one_line(tmp_path, capsys, command):
 
 POLICY_FLAG_ERRORS = [
     ["--kappa", "0"],
+    ["--kappa", "inf"],
     ["--k", "-1"],
     ["--scb-beta", "1.5"],
+    ["--scb-beta", "1e-17"],
     ["--kappa", "3", "--alpha", "0"],
     ["--kappa", "3", "--alpha", "1.5"],
+    ["--kappa", "3", "--alpha", "1e-17"],
 ]
 # field files for J = 5; a bad one must be named in the error line
 FIELD_FILES = {
@@ -276,8 +279,9 @@ BAD_FLAG_CASES = [
     *((["scope", "--level", "0"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["insig"], flags) for flags in POLICY_FLAG_ERRORS),
     *((["tests", *SAMPLE_ARGS["tests"]], flags)
-      for flags in (["--kappa", "0"], ["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "2"],
-                    ["--b-minus", "nan"], ["--b-minus", "1", "--b-plus", "0"])),
+      for flags in (["--kappa", "0"], ["--kappa", "inf"], ["--alpha", "0"], ["--alpha", "1.5"],
+                    ["--alpha", "2"], ["--alpha", "1e-17"], ["--b-minus", "nan"],
+                    ["--b-minus", "1", "--b-plus", "0"])),
     (["scope", "--kappa", "3"], ["--level", "nan"]),
     *((["scope", "--kappa", "3"], flags)
       for flags in (["--lower", "abc.csv", "--upper", "ok.csv"],
@@ -312,6 +316,7 @@ SCHEFFE_FLAG_ERRORS = [
     (["--K", "1"], "--K must be >= 2"),
     (["--K", "3", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
     (["--K", "3", "--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    (["--K", "3", "--alpha", "1e-17"], "--alpha must be >= 2**-52, got 1e-17"),
     ([], "analytic mode needs --K"),
     (["--data", "lm.csv", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
 ]
@@ -339,6 +344,9 @@ SIM_CONFIG_ERRORS = [
     ("seed=-1", "seed must be >= 0"),
     ("methods=log_kappa(x)", "log_kappa(x)"),
     ("methods=scb(y)", "scb(y)"),
+    ("methods=log_kappa(inf)", "finite kappa"),
+    ("baselines=bh,bh,hommel", "duplicate method or baseline 'bh'"),
+    ("alpha=1e-17", "quantile level must be in (0, 1), got 1.0"),
 ]
 
 

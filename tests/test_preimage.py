@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from conftest import peak_traced_mb
+from hypothesis import example, given, strategies as st
 
 from scopesets.dist import Rng, t_cdf
 from scopesets.domain import Domain, Field, IndexSet, line_domain
 from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.preimage import (
     KPolicy,
+    _touch_masks,
+    _touched,
     consistency_probe,
     oracle_preimage_sets,
     plugin_preimage_sets,
@@ -140,6 +143,37 @@ class TestPluginPreimage:
             plugin_preimage_sets(mu_hat, [mu_hat], sigma, 0.0, 1.0)
 
 
+EDGY = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def touch_cases(draw):
+    """(B, J) values with +-0.0, +-inf and NaN against (J,) or scalar thresholds, and a
+    tolerance that is a float 0.0, a 0-d array, an array, inf or a positive float."""
+    B, J = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = np.array(draw(st.lists(EDGY, min_size=B * J, max_size=B * J))).reshape(B, J)
+    row = st.lists(EDGY, min_size=J, max_size=J).map(np.array)
+    thresholds = draw(st.lists(st.one_of(EDGY, EDGY.map(np.float64), row), max_size=3))
+    size = st.floats(0.0, 3.0)
+    tol = draw(st.one_of(st.just(0.0), st.just(np.inf), size, size.map(np.array),
+                         st.lists(st.one_of(size, st.just(np.inf)), min_size=J, max_size=J)
+                         .map(np.array)))
+    return values, thresholds, tol
+
+
+class TestTouched:
+    @given(touch_cases())
+    @example((np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan]]), [0.0, -0.0, np.inf], 0.0))
+    @example((np.array([[-0.0, 1.0, np.inf]]), [np.array([0.0, np.inf, np.inf])], np.array(0.0)))
+    @example((np.array([[np.inf, -np.inf, 2.0]]), [-np.inf, np.array([np.nan, 1.0, 2.0])], np.inf))
+    def test_is_the_union_of_both_touch_sides_bit_for_bit(self, case):
+        values, thresholds, tol = case
+        want = np.logical_or(*_touch_masks(values, thresholds, tol))
+        got = _touched(values, thresholds, tol)
+        assert got.dtype == bool and got.shape == values.shape
+        np.testing.assert_array_equal(got, want)
+
+
 class TestResolveK:
     def test_log_over_kappa(self):
         pol = KPolicy("log_over_kappa", kappa=10.0)
@@ -157,10 +191,14 @@ class TestResolveK:
         assert resolve_k(KPolicy("fixed", k=2.0), 50, 10, df=49) == 2.0
 
     def test_bad_policy(self):
-        with pytest.raises(ParameterError):
-            KPolicy("log_over_kappa", kappa=0.0)
-        with pytest.raises(ParameterError):
-            KPolicy("scb_level", beta=1.2)
+        for kappa in (0.0, np.inf, np.nan):
+            with pytest.raises(ParameterError, match="finite kappa"):
+                KPolicy("log_over_kappa", kappa=kappa)
+        # below the spacing of floats under 1 the band's level 1 - beta/2 rounds to 1
+        for beta in (1.2, 0.0, 1e-17, 2e-16):
+            with pytest.raises(ParameterError, match="beta in"):
+                KPolicy("scb_level", beta=beta)
+        assert resolve_k(KPolicy("scb_level", beta=2.3e-16), 30, 1, df=29) > 0
         with pytest.raises(ParameterError):
             KPolicy("unknown")
         with pytest.raises(ParameterError):

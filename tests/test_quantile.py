@@ -77,6 +77,13 @@ class TestStorey:
     def test_cap_at_total(self):
         assert storey_m0([0.6, 0.4, 0.7, 0.55]) == 4  # raw estimate 6, capped
 
+    def test_storey_count_is_storey_m0_row_by_row(self):
+        rng = np.random.default_rng(7)
+        p = rng.uniform(size=(300, 9)) ** rng.uniform(0.2, 3.0, (300, 1))
+        p[::7, ::2] = 0.5  # ties at the cut count as null
+        assert quantile._storey_count(p >= 0.5).tolist() == [storey_m0(row) for row in p]
+        assert quantile._storey_count(np.zeros((2, 0), dtype=bool)).tolist() == [0, 0]
+
     def test_uniform_null_ratio(self):
         rng = np.random.default_rng(42)
         p = rng.uniform(size=1000)

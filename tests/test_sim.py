@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_t_pvalues
+from conftest import reference_run_simulation, reference_t_pvalues
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
@@ -62,7 +62,7 @@ class TestParseMethod:
         assert kind == "scb" and pol.beta == pytest.approx(0.1) and label == "0.9-SCB"
 
     def test_bad_tokens(self):
-        for tok in ("bogus", "log_kappa()", "scb(1.5)"):
+        for tok in ("bogus", "log_kappa()", "scb(1.5)", "log_kappa(inf)", "log_kappa(nan)"):
             with pytest.raises((ParameterError, ValueError)):
                 parse_method(tok)
 
@@ -316,18 +316,42 @@ class TestRunSimulation:
         # 30,000 reps at J=80 span three chunks, chunk ci drawing from child (N index, ci)
         cfg = SimConfig(model="B", N_list=(40,), methods=("oracle",), reps=30_000, seed=22)
         (row,) = run_simulation(cfg)
-        methods = [parse_method("oracle")]
-        q_tables = {"two_sided": np.array([quantile._iid_exact(0, m, 0.1, 39, "upper").q
-                                           for m in range(81)])}
+        q_table = np.array([quantile._iid_exact(0, m, 0.1, 39, "upper").q for m in range(81)])
+        rules = [("oracle", None, q_table)]
         B = _chunk_rows(30_000, 4 * 80)
         parts = [
             sim._run_chunk(Rng(22).child(0).child(ci).generator(), min(B, 30_000 - start), 40,
-                           model_mu("B").values, methods, {}, q_tables, ["two_sided"], (), 0.1)
+                           model_mu("B").values, rules, (), 0.1, None)
             for ci, start in enumerate(range(0, 30_000, B))
         ]
-        assert len(parts) == 3
-        cov, fd, td = (sum(p[("oracle", "two_sided")][i] for p in parts) for i in range(3))
+        assert len(parts) == 3 and all(p.shape == (1, 3) for p in parts)
+        cov, fd, td = (parts[0] + parts[1] + parts[2])[0]
         assert (row.cov, row.fd, row.td) == (100.0 * cov / 30_000, fd / 30_000, td / 30_000)
+
+    def test_tables_match_the_earlier_loop_byte_for_byte(self, tmp_path):
+        methods = ("oracle", "storey", "log_kappa(3)", "scb(0.9)")
+        configs = [SimConfig(model=model, N_list=(5, 30), alpha=alpha, methods=methods,
+                             baselines=("hommel", "bh"), reps=200, seed=41, sided=sided)
+                   for model in "ABCD" for alpha, sided in ((0.1, "both"), (0.3, "one_sided"))]
+        # J = 3000: 700 reps run as chunks of 333, 333 and 34 rows
+        configs += [SimConfig(model="B", J=3000, N_list=(20,), methods=methods,
+                              baselines=("bh", "hommel"), reps=700, seed=42, sided="both"),
+                    SimConfig(model="A", N_list=(7,), methods=("log_kappa(1.5)", "oracle"),
+                              baselines=("bh",), reps=300, seed=43,
+                              mu=np.array([0.0, 1.0, -1.0, 0.0, 0.3]))]
+        for cfg in configs:
+            write_sim_table(run_simulation(cfg), tmp_path / "new.csv")
+            write_sim_table(reference_run_simulation(cfg), tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("methods,baselines,name", [
+        (("oracle",), ("bh", "bh", "hommel"), "'bh'"),
+        (("log_kappa(3)", "log_kappa(3.0)"), (), "'log(N)/3'"),
+    ])
+    def test_a_repeated_method_or_baseline_is_named(self, methods, baselines, name):
+        cfg = SimConfig(model="A", N_list=(30,), methods=methods, baselines=baselines, reps=10)
+        with pytest.raises(ParameterError, match=f"duplicate .*{re.escape(name)}"):
+            run_simulation(cfg)
 
     def test_row_shape_and_absences(self):
         cfg = SimConfig(model="A", N_list=(30, 60), methods=("oracle",),
