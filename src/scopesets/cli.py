@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvio import read_table, write_csv
+from .csvio import read_table, write_columns, write_csv
 from .dist import chisq_cdf, quantile as dist_quantile
 from .domain import Domain, Field, load_field
 from .errors import ParameterError, ScopeSetsError
@@ -193,11 +193,11 @@ def cmd_scope(args) -> int:
             f"q_hat={_fmt(part.q_hat)}", f"sided={args.sided}"]
     cls = ["below" if b else ("above" if a else "middle")
            for b, a in zip(below.tolist(), above.tolist())]
-    write_csv(out / "partition.csv", ["index", "mean", "sd", "class"],
-              zip(range(J), map(_fmt, part.mean.tolist()), map(_fmt, part.sd.tolist()), cls), meta)
-    write_csv(out / "detections.csv", ["index", "direction", "height"],
-              ([j, c, _fmt(h)] for j, c, h in zip(range(J), cls, height.tolist()) if c != "middle"),
-              meta)
+    write_columns(out / "partition.csv", ["index", "mean", "sd", "class"], "%d,%.6g,%.6g,%s\n",
+                  (range(J), part.mean.tolist(), part.sd.tolist(), cls), meta)
+    hit = np.flatnonzero(below | above).tolist()
+    write_columns(out / "detections.csv", ["index", "direction", "height"], "%d,%s,%.6g\n",
+                  (hit, [cls[j] for j in hit], height[hit].tolist()), meta)
     return 0
 
 

@@ -19,6 +19,13 @@ def write_csv(path, header, rows, comments=()) -> None:
         w.writerows(rows)
 
 
+def write_columns(path, header, fmt, columns, comments=()) -> None:
+    """Like ``write_csv`` for cells that never need quoting: row i is ``fmt % (i-th cells)``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines([*(f"# {c}\n" for c in comments), ",".join(header) + "\n"])
+        fh.writelines(fmt % row for row in zip(*columns))
+
+
 def read_table(path) -> tuple[list[str], np.ndarray]:
     """The header and the rows as a (rows, len(header)) float array.
 

@@ -59,10 +59,10 @@ class Field:
             raise DomainMismatchError(
                 f"field length {v.shape} does not match domain size {self.domain.size}"
             )
-        if np.any(np.isnan(v)):
+        if np.isnan(v).any():
             raise ParameterError("field values must not be NaN")
         v = v.copy()
-        v.flags.writeable = False
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -115,8 +115,8 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "IndexSet":
         s = cls.__new__(cls)
-        s.members = mask.ravel().nonzero()[0]  # already sorted, unique and nonnegative
-        s.members.flags.writeable = False
+        s.members = m = mask.ravel().nonzero()[0]  # already sorted, unique and nonnegative
+        m.setflags(write=False)
         return s
 
     @classmethod

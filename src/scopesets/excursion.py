@@ -53,12 +53,13 @@ class ScopeBands:
     sigma: Field
 
     def __post_init__(self):
-        if np.isnan(self.q):  # a NaN margin would silently decide nothing
+        # a NaN margin would silently decide nothing; a float shows NaN without a ufunc
+        if (self.q != self.q) if isinstance(self.q, float) else np.isnan(self.q):
             raise ParameterError("the critical value q must not be NaN")
         if not self.tau > 0:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
         v = self.sigma.values
-        if not (np.all(v > 0) and np.all(np.isfinite(v))):
+        if not ((v > 0) & (v < np.inf)).all():
             raise ParameterError("sigma must be strictly positive and finite")
 
     def half_width(self) -> np.ndarray:
@@ -96,12 +97,12 @@ def inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
     True where, for every lower-control threshold c in ``lower_vals``,
     {mu_hat < c - w} lies inside {mu < c}, and dually for ``upper_vals``.
     """
-    event = np.ones(np.shape(mu_hat)[:-1], dtype=bool)
+    broken = np.zeros(np.shape(mu_hat)[:-1], dtype=bool)
     for c in lower_vals:
-        event &= ~np.any((mu_hat < _moved(c, -w)) & ~(mu < c), axis=-1)
+        broken |= ((mu_hat < _moved(c, -w)) & ~(mu < c)).any(axis=-1)
     for c in upper_vals:
-        event &= ~np.any((mu_hat > _moved(c, w)) & ~(mu > c), axis=-1)
-    return event
+        broken |= ((mu_hat > _moved(c, w)) & ~(mu > c)).any(axis=-1)
+    return ~broken
 
 
 def max_sup(g, neg_idx, pos_idx):
@@ -153,7 +154,7 @@ def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) 
     same_domain(mu_hat, b_minus, b_plus, bands.sigma)
     if bands.q < 0:
         raise ParameterError("partition3 needs a nonnegative critical value")
-    if np.any(b_minus.values > b_plus.values):
+    if b_minus is not b_plus and (b_minus.values > b_plus.values).any():
         raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
     below, above = widened_excursions(
         mu_hat.values, b_minus.values, b_plus.values, bands.half_width()
@@ -164,13 +165,15 @@ def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) 
 
 
 def contour_regions(mu_hat: Field, levels, bands: ScopeBands) -> list[IndexSet]:
-    """Simultaneous confidence regions for the level sets {mu = c_k}."""
+    """Simultaneous confidence regions for the level sets {mu = c_k}; needs q >= 0."""
     same_domain(mu_hat, bands.sigma)
+    if bands.q < 0:
+        raise ParameterError("contour_regions needs a nonnegative critical value")
     lev = np.asarray(levels, dtype=float).reshape(-1, 1)
-    if not np.all(np.isfinite(lev)):
+    if not np.isfinite(lev).all():
         raise ParameterError("contour levels must be finite")
-    below, above = widened_excursions(mu_hat.values, lev, lev, bands.half_width())
-    return [IndexSet.from_mask(row) for row in ~(below | above)]
+    w, v = bands.half_width(), mu_hat.values  # finite levels need no guard: lev - w is lev + (-w)
+    return [IndexSet.from_mask(row) for row in ~((v < lev - w) | (v > lev + w))]
 
 
 def roi_adapt(b: Field, roi: IndexSet) -> tuple[Field, Field]:

@@ -93,7 +93,12 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
         q = 0.0
     elif n_one == 0 or n_both == 0:
         base = target ** (1.0 / m)
-        q = quantile("t", base if n_both == 0 else (1.0 + base) / 2.0, df=df)
+        level = base if n_both == 0 else (1.0 + base) / 2.0
+        if level < 1.0 or tail == "lower":
+            q = quantile("t", level, df=df)
+        else:  # alpha / m under about 1e-16 rounds the level to 1: invert its tail, t is symmetric
+            sf = -np.expm1(np.log1p(-alpha) / m) / (2.0 if n_both else 1.0)
+            q = -float(_t_quantile(sf, df))
     else:
         def stat_cdf(x):  # 0 on x <= 0, so -1 always brackets the root from below
             F = t_cdf(x, df)
@@ -126,9 +131,10 @@ def _iid_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     # Python's pow, as in _iid_exact, so each level is the scalar route's to the bit
     base = np.array([(1.0 - alpha) ** (1.0 / m) for m in range(1, J + 1)])
     level = base if sided == "one_sided" else (1.0 + base) / 2.0
-    if not np.all(level < 1.0):
-        raise ParameterError(f"quantile level must be in (0, 1), got {level.max()}")
-    return np.concatenate([[q0], _t_quantile(level, df)])
+    q = _t_quantile(level, df)  # inf where a level rounds to 1: the scalar route solves those
+    for m in np.flatnonzero(level == 1.0) + 1:
+        q[m - 1] = iid_quantile(int(m), alpha, df, sided).q
+    return np.concatenate([[q0], q])
 
 
 def _storey_count(half) -> np.ndarray:

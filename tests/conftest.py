@@ -3,8 +3,10 @@ print them as a summary section at the end of the run; measure the traced
 memory peak of a block; reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
 bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
-match bit for bit, and the earlier simulation loop whose tables ``simulate``
-must reproduce byte for byte."""
+match bit for bit, the earlier simulation loop whose tables ``simulate``
+must reproduce byte for byte, and the earlier SCoPE kernel (field and band
+checks, ``partition3``, ``contour_regions``, the inclusion event) whose results
+and errors the excursion module must reproduce bit for bit."""
 
 import functools
 import tracemalloc
@@ -16,7 +18,7 @@ from scipy import special
 
 from scopesets.dist import Rng, _t_quantile, quantile as dist_quantile, t_cdf
 from scopesets.domain import IndexSet, same_domain
-from scopesets.errors import ParameterError
+from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.excursion import widened_excursions
 from scopesets.hypotests import (Calibration, TestDecision, _solve_q, bh_reject_mask,
                                  hommel_reject_mask)
@@ -251,6 +253,81 @@ def reference_run_simulation(cfg):
             rows.append(SimTableRow(b, int(N), None, (fd / cfg.reps) if n_null else None,
                                     (td / cfg.reps) if n_alt else None))
     return rows
+
+
+def reference_field_values(domain, values):
+    """``Field``'s checks as they were before the kernel dropped numpy's module reductions."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (domain.size,):
+        raise DomainMismatchError(
+            f"field length {v.shape} does not match domain size {domain.size}"
+        )
+    if np.any(np.isnan(v)):
+        raise ParameterError("field values must not be NaN")
+    return v.copy()
+
+
+def reference_check_bands(q, tau, sigma):
+    """``ScopeBands``' checks as they were: NaN q, tau <= 0, sigma not positive and finite."""
+    if np.isnan(q):
+        raise ParameterError("the critical value q must not be NaN")
+    if not tau > 0:
+        raise ParameterError(f"tau must be > 0, got {tau}")
+    v = sigma.values
+    if not (np.all(v > 0) and np.all(np.isfinite(v))):
+        raise ParameterError("sigma must be strictly positive and finite")
+
+
+def _ref_kernel_moved(c, delta):
+    if isinstance(delta, float) and -np.inf < delta < np.inf:
+        return c + delta
+    return c + np.where(np.isinf(c), 0.0, delta)
+
+
+def reference_widened_excursions(values, lower, upper, w):
+    """The widened excursion masks as they were: every array shift through the infinity guard."""
+    return values < _ref_kernel_moved(lower, -w), values > _ref_kernel_moved(upper, w)
+
+
+def reference_inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
+    """The batched inclusion event as it was, with ``np.any`` and an all-true start."""
+    event = np.ones(np.shape(mu_hat)[:-1], dtype=bool)
+    for c in lower_vals:
+        event &= ~np.any((mu_hat < _ref_kernel_moved(c, -w)) & ~(mu < c), axis=-1)
+    for c in upper_vals:
+        event &= ~np.any((mu_hat > _ref_kernel_moved(c, w)) & ~(mu > c), axis=-1)
+    return event
+
+
+def reference_scope_event(mu_hat, mu, bands, fam):
+    same_domain(mu_hat, mu, bands.sigma)
+    lower = [c.values for c in fam.lower]
+    upper = [c.values for c in fam.upper]
+    return bool(reference_inclusion_event(mu_hat.values, mu.values, lower, upper,
+                                          bands.half_width()))
+
+
+def reference_partition3(mu_hat, b_minus, b_plus, bands):
+    """``partition3`` as it was; returns the member arrays of its three classes."""
+    same_domain(mu_hat, b_minus, b_plus, bands.sigma)
+    if bands.q < 0:
+        raise ParameterError("partition3 needs a nonnegative critical value")
+    if np.any(b_minus.values > b_plus.values):
+        raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
+    below, above = reference_widened_excursions(
+        mu_hat.values, b_minus.values, b_plus.values, bands.half_width()
+    )
+    return tuple(np.flatnonzero(m) for m in (below, ~(below | above), above))
+
+
+def reference_contour_regions(mu_hat, levels, bands):
+    """``contour_regions`` as it was (it had no check on q); returns member arrays."""
+    same_domain(mu_hat, bands.sigma)
+    lev = np.asarray(levels, dtype=float).reshape(-1, 1)
+    if not np.all(np.isfinite(lev)):
+        raise ParameterError("contour levels must be finite")
+    below, above = reference_widened_excursions(mu_hat.values, lev, lev, bands.half_width())
+    return [np.flatnonzero(row) for row in ~(below | above)]
 
 
 def record_criterion(line: str) -> None:

@@ -447,6 +447,25 @@ def test_every_flag_is_read_by_its_own_command():
         assert "only simulate reads --seed" in " ".join(sub.choices[name].format_help().split())
 
 
+@pytest.mark.parametrize("flags", [
+    ["scope", "--level", "0", "--scb-beta", "1e-15"],
+    ["scope", "--level", "0", "--kappa", "3", "--alpha", "1e-15", "--sided", "two_sided"],
+    ["insig", "--kappa", "3", "--alpha", "1e-15"],
+])
+def test_tiny_alpha_whose_per_point_level_rounds_to_1_exits_0(tmp_path, capsys, flags):
+    data_path = tmp_path / "d.csv"
+    write_data(data_path, Rng(8), N=20, J=100, mu=np.repeat([2.0, 0.0], [5, 95]))
+    assert main([*flags, "--data", str(data_path), "--out", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o"
+    if flags[0] == "scope":
+        lines = (out / "partition.csv").read_text().splitlines()
+        meta = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+    else:
+        meta = next(csv.DictReader((out / "insig_report.csv").read_text().splitlines()))
+    assert np.isfinite(float(meta["k"])) and np.isfinite(float(meta["q_hat"]))
+    assert float(meta["q_hat"]) > 0
+
+
 @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])
 @pytest.mark.parametrize("flags, policy", [
     (["--kappa", "3"], KPolicy("log_over_kappa", kappa=3.0)),

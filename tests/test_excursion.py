@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import peak_traced_mb
+from conftest import (peak_traced_mb, reference_check_bands, reference_contour_regions,
+                      reference_field_values, reference_inclusion_event, reference_partition3,
+                      reference_scope_event, reference_widened_excursions)
 from scopesets.domain import Domain, Field, IndexSet
 from scopesets.errors import ParameterError, ThresholdOrderError
 from scopesets.excursion import (
@@ -233,6 +235,119 @@ class TestContourRegions:
         mu_hat = fld(0.0, 0.5, 1.0)
         regions = contour_regions(mu_hat, [0.5], make_bands(mu_hat.domain, 0.6))
         assert regions == [IndexSet.full(3)]
+
+
+    def test_negative_margin_rejected(self):
+        mu_hat = fld(0.0, 0.5, 1.0)
+        with pytest.raises(ParameterError, match="nonnegative critical value"):
+            contour_regions(mu_hat, [0.5], make_bands(mu_hat.domain, -0.5))
+        with pytest.raises(ParameterError, match="nonnegative critical value"):
+            contour_regions(mu_hat, [0.5], make_bands(mu_hat.domain, -np.inf))
+        assert contour_regions(mu_hat, [0.5], make_bands(mu_hat.domain, -0.0)) == [IndexSet([1])]
+
+
+def _same_error(call, reference):
+    """Both calls raise, with the same exception type and message."""
+    with pytest.raises(Exception) as got:
+        call()
+    with pytest.raises(Exception) as want:
+        reference()
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _kernel_cases(seed):
+    """One seeded realization with infinite ROI edges, points exactly at c - w and c + w,
+    and q drawn from 0, -0, finite, huge and infinite values."""
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(1, 30))
+    dom = Domain(J)
+    mu = Field(dom, rng.normal(size=J))
+    sigma = Field(dom, np.where(rng.random(J) < 0.2, 1e10, rng.uniform(0.2, 3.0, J)))
+    q = [0.0, -0.0, float(rng.uniform(0, 4)), 2.9, 1e150, np.inf][seed % 6]
+    bands = ScopeBands(q, [1.0, 0.1, 1.0 / np.sqrt(30)][seed % 3], sigma)
+    w = bands.half_width()
+    b = Field(dom, np.round(rng.normal(size=J), 1))
+    c_plus, c_minus = roi_adapt(b, IndexSet(np.flatnonzero(rng.random(J) < 0.6)))
+    values = mu.values + rng.normal(size=J)
+    # about two points in three sit on an edge moved by the margin, as the kernel computes it
+    at = rng.integers(0, 3, J)
+    values = np.where(at == 1, b.values - w, np.where(at == 2, b.values + w, values))
+    values = np.where(np.isfinite(values), values, 0.0)
+    return dom, mu, sigma, bands, b, c_plus, c_minus, Field(dom, values)
+
+
+class TestKernelMatchesReference:
+    """The kernel reproduces the earlier kernel (``conftest``) bit for bit: results and errors."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_partition_contours_and_events(self, seed):
+        dom, mu, sigma, bands, b, c_plus, c_minus, mu_hat = _kernel_cases(seed)
+        twin = Field(dom, b.values.copy())  # equal to b, but another object
+        spread = Field(dom, b.values + np.abs(mu.values))
+        for lo, hi in ((b, b), (b, twin), (twin, b), (c_minus, c_plus), (b, spread),
+                       (c_minus, b), (b, c_plus)):
+            got = partition3(mu_hat, lo, hi, bands)
+            want = reference_partition3(mu_hat, lo, hi, bands)
+            for cls, members in zip((got.lower, got.middle, got.upper), want):
+                assert cls.members.dtype == members.dtype
+                assert cls.members.tolist() == members.tolist()
+        levels = [0.0, -0.3, 0.2, float(b.values[0])]
+        got = contour_regions(mu_hat, levels, bands)
+        want = reference_contour_regions(mu_hat, levels, bands)
+        assert [r.members.tolist() for r in got] == [m.tolist() for m in want]
+        for fam in (ThresholdFamily([c_minus, b], [c_plus, b]), ThresholdFamily.symmetric([b]),
+                    ThresholdFamily([c_plus], [c_minus]), ThresholdFamily([mu], [])):
+            assert scope_event(mu_hat, mu, bands, fam) is reference_scope_event(mu_hat, mu,
+                                                                                bands, fam)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_batched_masks_and_events(self, seed):
+        dom, mu, sigma, bands, b, c_plus, c_minus, mu_hat = _kernel_cases(seed)
+        rng = np.random.default_rng(1000 + seed)
+        batch = mu_hat.values + rng.normal(size=(7, dom.size)) * (rng.random((7, dom.size)) < 0.5)
+        edges = [b.values, c_plus.values, c_minus.values, 0.0, np.inf, -np.inf]
+        partly_inf = np.where(rng.random(dom.size) < 0.5, np.inf, bands.half_width())
+        for w in (bands.half_width(), partly_inf, 0.0, -0.0, 0.5, np.inf,
+                  np.full(dom.size, np.inf)):
+            for lo in edges:
+                for hi in edges:
+                    got = widened_excursions(batch, lo, hi, w)
+                    want = reference_widened_excursions(batch, lo, hi, w)
+                    for g, r in zip(got, want):
+                        assert g.dtype == r.dtype and np.array_equal(g, r)
+            for lower, upper in (([b.values, c_minus.values], [c_plus.values]), ([], [b.values]),
+                                 ([c_plus.values], [c_minus.values]), ([], [])):
+                for rows in (batch, batch[0]):
+                    got = inclusion_event(rows, mu.values, lower, upper, w)
+                    want = reference_inclusion_event(rows, mu.values, lower, upper, w)
+                    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+    def test_errors(self):
+        dom = Domain(3)
+        one, other = Field.constant(dom, 1.0), Field.constant(Domain(4), 1.0)
+        for values in ([1.0, np.nan, 2.0], [1.0, 2.0], [[1.0, 2.0, 3.0]], [np.nan, 1.0]):
+            _same_error(lambda: Field(dom, values), lambda: reference_field_values(dom, values))
+        bad_sigma = [Field(dom, v) for v in ([1.0, 0.0, 1.0], [1.0, -2.0, 1.0], [1.0, np.inf, 1.0],
+                                             [-np.inf, 1.0, 1.0], [-0.0, 1.0, 1.0])]
+        bad = [(q, 1.0, one) for q in (np.nan, np.float64("nan"), np.float32("nan"),
+                                       np.array(np.nan), None, "0.5", np.array([1.0, 2.0]))]
+        bad += [(1.0, tau, one) for tau in (0.0, -1.0, np.nan, -np.inf)]
+        bad += [(1.0, 1.0, s) for s in bad_sigma] + [(np.nan, 0.0, bad_sigma[0])]
+        for args in bad:
+            _same_error(lambda: ScopeBands(*args), lambda: reference_check_bands(*args))
+        for q in (0.0, -0.0, 2, np.int64(3), np.float32(1.5), np.array(2.0), np.inf, -np.inf, True):
+            ScopeBands(q, 1.0, one)
+            reference_check_bands(q, 1.0, one)
+        good, neg = ScopeBands(1.0, 1.0, one), ScopeBands(-1.0, 1.0, one)
+        up, down = Field.constant(dom, 0.5), Field.constant(dom, -0.5)
+        once = Field(dom, [-1.0, 0.6, -1.0])  # above ``up`` at one point only
+        for args in ((other, up, up, good), (one, other, up, good), (one, up, down, good),
+                     (one, once, up, good), (one, down, once, good),
+                     (one, up, up, neg), (one, up, down, neg), (one, down, other, neg)):
+            _same_error(lambda: partition3(*args), lambda: reference_partition3(*args))
+        assert partition3(one, down, up, ScopeBands(-0.0, 1.0, one)).middle == IndexSet([])
+        for args in ((other, [0.0], good), (one, [np.inf], good), (one, [0.0, np.nan], good)):
+            _same_error(lambda: contour_regions(*args), lambda: reference_contour_regions(*args))
 
 
 class TestRoiAdapt:

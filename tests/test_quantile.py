@@ -65,9 +65,31 @@ class TestIidQuantile:
 
     def test_table_keeps_the_scalar_checks(self):
         for args in ((5, 0.0, 10, "two_sided"), (5, 0.1, 0, "two_sided"),
-                     (5, 0.1, 10, "both"), (5, 1e-17, 10, "one_sided")):
+                     (5, 0.1, 10, "both")):
             with pytest.raises(ParameterError):
                 quantile._iid_table(*args)
+
+    @pytest.mark.parametrize("df", [1, 19, 99, np.inf])
+    def test_levels_that_round_to_1_read_the_upper_tail(self, df):
+        # at alpha = 1e-15 the per-point level (1 - alpha)^(1/m) rounds to 1 from m = 19
+        # (one-sided) and m = 7 (two-sided) on: the table then crosses the switch
+        J = 300
+        for alpha in (1e-17, 1e-15, 2.3e-16, 1e-12):
+            for sided, two in (("one_sided", False), ("two_sided", True)):
+                table = quantile._iid_table(J, alpha, df, sided)
+                counts = [(m, 0) if not two else (0, m) for m in range(J + 1)]
+                scalar = np.array([quantile._iid_exact(*c, alpha, df, "upper").q for c in counts])
+                assert table.view(np.int64).tolist() == scalar.view(np.int64).tolist()
+                assert np.all(np.isfinite(table)) and np.all(np.diff(table) >= 0)
+                # the tail route keeps its digits where the level route has none left
+                base = np.array([(1.0 - alpha) ** (1.0 / m) for m in range(1, J + 1)])
+                far = ((1.0 + base) / 2.0 if two else base) == 1.0
+                m = np.arange(1, J + 1)[far]
+                tail = -np.expm1(np.log1p(-alpha) / m) / (2.0 if two else 1.0)
+                np.testing.assert_allclose(t_cdf(-table[1:][far], df), tail, rtol=1e-9)
+        base = np.array([(1.0 - 1e-15) ** (1.0 / m) for m in range(1, J + 1)])
+        for level in (base, (1.0 + base) / 2.0):
+            assert 0 < np.count_nonzero(level == 1.0) < J  # both sides of the switch are covered
 
 
 class TestStorey:
