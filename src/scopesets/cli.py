@@ -118,6 +118,8 @@ def cmd_simulate(args) -> int:
 
     model = _require(raw, "model")
     alpha = _config_value(raw, "alpha", float)
+    if alpha < np.finfo(float).eps:  # the floor of every --alpha flag
+        raise UsageError(f"config key 'alpha' must be >= 2**-52, got {alpha}")
     reps = _config_value(raw, "reps", int)
     n_list = _config_value(raw, "N_list", lambda v: tuple(int(x) for x in v.split(",")))
     methods = tuple(x.strip() for x in _require(raw, "methods").split(",") if x.strip())

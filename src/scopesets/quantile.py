@@ -12,13 +12,14 @@ they push standard normals through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 from scipy.linalg.blas import dtrmm
 
-from .dist import Rng, _t_quantile, quantile, t_cdf
+from .dist import Rng, _t_quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
 from .excursion import max_sup
@@ -77,8 +78,9 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
 
     q solves F(q)^n_one (2F(q) - 1)^n_both = 1 - alpha for the upper tail and
     = alpha for the lower, with F the t CDF on ``df`` degrees of freedom.  With
-    one count zero, q = F^-1(base) or F^-1((1 + base) / 2) for base = target^(1/m);
-    with both non-zero, bracketed root finding.  Both zero gives q = 0 with a flag.
+    one count zero, q = -F^-1(sf) for the tail sf of ``_tail_sf``, so a tiny
+    alpha keeps its digits; with both non-zero, bracketed root finding.
+    Both zero gives q = 0 with a flag.
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -92,13 +94,7 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     if m == 0:
         q = 0.0
     elif n_one == 0 or n_both == 0:
-        base = target ** (1.0 / m)
-        level = base if n_both == 0 else (1.0 + base) / 2.0
-        if level < 1.0 or tail == "lower":
-            q = quantile("t", level, df=df)
-        else:  # alpha / m under about 1e-16 rounds the level to 1: invert its tail, t is symmetric
-            sf = -np.expm1(np.log1p(-alpha) / m) / (2.0 if n_both else 1.0)
-            q = -float(_t_quantile(sf, df))
+        q = 0.0 - float(_t_quantile(_tail_sf(alpha, m, tail, n_both > 0), df))
     else:
         def stat_cdf(x):  # 0 on x <= 0, so -1 always brackets the root from below
             F = t_cdf(x, df)
@@ -110,6 +106,14 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
                 raise ParameterError("failed to bracket quantile")
         q = float(optimize.brentq(lambda x: stat_cdf(x) - target, -1.0, hi, xtol=1e-12))
     return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)
+
+
+def _tail_sf(alpha: float, m: int, tail: str, two_sided: bool) -> float:
+    """1 - F(q) where F(q)^m, or (2F(q) - 1)^m when ``two_sided``, equals 1 - alpha
+    (upper ``tail``) or alpha (lower): -expm1(log(target) / m), halved when two-sided,
+    so a tiny alpha keeps its digits.  q is then 0.0 - F^-1 of it (+0 at the median)."""
+    log_target = math.log1p(-alpha) if tail == "upper" else math.log(alpha)
+    return -math.expm1(log_target / m) / (2.0 if two_sided else 1.0)
 
 
 def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> QuantileEstimate:
@@ -128,13 +132,9 @@ def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> Q
 def _iid_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     """``iid_quantile(m, alpha, df, sided).q`` for m = 0..J, bit for bit, from one t quantile call."""
     q0 = iid_quantile(0, alpha, df, sided).q  # 0.0, once the arguments pass its checks
-    # Python's pow, as in _iid_exact, so each level is the scalar route's to the bit
-    base = np.array([(1.0 - alpha) ** (1.0 / m) for m in range(1, J + 1)])
-    level = base if sided == "one_sided" else (1.0 + base) / 2.0
-    q = _t_quantile(level, df)  # inf where a level rounds to 1: the scalar route solves those
-    for m in np.flatnonzero(level == 1.0) + 1:
-        q[m - 1] = iid_quantile(int(m), alpha, df, sided).q
-    return np.concatenate([[q0], q])
+    # math's expm1 per m, as in _iid_exact, so each tail is the scalar route's to the bit
+    sf = np.array([_tail_sf(alpha, m, "upper", sided == "two_sided") for m in range(1, J + 1)])
+    return np.concatenate([[q0], 0.0 - _t_quantile(sf, df)])
 
 
 def _storey_count(half) -> np.ndarray:

@@ -181,77 +181,78 @@ def scheffe_band(a, fit: OlsFit, xtx, alpha: float) -> tuple[float, float]:
     return center - half, center + half
 
 
+def _stationary_directions(w: np.ndarray, rinv: np.ndarray, c: float) -> np.ndarray:
+    """Per row of ``w``, the u parts, unnormalised, of the stationary points of
+    x'w / ||root x|| on the cone x'Qx = 0 for the level 0 < |c| < 1; ``rinv`` is root^-1.
+
+    The ratio is scale-free, so its stationary points on the slice lie on that cone,
+    Q = e_0 e_0' - c^2 I, at x = (M - gamma Q)^-1 w, M = root' root, for the roots of
+    phi'(gamma), phi(gamma) = w'(M - gamma Q)^-1 w (Gander, Golub & von Matt 1989).
+    One eigendecomposition gives V'MV = I and V'QV = diag(d), shared by all rows; with
+    b = V'w and eta = 1/gamma the roots are the zeros of
+    psi(eta) = sum_i b_i^2 d_i / (eta - d_i)^2, and so of the degree-(2K - 2) polynomial
+    sum_i b_i^2 d_i prod_{j != i} (eta - d_j)^2: the eigenvalues of its companion
+    matrix, polished by one Newton step on psi.  A root on a pole gives a non-finite
+    direction.  In the hard case b_k = 0 the stationary point sits on the pole
+    eta = d_k instead, and x_k solves x'Qx = 0 there; both signs of x_k join in.
+    """
+    K = w.shape[1]
+    d, vecs = np.linalg.eigh(np.outer(rinv[0], rinv[0]) - c * c * rinv.T @ rinv)
+    V = rinv @ vecs
+    # row i: d_i prod_{j != i} (eta - d_j)^2, lowest power first after two zero pads
+    poly = np.zeros((K, 2 * K + 1))
+    poly[:, 2] = d
+    for j, dj in enumerate(d):
+        i = np.arange(K) != j
+        poly[i, 2:] = dj * dj * poly[i, 2:] - 2 * dj * poly[i, 1:-1] + poly[i, :-2]
+    b = w @ V
+    coef = (b * b) @ poly[:, :1:-1]  # highest power first
+    companion = np.eye(2 * K - 2, k=-1) + np.zeros((len(w), 1, 1))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[~np.isfinite(companion)] = 0.0  # a zero leading term: any finite roots do
+    eta = np.linalg.eigvals(companion).real[:, :, None]
+    s = b[:, None, :] ** 2 * d / (eta - d) ** 2  # the terms of psi; psi' = -2 sum s / (eta - d)
+    eta += s.sum(axis=2, keepdims=True) / (2 * s / (eta - d)).sum(axis=2, keepdims=True)
+    gap = d[:, None] - d  # row k: the pole eta = d_k, where x = z + x_k e_k with z_k = 0
+    np.fill_diagonal(gap, np.inf)
+    z = b[:, None, :] / gap
+    pole = np.sqrt(-(z * z * d).sum(axis=2) / d)[:, :, None] * np.eye(K)
+    return np.concatenate([b[:, None, :] / (eta - d), z + pole, z - pole], axis=1) @ V[1:].T
+
+
 def _slice_ratio_maxima(w: np.ndarray, root: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Per row of ``w``, the largest over levels c of max x'w / ||root x|| on
     the slice {||x|| = 1, x_0 = c}, whose points are x = (c, rho u) with
     rho = sqrt(1 - c^2) and u a unit vector.
 
-    Each (row, level) pair starts at the best of 512 fixed directions u, all
-    scored by one matmul, then climbs for at most 60 iterations: the Riemannian
-    Newton step on the sphere of u (Absil, Mahony & Sepulchre 2008, ch. 6)
-    where it ascends, else a great-circle gradient step whose length grows by
-    1.5 after a gain and halves after a loss.  A pair stops once its tangent
-    gradient is zero, as on the two-point (K = 2) and one-point (|c| = 1)
-    slices, or once the gain its Newton step predicts is below rounding.
-    The climb is local: a start in the basin of a lower local maximum (about
-    1 in 1,000 at condition numbers of root' root above 40) ends there.
+    The candidates for u are every stationary point (``_stationary_directions``)
+    and u ~ M_rr^-1 w_r over the coordinates r != 0 (gamma = inf), the maximiser at
+    c = 0, where the pencil degenerates.  Each is scored at both slice points
+    (c, +-rho u), the - sign for stationary points on the cone's other nappe, so every
+    value is the ratio at a point of the slice and the maximum is never overstated; a
+    non-finite candidate scores NaN and drops out.  |c| = 1 is the one point
+    (sign c, 0, ..., 0).
     """
     n, K = w.shape
-    rho = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    grid = sphere_grid(K - 1, 512, Rng(0))
-    pts = np.column_stack([np.repeat(c, 512), (rho[:, None, None] * grid).reshape(-1, K - 1)])
-    pts /= np.linalg.norm(pts @ root.T, axis=1, keepdims=True)
-    vals = (w @ pts.T).reshape(-1, 512)  # one row per (replicate, level)
-    u = grid[vals.argmax(axis=1)]
-    x0, r, wr = np.tile(c, n)[:, None], np.tile(rho, n)[:, None], np.repeat(w, c.size, axis=0)
-    eps, M = np.finfo(float).eps, (root.T @ root)[1:, 1:]
-    # the ratio rounds to within about K eps ||w|| / ||root x||: a smaller predicted gain is noise
-    start = np.hstack([x0, r * u]) @ root.T
-    tol = K * eps * np.linalg.norm(wr, axis=1) / np.linalg.norm(start, axis=1)
-
-    def ratio(rows, u):
-        """x'w / ||root x|| at x = (c, rho u) on ``rows``, its tangent gradient in u, and its
-        Hessian in u less (u' gradient) I: the Riemannian Hessian on tangents, up to u."""
-        x = np.hstack([x0[rows], r[rows] * u])
-        rx = x @ root.T
-        norm = np.linalg.norm(rx, axis=1, keepdims=True)
-        f = np.einsum("ij,ij->i", x, wr[rows])[:, None] / norm
-        m = (rx @ root)[:, 1:] / norm  # (M x)_u / ||root x||
-        g = (wr[rows, 1:] - f * m) / norm
-        gm = g[:, :, None] * m[:, None, :]
-        hess = (r[rows] ** 2 / norm)[:, :, None] * (f[:, :, None] * (
-            m[:, :, None] * m[:, None, :] - M) / norm[:, :, None] - gm - gm.transpose(0, 2, 1))
-        s = np.einsum("ij,ij->i", r[rows] * g, u)
-        return f[:, 0], r[rows] * g - s[:, None] * u, hess - s[:, None, None] * np.eye(K - 1)
-
-    f, tangent, hess = ratio(np.arange(len(u)), u)
-    rows = np.flatnonzero(tangent.any(axis=1))  # two-point and one-point slices stay put
-    tangent, hess, step = tangent[rows], hess[rows], np.full(len(u), 0.1)
-    for _ in range(60):
-        if not rows.size:
-            break
-        # Newton: hess eta + lam u = -tangent with u' eta = 0, bordered by u
-        border = np.zeros((rows.size, K, K))
-        border[:, :-1, :-1] = hess
-        border[:, -1, :-1] = border[:, :-1, -1] = u[rows]
-        rhs = np.append(-tangent, np.zeros((rows.size, 1)), axis=1)[:, :, None]
-        eta = np.linalg.solve(border, rhs)[:, :-1, 0]
-        live = np.abs(np.einsum("ij,ij->i", tangent, eta)) > tol[rows]
-        trial = u[rows] + eta
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        f_trial, t_trial, h_trial = ratio(rows, trial)
-        back = np.flatnonzero(live & (f_trial <= f[rows]))
-        if back.size:  # great-circle gradient step where Newton does not ascend
-            t, size = step[rows[back], None], np.linalg.norm(tangent[back], axis=1, keepdims=True)
-            trial[back] = np.cos(t) * u[rows[back]] + np.sin(t) * tangent[back] / size
-            trial[back] /= np.linalg.norm(trial[back], axis=1, keepdims=True)
-            f_trial[back], t_trial[back], h_trial[back] = ratio(rows[back], trial[back])
-            step[rows[back]] *= np.where(f_trial[back] > f[rows[back]], 1.5, 0.5)
-        up = f_trial > f[rows]
-        u[rows[up]], f[rows[up]] = trial[up], f_trial[up]
-        tangent = np.where(up[:, None], t_trial, tangent)[live]
-        hess, rows = np.where(up[:, None, None], h_trial, hess)[live], rows[live]
-    return np.maximum(f, vals.max(axis=1)).reshape(n, c.size).max(axis=1)
+    rinv = np.linalg.inv(root)
+    best = np.full(n, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u_inf = np.linalg.solve((root.T @ root)[1:, 1:], w[:, 1:].T).T[:, None, :]
+        for level in c:
+            rho = np.sqrt(max(0.0, 1.0 - level * level))
+            if rho == 0.0:
+                u = np.zeros((n, 1, K - 1))
+            else:
+                u = np.concatenate([_stationary_directions(w, rinv, level), u_inf], axis=1)
+                u /= np.abs(u).max(axis=2, keepdims=True)  # so the norm cannot overflow
+                u /= np.linalg.norm(u, axis=2, keepdims=True)
+            # x'w and root x at the slice points x = (c, +-rho u)
+            along, across = level * w[:, :1], rho * (u @ w[:, 1:, None])[:, :, 0]
+            top, side = level * root[:, 0], rho * u @ root[:, 1:].T
+            for sign in (1.0, -1.0):
+                f = (along + sign * across) / np.linalg.norm(top + sign * side, axis=2)
+                best = np.fmax(best, np.fmax.reduce(f, axis=1))
+    return best
 
 
 def extract_limit_cdf(
@@ -271,15 +272,15 @@ def extract_limit_cdf(
     the slice maxima collapse to closed forms in one Gaussian coordinate plus
     an independent chi distributed radius.  A general ``limit_matrix`` takes
     all slice maxima in batches of replicates, so memory stays bounded in
-    ``reps``: the best of 512 fixed slice directions, then a Riemannian Newton
-    climb to the local maximum (``_slice_ratio_maxima``).  ``interval``
-    mode is exact, as in the identity case: the supremum of x'w / ||root x||
-    with w = root' eps is ||eps|| when the free maximiser M^-1 w lies in the
-    cone |x_0| <= (Delta/||beta||) ||x||, else the larger slice maximum at
-    +-Delta.  One sequential stream feeds both modes, so they see the same
-    draws at one seed.  Whenever Delta exceeds ||beta|| the level sets are
-    empty and the answer is 1 (single level) or the K-dof chi-square tail
-    rule (interval).
+    ``reps``; each is the largest value over the slice's stationary points,
+    the roots of one polynomial per replicate (``_slice_ratio_maxima``).
+    ``interval`` mode combines them as in the identity case: the supremum of
+    x'w / ||root x|| with w = root' eps is ||eps|| when the free maximiser
+    M^-1 w lies in the cone |x_0| <= (Delta/||beta||) ||x||, else the larger
+    slice maximum at +-Delta.  One sequential stream feeds both modes, so
+    they see the same draws at one seed.  Whenever Delta exceeds ||beta|| the
+    level sets are empty and the answer is 1 (single level) or the K-dof
+    chi-square tail rule (interval).
     """
     if not (K >= 2 and reps >= 1 and Delta >= 0 and beta_norm >= 0) or np.isnan(q):
         raise ParameterError("need K >= 2, reps >= 1, Delta >= 0, beta_norm >= 0 and q not NaN; "
@@ -298,7 +299,7 @@ def extract_limit_cdf(
     gen = rng.generator()
     if limit_matrix is not None:
         c = np.array([s] if mode == "single_level" else [-s, s])
-        rows = _chunk_rows(reps, 512 * c.size)
+        rows = _chunk_rows(reps, 30 * K * K)  # _slice_ratio_maxima keeps about 30 K^2 values a row
         count = 0
         for start in range(0, reps, rows):
             eps = gen.standard_normal((min(rows, reps - start), K))
@@ -323,8 +324,3 @@ def extract_limit_cdf(
         )
     return float(np.mean(stats <= q))
 
-
-def sphere_grid(K: int, n: int, rng: Rng) -> np.ndarray:
-    """n roughly uniform directions on the unit sphere in R^K."""
-    g = rng.generator().standard_normal((n, K))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)

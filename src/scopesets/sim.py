@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .dist import Rng, _t_quantile, quantile, t_cdf
+from .dist import Rng, _t_quantile, t_cdf
 from .domain import Domain, Field, same_domain
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
@@ -158,7 +158,7 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
     one's bound.
     """
     J = tmat.shape[1]
-    lo, hi, s75 = (quantile("t", 1 - p / 2, df=df) for p in
+    lo, hi, s75 = (-_t_quantile(p / 2, df) for p in
                    (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * J, 1), 0.5))
     a = np.abs(tmat)
     near75 = np.abs(a - s75) <= 1e-6 * s75

@@ -1,6 +1,7 @@
 """Shared pytest hooks and helpers: collect acceptance-criterion outcomes and
 print them as a summary section at the end of the run; measure the traced
-memory peak of a block; reference functions that only the tests call, among
+memory peak of a block; draw fixed direction grids on the sphere
+(``sphere_grid``); reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
 bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
 match bit for bit, the earlier simulation loop whose tables ``simulate``
@@ -44,6 +45,12 @@ def peak_traced_mb():
     finally:
         peak.mb = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.stop()
+
+
+def sphere_grid(K: int, n: int, rng: Rng) -> np.ndarray:
+    """n roughly uniform directions on the unit sphere in R^K."""
+    g = rng.generator().standard_normal((n, K))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def normal_cdf(x):

@@ -346,7 +346,7 @@ SIM_CONFIG_ERRORS = [
     ("methods=scb(y)", "scb(y)"),
     ("methods=log_kappa(inf)", "finite kappa"),
     ("baselines=bh,bh,hommel", "duplicate method or baseline 'bh'"),
-    ("alpha=1e-17", "quantile level must be in (0, 1), got 1.0"),
+    ("alpha=1e-17", "config key 'alpha' must be >= 2**-52, got 1e-17"),
 ]
 
 
@@ -464,6 +464,19 @@ def test_tiny_alpha_whose_per_point_level_rounds_to_1_exits_0(tmp_path, capsys, 
         meta = next(csv.DictReader((out / "insig_report.csv").read_text().splitlines()))
     assert np.isfinite(float(meta["k"])) and np.isfinite(float(meta["q_hat"]))
     assert float(meta["q_hat"]) > 0
+
+
+@pytest.mark.parametrize("alpha", ["1e-15", "2.220446049250313e-16"])
+def test_simulate_with_a_tiny_alpha_exits_0(tmp_path, capsys, alpha):
+    # the per-point levels (1 - alpha)^(1/m) of its tables and the step-up levels
+    # 1 - alpha/(2J) of its baselines round to 1: both are solved on their tails
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG.replace("alpha=0.1", f"alpha={alpha}").replace("reps=120", "reps=20")
+                   .replace("sided=two_sided", "sided=both"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    rows = list(csv.DictReader((tmp_path / "o" / "modelC_table.csv").read_text().splitlines()))
+    assert len(rows) == 2 * (2 * 3 + 2)
+    assert all(row["cov"] == "100.0" for row in rows if row["method"] not in ("hommel", "bh"))
 
 
 @pytest.mark.parametrize("sided", ["one_sided", "two_sided"])

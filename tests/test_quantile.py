@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -90,6 +92,19 @@ class TestIidQuantile:
         base = np.array([(1.0 - 1e-15) ** (1.0 / m) for m in range(1, J + 1)])
         for level in (base, (1.0 + base) / 2.0):
             assert 0 < np.count_nonzero(level == 1.0) < J  # both sides of the switch are covered
+
+
+    @pytest.mark.parametrize("df", [19, np.inf])
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-10, 0.05])
+    def test_every_table_entry_keeps_its_tail(self, alpha, df):
+        # a level (1 - alpha)^(1/m) near 1 would keep only the digits of alpha/m above
+        # the rounding of 1; the tail keeps them all, so the q are distinct and exact
+        J = 300
+        for sided, halve in (("one_sided", 1.0), ("two_sided", 2.0)):
+            table = quantile._iid_table(J, alpha, df, sided)
+            tail = -np.expm1(np.log1p(-alpha) / np.arange(1, J + 1)) / halve
+            np.testing.assert_allclose(t_cdf(-table[1:], df), tail, rtol=1e-12)
+            assert np.all(np.diff(table) > 0)
 
 
 class TestStorey:
@@ -461,11 +476,19 @@ def test_bracketed_root_reads_the_t_cdf_once_per_step_bit_for_bit(monkeypatch, t
 
 
 def test_iid_quantile_is_the_closed_form_bit_for_bit():
+    # q = -F^-1(sf) on the tail sf = 1 - 0.9^(1/m), halved when two-sided: the level
+    # form F^-1(0.9^(1/m)) up to the rounding of a level near 1
     for m in (1, 5, 80):
         for df in (np.inf, 39.0):
+            sf = -math.expm1(math.log1p(-0.1) / m)
+            one, two = (iid_quantile(m, 0.1, df, sided).q for sided in ("one_sided", "two_sided"))
+            assert one == -dq("t", sf, df=df)
+            assert two == -dq("t", sf / 2, df=df)
             base = 0.9 ** (1.0 / m)
-            assert iid_quantile(m, 0.1, df, "one_sided").q == dq("t", base, df=df)
-            assert iid_quantile(m, 0.1, df, "two_sided").q == dq("t", (1.0 + base) / 2.0, df=df)
+            assert one == pytest.approx(dq("t", base, df=df), rel=1e-12)
+            assert two == pytest.approx(dq("t", (1.0 + base) / 2.0, df=df), rel=1e-12)
+            lower = quantile._iid_exact(m, 0, 0.1, df, "lower").q
+            assert lower == -dq("t", -math.expm1(math.log(0.1) / m), df=df)
 
 
 class TestMultiplierBootstrap:
