@@ -58,8 +58,11 @@ class ScopeBands:
             raise ParameterError("the critical value q must not be NaN")
         if not self.tau > 0:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
-        v = self.sigma.values
-        if not ((v > 0) & (v < np.inf)).all():
+        if not self.tau < np.inf:  # an infinite rate makes every margin NaN or infinite
+            raise ParameterError(f"tau must be finite, got {self.tau}")
+        v = self.sigma.values  # NaN-free (``Field``): its min and max bound every value
+        object.__setattr__(self, "_sigma_max", np.maximum.reduce(v))  # for ``_excursions``
+        if not (np.minimum.reduce(v) > 0 and self._sigma_max < np.inf):
             raise ParameterError("sigma must be strictly positive and finite")
 
     def half_width(self) -> np.ndarray:
@@ -80,6 +83,18 @@ def _moved(c, delta):
     if isinstance(delta, float) and -np.inf < delta < np.inf:  # then c + delta keeps infinities
         return c + delta
     return c + np.where(np.isinf(c), 0.0, delta)
+
+
+def _excursions(values, lower, upper, q, bands):
+    """``widened_excursions`` at the margin w = q*tau*sigma of ``bands``; arrays broadcast.
+
+    Finite tau and sigma make w finite when q*tau*max(sigma) is, and then c -/+ w keeps infinite
+    c fixed by itself: bit for bit ``_moved``, whose guard only an infinite or NaN w needs.
+    """
+    w = q * bands.tau * bands.sigma.values
+    if -np.inf < q * bands.tau * bands._sigma_max < np.inf:
+        return values < lower - w, values > upper + w
+    return widened_excursions(values, lower, upper, w)
 
 
 def widened_excursions(values, lower, upper, w):
@@ -140,10 +155,12 @@ def scope_event(mu_hat: Field, mu: Field, bands: ScopeBands, fam: ThresholdFamil
     of ``mu_hat`` below c- - q*tau*sigma is contained in {mu < c-}, and dually
     for every upper-control threshold.
     """
-    same_domain(mu_hat, mu, bands.sigma)
-    lower = [c.values for c in fam.lower]
-    upper = [c.values for c in fam.upper]
-    return bool(inclusion_event(mu_hat.values, mu.values, lower, upper, bands.half_width()))
+    same_domain(mu_hat, mu, bands.sigma, *fam.lower, *fam.upper)
+    m = mu.values  # ``inclusion_event`` on one realization, thresholds stacked as rows
+    lower, upper = (np.asarray([c.values for c in cs]).reshape(len(cs), m.size)
+                    for cs in (fam.lower, fam.upper))
+    below, above = _excursions(mu_hat.values, lower, upper, bands.q, bands)
+    return not ((below & ~(m < lower)).any() or (above & ~(m > upper)).any())
 
 
 def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) -> Partition3:
@@ -156,9 +173,7 @@ def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) 
         raise ParameterError("partition3 needs a nonnegative critical value")
     if b_minus is not b_plus and (b_minus.values > b_plus.values).any():
         raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
-    below, above = widened_excursions(
-        mu_hat.values, b_minus.values, b_plus.values, bands.half_width()
-    )
+    below, above = _excursions(mu_hat.values, b_minus.values, b_plus.values, bands.q, bands)
     return Partition3(
         IndexSet.from_mask(below), IndexSet.from_mask(~(below | above)), IndexSet.from_mask(above)
     )
@@ -172,8 +187,8 @@ def contour_regions(mu_hat: Field, levels, bands: ScopeBands) -> list[IndexSet]:
     lev = np.asarray(levels, dtype=float).reshape(-1, 1)
     if not np.isfinite(lev).all():
         raise ParameterError("contour levels must be finite")
-    w, v = bands.half_width(), mu_hat.values  # finite levels need no guard: lev - w is lev + (-w)
-    return [IndexSet.from_mask(row) for row in ~((v < lev - w) | (v > lev + w))]
+    below, above = _excursions(mu_hat.values, lev, lev, bands.q, bands)
+    return [IndexSet.from_mask(row) for row in ~(below | above)]
 
 
 def roi_adapt(b: Field, roi: IndexSet) -> tuple[Field, Field]:

@@ -11,8 +11,11 @@ touches the first shifted edge from above and whose plain sup runs where it
 touches the second from below.  The decision reads the sets where the estimate
 lies below the first edge minus q*tau*sigma and above the second plus
 q*tau*sigma: their union for grT and lrT, their intersection for leT, their
-emptiness for eT.  The template runs on plain arrays: each target-edge gap is
-computed once, and each shifted edge yields only the touch side its sup reads.
+emptiness for eT.  The template runs on plain arrays: d reads one ``_gap`` of the
+target against both edges, stacked once per ``BandSpec``; each shifted edge keeps
+its own gap against the moved edge (r - (c + s) is not (r - c) - s in floating
+point) and yields only the touch side its sup reads; the widened edges follow
+``excursion._excursions``: one subtract or add per edge unless the margin is infinite.
 
 Oracle calibration (target known) is the validated path; plug-in calibration,
 which estimates the touch sets from the data, is exposed but experimental.
@@ -28,7 +31,7 @@ import numpy as np
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, _moved, widened_excursions
+from .excursion import ScopeBands, _excursions, _moved
 from .preimage import _touch_side
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        mc_oracle_quantile)
@@ -41,14 +44,13 @@ class BandSpec:
 
     b_minus: Field
     b_plus: Field
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         same_domain(self.b_minus, self.b_plus)
         if np.any(self.b_minus.values > self.b_plus.values):
             raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
-
-    def gap(self) -> np.ndarray:
-        return _gap(self.b_plus.values, self.b_minus.values)
+        object.__setattr__(self, "_edges", np.stack((self.b_minus.values, self.b_plus.values)))
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,16 @@ class Calibration:
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
     """Smallest distances of the target to each band edge (and their min)."""
     same_domain(mu, band.b_minus)
-    d_minus = float(np.abs(_gap(mu.values, band.b_minus.values)).min())
-    d_plus = float(np.abs(_gap(mu.values, band.b_plus.values)).min())
+    d_minus, d_plus = np.minimum.reduce(np.abs(_gap(mu.values, band._edges)), axis=1).tolist()
     return min(d_minus, d_plus), d_minus, d_plus
 
 
 def delta_eqv(mu: Field, band: BandSpec) -> float:
     """Largest signed exceedance of the target over the band (<= 0 inside)."""
     same_domain(mu, band.b_minus)
-    over = _gap(mu.values, band.b_plus.values).max()
-    under = _gap(band.b_minus.values, mu.values).max()
-    return float(max(over, under))
+    under, over = _gap(mu.values, band._edges)  # mu - b_minus, mu - b_plus; zeros are +0.0
+    # b_minus - mu is -(mu - b_minus), and 0.0 - x keeps a touch at +0.0 where -x would not
+    return float(max(np.maximum.reduce(over), 0.0 - np.minimum.reduce(under)))
 
 
 def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> QuantileEstimate:
@@ -108,7 +109,8 @@ def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> Q
     if not (iid_t or cov == "iid_normal"):
         raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation matrix, '
                              f"got {cov!r}")
-    return _iid_exact(int(np.count_nonzero(neg ^ pos)), int(np.count_nonzero(neg & pos)),
+    both = int(np.count_nonzero(neg & pos))  # one AND pass; the rest are popcounts of the masks
+    return _iid_exact(int(np.count_nonzero(neg) + np.count_nonzero(pos)) - 2 * both, both,
                       cal.alpha, float(cov[1]) if iid_t else np.inf, tail)
 
 
@@ -144,8 +146,7 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
         neg = _touch_side(ref, _moved(first.values, s), tol)
         pos = _touch_side(_moved(second.values, -s), ref, tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
-    w = est.q * bands.tau * bands.sigma.values
-    below, above = widened_excursions(mu_hat.values, first.values, second.values, w)
+    below, above = _excursions(mu_hat.values, first.values, second.values, est.q, bands)
     hits = below & above if kind == "leT" else below | above
     if kind == "eT":
         return TestDecision(kind, est, d, global_reject=not hits.any())
@@ -153,13 +154,8 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
                         rejected=IndexSet.from_mask(hits))
 
 
-def grt(
-    mu_hat: Field,
-    band: BandSpec,
-    bands: ScopeBands,
-    quantile=None,
-    mu: Field | None = None,
-) -> TestDecision:
+def grt(mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile=None,
+        mu: Field | None = None) -> TestDecision:
     """Global relevance test: is the target anywhere outside the band?
 
     Rejects when a widened excursion set of the estimate escapes the band.
@@ -170,13 +166,8 @@ def grt(
     return _band_test("grT", mu_hat, band, bands, quantile, mu)
 
 
-def lrt(
-    mu_hat: Field,
-    band: BandSpec,
-    bands: ScopeBands,
-    quantile=None,
-    mu: Field | None = None,
-) -> TestDecision:
+def lrt(mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile=None,
+        mu: Field | None = None) -> TestDecision:
     """Local relevance test: familywise-valid out-of-band flags per point.
 
     The calibrating band shifts inward by the smallest target-to-edge
@@ -186,13 +177,8 @@ def lrt(
     return _band_test("lrT", mu_hat, band, bands, quantile, mu)
 
 
-def et(
-    mu_hat: Field,
-    band: BandSpec,
-    bands: ScopeBands,
-    quantile=None,
-    mu: Field | None = None,
-) -> TestDecision:
+def et(mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile=None,
+       mu: Field | None = None) -> TestDecision:
     """Global equivalence test: conclude the target sits inside the band.
 
     Needs a strictly positive band gap.  The critical value is the lower
@@ -202,13 +188,8 @@ def et(
     return _band_test("eT", mu_hat, band, bands, quantile, mu)
 
 
-def let_(
-    mu_hat: Field,
-    band: BandSpec,
-    bands: ScopeBands,
-    quantile=None,
-    mu: Field | None = None,
-) -> TestDecision:
+def let_(mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile=None,
+         mu: Field | None = None) -> TestDecision:
     """Local equivalence test: pointwise in-band conclusions.
 
     Equivalence is declared at the points where the estimate lies strictly

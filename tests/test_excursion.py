@@ -6,10 +6,11 @@ from conftest import (peak_traced_mb, reference_check_bands, reference_contour_r
                       reference_field_values, reference_inclusion_event, reference_partition3,
                       reference_scope_event, reference_widened_excursions)
 from scopesets.domain import Domain, Field, IndexSet
-from scopesets.errors import ParameterError, ThresholdOrderError
+from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
+    _excursions,
     _moved,
     contour_regions,
     inclusion_event,
@@ -138,6 +139,14 @@ class TestScopeEvent:
                 assert scope_event(mu_hat, mu, ScopeBands(q, tau, sigma), fam)
         assert hits > 50  # the premise fired often enough to be meaningful
 
+    def test_thresholds_on_another_domain_raise(self):
+        # a one-point family used to broadcast against any domain and pass silently
+        mu = fld(-1.0, 0.0, 1.0)
+        for J in (1, 4):
+            fam = ThresholdFamily.symmetric([Field.constant(Domain(J), 0.0)])
+            with pytest.raises(DomainMismatchError):
+                scope_event(mu, mu, make_bands(mu.domain, 1.0), fam)
+
 
 class TestScopeBandsCriticalValue:
     def test_nan_q_is_rejected(self):
@@ -166,6 +175,18 @@ class TestScopeBandsCriticalValue:
         wide = ScopeBands(np.inf, 0.5, sigma)
         assert len(partition3(mu, band.b_minus, band.b_plus, wide).middle) == 3
         assert len(lrt(mu, band, wide).rejected) == 0
+
+    def test_infinite_tau_is_rejected(self):
+        # an infinite rate used to pass: its margin was NaN at q = 0, and partition3 then put
+        # every point in the middle class, with no error
+        dom = Domain(3)
+        sigma, zero = Field.constant(dom, 1.0), Field.constant(dom, 0.0)
+        for q in (0.0, 1.0):
+            with pytest.raises(ParameterError, match="tau must be finite, got inf"):
+                ScopeBands(q, np.inf, sigma)
+        with pytest.raises(ParameterError, match="tau must be finite"):
+            scb_scope_equivalence(zero, zero, sigma, np.inf, 1.0, [zero])
+
 
 class TestPartition3:
     def test_simple_split(self):
@@ -382,6 +403,46 @@ class TestMoved:
     def test_infinite_thresholds_never_move(self):
         np.testing.assert_array_equal(_moved(np.array([np.inf, -np.inf, 1.0]), 5.0),
                                       [np.inf, -np.inf, 6.0])
+
+    @pytest.mark.parametrize("q", [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, 1e300, -1e300])
+    def test_the_bands_margin_rule_is_the_guarded_form_bit_for_bit(self, q):
+        # every (lower, upper) pair of finite, signed-zero and infinite edges; at q = +-1e300 the
+        # margin overflows where sigma is 1e10, among them the edge pairs (inf, inf) and
+        # (-inf, -inf), so a finite q can still need the guard
+        edge = np.array([0.5, 0.0, -0.0, np.inf, -np.inf])
+        lo, hi = (e.ravel() for e in np.meshgrid(edge, edge))
+        dom = Domain(lo.size)
+        huge = np.isin(np.arange(lo.size), [3, 18, 24])  # (inf, 0.5), (inf, inf), (-inf, -inf)
+        bands = ScopeBands(q, 0.5, Field(dom, np.where(huge, 1e10, 0.75)))
+        with np.errstate(over="ignore"):
+            self._check_margin_rule(q, lo, hi, dom, bands, bands.half_width())
+
+    @staticmethod
+    def _check_margin_rule(q, lo, hi, dom, bands, w):
+        if np.isfinite(w).all():  # then the guard changes no bit of a moved edge
+            for c in (lo, hi):
+                assert (c - w).tobytes() == _moved(c, -w).tobytes()
+                assert (c + w).tobytes() == _moved(c, w).tobytes()
+        at_edges = [np.where(np.isfinite(m), m, 0.0) for c in (lo, hi) for m in (_moved(c, -w),
+                                                                                 _moved(c, w))]
+        values = np.array(at_edges + [np.full(lo.size, v) for v in (-np.inf, -1.0, 1.0, np.inf)])
+        want = reference_widened_excursions(values, lo, hi, w)
+        for got in (_excursions(values, lo, hi, q, bands), widened_excursions(values, lo, hi, w)):
+            assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, want))
+        ordered = lo <= hi  # partition3 needs b_minus <= b_plus and q >= 0
+        sub = Domain(int(ordered.sum()))
+        cut = ScopeBands(q, 0.5, Field(sub, bands.sigma.values[ordered]))
+        fam = ThresholdFamily([Field(dom, lo), Field(dom, hi)], [Field(dom, hi)])
+        for row in values:
+            event = inclusion_event(row, lo, [lo, hi], [hi], w)
+            assert scope_event(Field(dom, row), Field(dom, lo), bands, fam) is bool(event)
+            if q >= 0:
+                part = partition3(Field(sub, row[ordered]), Field(sub, lo[ordered]),
+                                  Field(sub, hi[ordered]), cut)
+                want = reference_partition3(Field(sub, row[ordered]), Field(sub, lo[ordered]),
+                                            Field(sub, hi[ordered]), cut)
+                assert [c.members.tolist() for c in (part.lower, part.middle, part.upper)] == \
+                    [m.tolist() for m in want]
 
 
 class TestBandInclusionDuality:

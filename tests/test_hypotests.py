@@ -1,3 +1,4 @@
+import math
 import re
 from itertools import combinations
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_band_test
 from scopesets.dist import Rng, quantile as dq
-from scopesets.domain import Domain, Field, IndexSet
+from scopesets.domain import Domain, Field, IndexSet, _gap
 from scopesets.errors import (DegenerateDataError, DomainMismatchError, ParameterError,
                               ThresholdOrderError)
 from scopesets.excursion import ScopeBands, roi_adapt
@@ -52,13 +53,14 @@ class TestBandSpec:
         band = BandSpec(
             Field(dom, [-np.inf, -1.0, 0.0]), Field(dom, [0.0, np.inf, 1.0])
         )
-        np.testing.assert_array_equal(band.gap(), [np.inf, np.inf, 1.0])
+        np.testing.assert_array_equal(_gap(band.b_plus.values, band.b_minus.values),
+                                      [np.inf, np.inf, 1.0])
 
     def test_equal_infinite_edges_have_zero_gap(self):
         # both edges +inf at index 1: the band is a single point there
         dom = Domain(2)
         band = BandSpec(Field(dom, [0.0, np.inf]), Field(dom, [1.0, np.inf]))
-        np.testing.assert_array_equal(band.gap(), [1.0, 0.0])
+        np.testing.assert_array_equal(_gap(band.b_plus.values, band.b_minus.values), [1.0, 0.0])
         mu_hat = Field(dom, [0.5, np.inf])
         with pytest.raises(ParameterError):
             et(mu_hat, band, unit_bands(dom))
@@ -103,6 +105,17 @@ class TestDeltas:
             dec = test(mu, band, unit_bands(mu.domain, tau=0.1), quantile=Calibration(), mu=mu)
             assert dec.delta == 0.0
             assert dec.quantile_used.support_size == 1  # mu touches b_plus at index 2 only
+
+    @pytest.mark.parametrize("edge", [1.0, np.inf])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_a_touch_gives_plus_zero(self, upper, edge):
+        # == 0.0 cannot tell -0.0 from +0.0, so read the sign bit; a lower touch is the case
+        # where b_minus - mu, the negated gap mu - b_minus, sets delta_eqv
+        mu = fld(0.0, edge) if upper else fld(-edge, 0.0)
+        band = const_band(mu.domain, -1.0, edge) if upper else const_band(mu.domain, -edge, 1.0)
+        zeros = [delta_eqv(mu, band)] + [d for d in delta_rel(mu, band) if d == 0.0]
+        assert zeros == [0.0] * 3
+        assert [math.copysign(1.0, z) for z in zeros] == [1.0] * 3
 
 
 class TestGrt:
