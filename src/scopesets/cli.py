@@ -100,6 +100,8 @@ def _from_flags(fn, *args, **kwargs):
 
 
 def _policy_from_args(args) -> KPolicy:
+    if args.sided is not None:  # scope and insig still parse it, so old command lines run
+        print("warning: --sided is ignored: the touch sets fix each point's law", file=sys.stderr)
     chosen = [x for x in (args.kappa, args.scb_beta, args.k) if x is not None]
     if len(chosen) != 1:
         raise UsageError("choose exactly one of --kappa, --scb-beta, --k")
@@ -170,8 +172,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_scope(args) -> int:
     policy = _policy_from_args(args)
-    if args.level is None and not (args.lower and args.upper):
-        raise UsageError("give --level, or both --lower and --upper")
+    if not bool(args.lower) == bool(args.upper) == (args.level is None):
+        raise UsageError("give --level, or both --lower and --upper, not both")
     if args.level is not None and np.isnan(args.level):
         raise UsageError("--level must be a number, got nan")
     data = _load_matrix(args.data)
@@ -184,7 +186,7 @@ def cmd_scope(args) -> int:
     if np.any(np.greater(lower, upper)):
         raise UsageError("lower threshold exceeds upper threshold somewhere")
 
-    part = scope_partition(data, lower, upper, args.alpha, policy, args.sided)
+    part = scope_partition(data, lower, upper, args.alpha, policy)
     below, above = part.below, part.above
     # distance of a detection to the edge it crossed, in standard errors
     height = np.sqrt(N) * np.abs(part.mean - np.where(below, lower, upper)) / part.sd
@@ -192,7 +194,7 @@ def cmd_scope(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(part.k)}", f"m_hat={part.m_hat}",
-            f"q_hat={_fmt(part.q_hat)}", f"sided={args.sided}"]
+            f"q_hat={_fmt(part.q_hat)}"]
     cls = ["below" if b else ("above" if a else "middle")
            for b, a in zip(below.tolist(), above.tolist())]
     write_columns(out / "partition.csv", ["index", "mean", "sd", "class"], "%d,%.6g,%.6g,%s\n",
@@ -206,7 +208,7 @@ def cmd_scope(args) -> int:
 def cmd_insig(args) -> int:
     policy = _policy_from_args(args)
     data = _load_matrix(args.data)
-    report = insig_report(data, args.alpha, policy, sided=args.sided)
+    report = insig_report(data, args.alpha, policy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_insig_report(report, out / "insig_report.csv", J=data.shape[1])
@@ -325,16 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--lower", default=None, help="lower threshold field CSV")
     sc.add_argument("--upper", default=None, help="upper threshold field CSV")
     sc.add_argument("--alpha", type=float, default=0.1)
-    sc.add_argument("--sided", default="one_sided",
-                    choices=["one_sided", "two_sided"])
+    sc.add_argument("--sided", choices=["one_sided", "two_sided"], help="ignored")
     add_policy_flags(sc)
     add_output_flags(sc, cmd_scope)
 
     ins = sub.add_parser("insig", help="insignificance-value report")
     ins.add_argument("--data", required=True)
     ins.add_argument("--alpha", type=float, default=0.1)
-    ins.add_argument("--sided", default="one_sided",
-                     choices=["one_sided", "two_sided"])
+    ins.add_argument("--sided", choices=["one_sided", "two_sided"], help="ignored")
     add_policy_flags(ins)
     add_output_flags(ins, cmd_insig)
 

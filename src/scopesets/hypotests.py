@@ -6,19 +6,19 @@ lrT and leT and ``delta_eqv`` for the global tests grT and eT.  The edges, taken
 as (b_minus, b_plus) or as (b_plus, b_minus) for leT, move by +d and -d for
 the local tests and by -d and +d for the global ones, so that they touch the
 target.  The critical value q is the upper (for eT the lower) quantile of the
-max-sup statistic whose negated sup runs over the points where the target
-touches the first shifted edge from above and whose plain sup runs where it
-touches the second from below.  The decision reads the sets where the estimate
-lies below the first edge minus q*tau*sigma and above the second plus
-q*tau*sigma: their union for grT and lrT, their intersection for leT, their
-emptiness for eT.  The template runs on plain arrays: d reads one ``_gap`` of the
-target against both edges, stacked once per ``BandSpec``; each shifted edge keeps
-its own gap against the moved edge (r - (c + s) is not (r - c) - s in floating
-point) and yields only the touch side its sup reads; the widened edges follow
-``excursion._excursions``: one subtract or add per edge unless the margin is infinite.
+max-sup statistic whose negated sup runs over the touch set of the first shifted
+edge and plain sup over that of the second, as in ``preimage.scope_partition``:
+each is the union of both sides (``preimage._touched``), where the target meets
+the edge (oracle) or the estimate lies within k*tau*sigma of it (plug-in).  The
+decision reads the sets where the estimate lies below the first edge minus
+q*tau*sigma and above the second plus q*tau*sigma: their union for grT and lrT,
+their intersection for leT, their emptiness for eT.  On plain arrays, d reads one
+``_gap`` of the target against both edges, stacked once per ``BandSpec``; each
+shifted edge keeps its own gap (r - (c + s) is not (r - c) - s in floating point);
+``excursion._excursions`` widens each edge by one subtract or add unless q*tau*sigma is infinite.
 
-Oracle calibration (target known) is the validated path; plug-in calibration,
-which estimates the touch sets from the data, is exposed but experimental.
+Oracle calibration (target known) is validated for all four tests; plug-in calibration,
+which estimates the touch sets from the data, for lrT and leT only: grT and eT are experimental.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import ScopeBands, _excursions, _moved
-from .preimage import _touch_side
+from .preimage import _touched
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
-                       mc_oracle_quantile)
+                       _touch_counts, mc_oracle_quantile)
 from .quantile import t_pvalues  # noqa: F401  (re-exported)
 
 
@@ -109,9 +109,8 @@ def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> Q
     if not (iid_t or cov == "iid_normal"):
         raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation matrix, '
                              f"got {cov!r}")
-    both = int(np.count_nonzero(neg & pos))  # one AND pass; the rest are popcounts of the masks
-    return _iid_exact(int(np.count_nonzero(neg) + np.count_nonzero(pos)) - 2 * both, both,
-                      cal.alpha, float(cov[1]) if iid_t else np.inf, tail)
+    return _iid_exact(*_touch_counts(neg, pos), cal.alpha, float(cov[1]) if iid_t else np.inf,
+                      tail)
 
 
 def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile,
@@ -143,8 +142,8 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
             raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
             ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
-        neg = _touch_side(ref, _moved(first.values, s), tol)
-        pos = _touch_side(_moved(second.values, -s), ref, tol)
+        neg = _touched(ref, (_moved(first.values, s),), tol)
+        pos = _touched(ref, (_moved(second.values, -s),), tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
     below, above = _excursions(mu_hat.values, first.values, second.values, est.q, bands)
     hits = below & above if kind == "leT" else below | above

@@ -59,15 +59,15 @@ def iv_obs(heights, discoveries: IndexSet, M: int, m: int, df: float) -> float |
     return iv_qhat(M, m, q_min, df)
 
 
-def insig_report(data, alpha: float, policy: KPolicy, sided: str = "one_sided") -> InsigReport:
+def insig_report(data, alpha: float, policy: KPolicy) -> InsigReport:
     """Full zero-threshold discovery analysis of an N x J sample.
 
-    Pipeline: the plug-in partition at level 0 (``scope_partition``), whose
-    classes below and above zero are the discoveries, then the
+    Pipeline: the plug-in partition at level 0 (``scope_partition``, on the two-sided law of
+    its touch set), whose classes below and above zero are the discoveries, then the
     insignificance-value grid IV_J^obs, IV_J^qhat, IV_{J-m1}^qhat, IV_{m0}^qhat
     with N - 1 degrees of freedom.
     """
-    part = scope_partition(data, 0.0, 0.0, alpha, policy, sided)
+    part = scope_partition(data, 0.0, 0.0, alpha, policy)
     N, J = np.shape(data)
     df = N - 1
     heights = np.sqrt(N) * np.abs(part.mean) / part.sd

@@ -5,8 +5,8 @@ points where the target meets the family within a tolerance eta, split by the
 side from which the graphs touch.  The plugin estimate replaces the target by
 an estimate and eta by k * tau * sigma.
 
-Inside the package touch sets are masks of plain arrays (``_touch_side``, ``_touch_masks``,
-``_touched``); the ``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
+Inside the package touch sets are masks of plain arrays (``_touch_masks``, ``_touched``); the
+``*_preimage_sets`` functions and ``scope_partition`` are the public boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .dist import Rng
 from .domain import Field, IndexSet, _gap, hausdorff_distance, same_domain
 from .errors import ParameterError, ThresholdOrderError
 from .excursion import widened_excursions
-from .quantile import column_summary, iid_quantile
+from .quantile import _iid_exact, _touch_counts, column_summary, iid_quantile
 
 
 @dataclass(frozen=True)
@@ -69,36 +69,28 @@ class KPolicy:
         return f"k={format(self.k, 'g')}"
 
 
-def _touch_side(values, c, tol):
-    """Plus-side touch mask 0 <= values - c <= tol; swapping values and c gives the minus side.
-
-    Arrays or scalars that broadcast.  Equal values, infinities included, are at distance 0,
-    the only distance a zero tolerance keeps; other differences with an infinity are infinite
-    with their own sign, so they count on that side and only under an infinite tolerance.
-    """
-    if isinstance(tol, float) and tol == 0.0:
-        return np.equal(values, c)
-    diff = _gap(values, c)
-    return (diff >= 0) & (diff <= tol)
-
-
 def _touch_masks(values: np.ndarray, thresholds, tol):
-    """Plus-side and minus-side touch masks (``_touch_side``), OR-ed over ``thresholds``."""
+    """Plus-side 0 <= values - c <= tol and minus-side -tol <= values - c <= 0 masks, OR-ed over
+    ``thresholds``, from one ``_gap`` each: equal values (infinities too) are at distance 0; other
+    differences with an infinity are infinite with their sign: only an infinite tol keeps them."""
     plus = np.zeros(np.shape(values), dtype=bool)
     minus = np.zeros(np.shape(values), dtype=bool)
     for c in thresholds:
-        plus |= _touch_side(values, c, tol)
-        minus |= _touch_side(c, values, tol)
+        d = _gap(values, c)
+        plus |= (d >= 0) & (d <= tol)
+        minus |= (d <= 0) & (d >= -tol)
     return plus, minus
 
 
 def _touched(values: np.ndarray, thresholds, tol):
     """Both ``_touch_masks`` sides at once, bit for bit: |values - c| <= tol for some c."""
-    out = np.zeros(np.shape(values), dtype=bool)
-    for c in thresholds:
+    out = None
+    for c in thresholds:  # a float tol 0.0 keeps equal values alone, infinities too: np.equal
         finite = isinstance(c, float) and -np.inf < c < np.inf  # then values - c forms no inf - inf
-        out |= np.abs(values - c if finite else _gap(values, c)) <= tol
-    return out
+        hit = (np.equal(values, c) if isinstance(tol, float) and tol == 0.0
+               else np.abs(values - c if finite else _gap(values, c)) <= tol)
+        out = hit if out is None else out | hit
+    return np.zeros(np.shape(values), dtype=bool) if out is None else out
 
 
 def _sets(plus: np.ndarray, minus: np.ndarray) -> PreimageSets:
@@ -155,15 +147,24 @@ class ScopePartition:
     above: np.ndarray
 
 
-def scope_partition(data, lower, upper, alpha: float, policy: KPolicy,
-                    sided: str = "one_sided") -> ScopePartition:
+def _partition_rows(mean, sd, lower, upper, alpha: float, k: float, tau: float, df):
+    """``scope_partition``'s m_hat, q_hat, below and above per (B, J) row (or one (J,) row) of
+    column means and sds, with ``_iid_exact`` solved once per distinct (n_one, n_both) pair."""
+    n_one, n_both = _touch_counts(*(_touched(mean, (c,), k * tau * sd) for c in (lower, upper)))
+    pairs = list(zip(np.ravel(n_one).tolist(), np.ravel(n_both).tolist()))
+    solved = {pair: _iid_exact(*pair, alpha, df, "upper").q for pair in set(pairs)}
+    q = np.reshape([solved[pair] for pair in pairs], np.shape(n_one))
+    return n_one + n_both, q, *widened_excursions(mean, lower, upper, q[..., None] * tau * sd)
+
+
+def scope_partition(data, lower, upper, alpha: float, policy: KPolicy) -> ScopePartition:
     """Plug-in SCoPE partition of the columns of an N x J sample (rows are observations).
 
-    With tau = 1/sqrt(N), m_hat counts the columns whose mean is within k*tau*sd
-    of ``lower`` or ``upper`` (scalars or length-J arrays, lower <= upper), q_hat
-    is the iid t critical value for m_hat points and N - 1 degrees of freedom,
-    and a column is below if its mean is under lower - q_hat*tau*sd, above if
-    over upper + q_hat*tau*sd.  Infinite edges never move.
+    With tau = 1/sqrt(N), m_hat counts the columns whose mean is within k*tau*sd of ``lower`` or
+    ``upper`` (scalars or length-J arrays, lower <= upper), q_hat is the iid t critical value on
+    N - 1 degrees of freedom of each edge's touch set (``_partition_rows``: two-sided at a level,
+    one-sided on separated edges), and a column is below if its mean is under lower -
+    q_hat*tau*sd, above if over upper + q_hat*tau*sd.  Infinite edges never move.
     """
     if np.any(np.greater(lower, upper)):
         raise ThresholdOrderError("lower must be <= upper pointwise")
@@ -171,10 +172,8 @@ def scope_partition(data, lower, upper, alpha: float, policy: KPolicy,
     N, J = np.shape(data)
     tau = 1.0 / np.sqrt(N)
     k = resolve_k(policy, N, J, df=N - 1)
-    m_hat = int(np.count_nonzero(_touched(mean, (lower, upper), k * tau * sd)))
-    q_hat = iid_quantile(m_hat, alpha, df=N - 1, sided=sided).q
-    below, above = widened_excursions(mean, lower, upper, q_hat * tau * sd)
-    return ScopePartition(mean, sd, k, m_hat, q_hat, below, above)
+    m_hat, q_hat, below, above = _partition_rows(mean, sd, lower, upper, alpha, k, tau, N - 1)
+    return ScopePartition(mean, sd, k, int(m_hat), float(q_hat), below, above)
 
 
 def consistency_probe(

@@ -108,6 +108,16 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)
 
 
+def _touch_counts(neg, pos):
+    """(n_one, n_both) of touch masks ``neg`` and ``pos``: ints on 1-D masks, else per row."""
+    both = neg & pos
+    if both.ndim == 1:  # no axis: about 3x faster than axis=-1 at J = 80
+        n_both = int(np.count_nonzero(both))
+        return int(np.count_nonzero(neg) + np.count_nonzero(pos)) - 2 * n_both, n_both
+    n_both = np.count_nonzero(both, axis=-1)
+    return np.count_nonzero(neg, axis=-1) + np.count_nonzero(pos, axis=-1) - 2 * n_both, n_both
+
+
 def _tail_sf(alpha: float, m: int, tail: str, two_sided: bool) -> float:
     """1 - F(q) where F(q)^m, or (2F(q) - 1)^m when ``two_sided``, equals 1 - alpha
     (upper ``tail``) or alpha (lower): -expm1(log(target) / m), halved when two-sided,

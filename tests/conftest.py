@@ -1,5 +1,6 @@
 """Shared pytest hooks and helpers: collect acceptance-criterion outcomes and
-print them as a summary section at the end of the run; measure the traced
+Monte-Carlo familywise rates and print them as summary sections at the end of
+the run; measure the traced
 memory peak of a block; draw fixed direction grids on the sphere
 (``sphere_grid``); reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
@@ -7,7 +8,8 @@ bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
 match bit for bit, the earlier simulation loop whose tables ``simulate``
 must reproduce byte for byte, and the earlier SCoPE kernel (field and band
 checks, ``partition3``, ``contour_regions``, the inclusion event) whose results
-and errors the excursion module must reproduce bit for bit."""
+and errors the excursion module must reproduce bit for bit, and the earlier
+one-side touch rule that ``preimage._touch_masks`` must match bit for bit."""
 
 import functools
 import tracemalloc
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from scopesets.dist import Rng, _t_quantile, quantile as dist_quantile, t_cdf
-from scopesets.domain import IndexSet, same_domain
+from scopesets.domain import IndexSet, _gap, same_domain
 from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.excursion import widened_excursions
 from scopesets.hypotests import (Calibration, TestDecision, _solve_q, bh_reject_mask,
@@ -29,6 +31,7 @@ from scopesets.sim import (SimTableRow, _draw_tstats, _step_up_cuts, _t_pvalues,
                            parse_method)
 
 CRITERION_LINES = []
+RATE_LINES = []
 
 
 @contextmanager
@@ -89,6 +92,15 @@ def zero_inclusion_event(spec, beta_hat, q: float) -> bool:
     return stat <= q
 
 
+def reference_touch_side(values, c, tol):
+    """Plus-side touch mask 0 <= values - c <= tol as one side was once computed on its own;
+    swapping values and c gives the minus side."""
+    if isinstance(tol, float) and tol == 0.0:
+        return np.equal(values, c)
+    diff = _gap(values, c)
+    return (diff >= 0) & (diff <= tol)
+
+
 def _ref_gap(a, b):
     with np.errstate(invalid="ignore"):  # inf - inf is NaN before np.where replaces it
         return np.where(a == b, 0.0, np.subtract(a, b))
@@ -125,7 +137,8 @@ def _ref_delta_eqv(mu, band):
 def reference_band_test(kind, mu_hat, band, bands, quantile, mu):
     """The band-test template as it was before it moved onto plain arrays, with its
     helpers of that time: each call builds both touch sides of each shifted edge
-    and keeps one, and computes d through ``delta_rel`` / ``delta_eqv``."""
+    and takes their union as that edge's touch set, and computes d through
+    ``delta_rel`` / ``delta_eqv``."""
     if kind in ("eT", "leT") and not np.all(_ref_gap(band.b_plus.values, band.b_minus.values) > 0):
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     local = kind in ("lrT", "leT")
@@ -149,8 +162,8 @@ def reference_band_test(kind, mu_hat, band, bands, quantile, mu):
             raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
             ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
-        neg = _ref_touch_masks(ref, (_ref_moved(first.values, s),), tol)[0]
-        pos = _ref_touch_masks(ref, (_ref_moved(second.values, -s),), tol)[1]
+        neg = np.logical_or(*_ref_touch_masks(ref, (_ref_moved(first.values, s),), tol))
+        pos = np.logical_or(*_ref_touch_masks(ref, (_ref_moved(second.values, -s),), tol))
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
     w = est.q * bands.tau * bands.sigma.values
     below = mu_hat.values < _ref_moved(first.values, -w)
@@ -341,8 +354,14 @@ def record_criterion(line: str) -> None:
     CRITERION_LINES.append(line)
 
 
+def record_rate(line: str) -> None:
+    RATE_LINES.append(line)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if CRITERION_LINES:
-        terminalreporter.section("acceptance criteria")
-        for line in CRITERION_LINES:
-            terminalreporter.write_line(line)
+    for title, lines in (("acceptance criteria", CRITERION_LINES),
+                         ("Monte-Carlo familywise error rates", RATE_LINES)):
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

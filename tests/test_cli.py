@@ -162,6 +162,20 @@ class TestScopeCommand:
                    "--kappa", "3", "--k", "1.0", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("edges", [["--lower", "lo.csv", "--upper", "missing.csv"],
+                                       ["--lower", "lo.csv"], ["--upper", "missing.csv"]])
+    def test_a_level_with_an_edge_file_exits_2(self, tmp_path, capsys, edges):
+        # the level would silently win over the edge files, which are never opened
+        data_path = tmp_path / "d.csv"
+        write_data(data_path, Rng(3))
+        save_field(Field(Domain(8), np.zeros(8)), tmp_path / "lo.csv")
+        rc = main(["scope", "--data", str(data_path), "--level", "0", "--kappa", "3",
+                   *(str(tmp_path / e) if e.endswith(".csv") else e for e in edges),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and "not both" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestInsigCommand:
     def test_report_row(self, tmp_path):
@@ -488,17 +502,37 @@ def test_simulate_with_a_tiny_alpha_exits_0(tmp_path, capsys, alpha):
 def test_scope_at_level_zero_and_insig_share_one_partition(tmp_path, capsys, flags, policy, sided):
     data_path = tmp_path / "d.csv"
     write_data(data_path, Rng(6), N=40, J=30, mu=np.repeat([-0.6, 0.0, 0.4], 10))
+    # --sided is read and ignored: the touch sets fix each point's law
     common = ["--data", str(data_path), *flags, "--sided", sided, "--alpha", "0.1"]
     assert main(["scope", *common, "--level", "0", "--out", str(tmp_path / "s")]) == 0
     assert main(["insig", *common, "--out", str(tmp_path / "i")]) == 0
-    printed = dict(item.split("=") for item in capsys.readouterr().out.split())
+    captured = capsys.readouterr()
+    assert captured.err.count("warning: --sided is ignored") == 2
+    printed = dict(item.split("=") for item in captured.out.split())
     lines = (tmp_path / "s" / "partition.csv").read_text().splitlines()
     meta = dict(line[2:].split("=") for line in lines if line.startswith("# "))
     row = next(csv.DictReader((tmp_path / "i" / "insig_report.csv").read_text().splitlines()))
     assert meta["k"] == row["k"] == printed["k"]
     assert meta["q_hat"] == row["q_hat"] == printed["q_hat"]
-    report = insig_report(np.loadtxt(data_path, delimiter=","), 0.1, policy, sided=sided)
+    report = insig_report(np.loadtxt(data_path, delimiter=","), 0.1, policy)
     assert int(meta["m_hat"]) == report.m_hat
     detections = (tmp_path / "s" / "detections.csv").read_text().splitlines()
     n_rows = len([line for line in detections if not line.startswith("#")]) - 1
     assert n_rows == int(row["n_scope"]) == report.m1 > 0
+
+
+@pytest.mark.parametrize("command", [["scope", "--level", "0"], ["insig"]])
+def test_the_sided_flag_changes_no_output_byte(tmp_path, capsys, command):
+    data_path = tmp_path / "d.csv"
+    write_data(data_path, Rng(6), N=40, J=30, mu=np.repeat([-0.6, 0.0, 0.4], 10))
+    outputs = []
+    for sided in ([], ["--sided", "one_sided"], ["--sided", "two_sided"]):
+        out = tmp_path / "_".join(["o", *sided])
+        assert main([*command, "--data", str(data_path), "--kappa", "3", *sided,
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: --sided is ignored: the touch sets fix each point's "
+                                "law\n" if sided else "")
+        outputs.append((captured.out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(b"sided" not in body for body in outputs[0][1].values())

@@ -351,12 +351,13 @@ def _hand_decision(kind, mu_hat, mu, bm, bp, sd, tau, k, alpha, df):
     ref = mu if mu is not None else mu_hat
     d_rel = min(np.abs(ref - bm).min(), np.abs(ref - bp).min())
     d_eqv = max((ref - bp).max(), (bm - ref).max())
-    # the edge the negated sup touches from above and the one the plain sup touches from below
+    # the edges the negated and the plain sup run along; each touch set is the union of both
+    # sides of its edge, which the target meets exactly (oracle) or the estimate within tol
     c_neg, c_pos = {"grT": (bm - d_eqv, bp + d_eqv), "lrT": (bm + d_rel, bp - d_rel),
                     "eT": (bm - d_eqv, bp + d_eqv), "leT": (bp + d_rel, bm - d_rel)}[kind]
     tol = 0.0 if mu is not None else k * tau * sd
-    neg = (ref - c_neg >= 0) & (ref - c_neg <= tol)
-    pos = (c_pos - ref >= 0) & (c_pos - ref <= tol)
+    neg = np.abs(ref - c_neg) <= tol
+    pos = np.abs(c_pos - ref) <= tol
     assert neg.any() and pos.any()  # both sups are exercised
     tail = "lower" if kind == "eT" else "upper"
     est = iid_exact_quantile(IndexSet.from_mask(neg), IndexSet.from_mask(pos), alpha, df, tail)
@@ -500,6 +501,12 @@ def _band_cases(draw):
 @given(kind=st.sampled_from(sorted(_KINDS)), case=_band_cases())
 @example(kind="grT", case=(fld(0.0, 0.25), const_band(Domain(2), 0.0, 1.0),  # d_eqv is +0.0
                            unit_bands(Domain(2)), Calibration(), fld(0.0, 0.25)))
+# plug-in: the estimate meets each shifted edge from both sides within k*tau*sigma, so the
+# union touch sets hold points that one side per edge would miss and q differs from it
+@example(kind="lrT", case=(fld(0.25, -0.25, 0.5), const_band(Domain(3), 0.0, 1.0),
+                           unit_bands(Domain(3), tau=0.5), Calibration(k=2.0), None))
+@example(kind="leT", case=(fld(0.25, -0.25, 0.5), const_band(Domain(3), 0.0, 1.0),
+                           unit_bands(Domain(3), tau=0.5), Calibration(k=2.0), None))
 def test_band_tests_match_the_reference_template_bit_for_bit(kind, case):
     # the reference is the template before it moved onto plain arrays; every
     # quantile form, both calibration modes, infinite edges, d = 0 and d = inf,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import peak_traced_mb
+from conftest import peak_traced_mb, reference_touch_side
 from hypothesis import example, given, strategies as st
 
 from scopesets.dist import Rng, t_cdf
@@ -8,6 +8,7 @@ from scopesets.domain import Domain, Field, IndexSet, line_domain
 from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.preimage import (
     KPolicy,
+    _partition_rows,
     _touch_masks,
     _touched,
     consistency_probe,
@@ -16,7 +17,7 @@ from scopesets.preimage import (
     resolve_k,
     scope_partition,
 )
-from scopesets.quantile import iid_quantile
+from scopesets.quantile import _iid_exact, iid_quantile
 from scopesets.sim import model_mu
 
 
@@ -174,6 +175,27 @@ class TestTouched:
         np.testing.assert_array_equal(got, want)
 
 
+class TestTouchMasks:
+    @pytest.mark.parametrize("tol", [0.0, "array", np.inf])
+    def test_one_gap_gives_the_old_one_side_rule_on_both_sides_bit_for_bit(self, tol):
+        # minus reads -tol <= v - c <= 0 where the old rule read 0 <= c - v <= tol: c - v is
+        # exactly -(v - c), infinities and signed zeros included
+        edges = (1.5, -0.75, 0.0, -0.0, np.inf, -np.inf)
+        values = np.array([*edges, 0.25, -2.0, np.nan])
+        if tol == "array":
+            tol = np.resize([0.0, 0.25, 1.0, 4.0, np.inf], values.size)
+        for thresholds in ([[c] for c in edges] + [[np.roll(values, r)] for r in range(1, 9)]
+                           + [list(edges)]):
+            plus, minus = _touch_masks(values, thresholds, tol)
+            want_plus = np.logical_or.reduce([reference_touch_side(values, c, tol)
+                                              for c in thresholds])
+            want_minus = np.logical_or.reduce([reference_touch_side(c, values, tol)
+                                               for c in thresholds])
+            assert plus.dtype == minus.dtype == bool and plus.shape == values.shape
+            np.testing.assert_array_equal(plus, want_plus)
+            np.testing.assert_array_equal(minus, want_minus)
+
+
 class TestResolveK:
     def test_log_over_kappa(self):
         pol = KPolicy("log_over_kappa", kappa=10.0)
@@ -209,15 +231,51 @@ class TestScopePartition:
     def test_matches_the_standardized_rule_at_level_zero(self):
         N, J = 60, 40
         data = Rng(3).generator().standard_normal((N, J)) + np.repeat([-0.5, 0.0, 0.3, 0.0], 10)
-        for sided in ("one_sided", "two_sided"):
-            part = scope_partition(data, 0.0, 0.0, 0.1, KPolicy("fixed", k=1.5), sided)
-            t = np.sqrt(N) * data.mean(axis=0) / data.std(axis=0, ddof=1)
-            assert part.k == 1.5
-            assert part.m_hat == np.count_nonzero(np.abs(t) <= 1.5)
-            assert part.q_hat == iid_quantile(part.m_hat, 0.1, N - 1, sided).q
-            assert np.array_equal(part.below, t < -part.q_hat)
-            assert np.array_equal(part.above, t > part.q_hat)
-            assert part.below.any() and part.above.any()
+        part = scope_partition(data, 0.0, 0.0, 0.1, KPolicy("fixed", k=1.5))
+        t = np.sqrt(N) * data.mean(axis=0) / data.std(axis=0, ddof=1)
+        assert part.k == 1.5
+        assert part.m_hat == np.count_nonzero(np.abs(t) <= 1.5)
+        # at a level a touched column breaks its inclusion on either side: the two-sided law
+        assert part.q_hat == iid_quantile(part.m_hat, 0.1, N - 1, "two_sided").q
+        assert np.array_equal(part.below, t < -part.q_hat)
+        assert np.array_equal(part.above, t > part.q_hat)
+        assert part.below.any() and part.above.any()
+
+    def test_each_edge_adds_its_own_touch_set(self):
+        # a column touching one edge adds a one-sided factor, one touching both a two-sided one
+        N, J = 60, 40
+        data = Rng(3).generator().standard_normal((N, J)) + np.repeat([-0.5, 0.0, 0.3, 0.0], 10)
+        mean, sd = data.mean(axis=0), data.std(axis=0, ddof=1)
+        tol = 1.5 * sd / np.sqrt(N)
+        shared = []
+        for lower, upper in ((-0.5, 0.3), (-0.1, 0.1), (np.linspace(-0.6, -0.1, J), 0.1)):
+            part = scope_partition(data, lower, upper, 0.1, KPolicy("fixed", k=1.5))
+            neg, pos = np.abs(mean - lower) <= tol, np.abs(mean - upper) <= tol
+            n_both = np.count_nonzero(neg & pos)
+            n_one = np.count_nonzero(neg | pos) - n_both
+            shared.append(n_both)
+            assert part.m_hat == n_one + n_both and n_one > 0
+            if n_both == 0:  # separated edges: the one-sided law
+                assert part.q_hat == iid_quantile(part.m_hat, 0.1, N - 1, "one_sided").q
+            assert part.q_hat == _iid_exact(n_one, n_both, 0.1, N - 1, "upper").q
+            w = part.q_hat * sd / np.sqrt(N)
+            assert np.array_equal(part.below, mean < lower - w)
+            assert np.array_equal(part.above, mean > upper + w)
+        assert shared[0] == 0 and shared[1] > 0 and shared[2] > 0
+
+    def test_stacked_rows_are_the_single_row_rule_bit_for_bit(self):
+        gen = Rng(5).generator()
+        B, J, N = 30, 12, 40
+        mean = gen.normal(0.0, 0.3, (B, J)).round(1)  # repeated rows and exact touches
+        sd = gen.uniform(0.5, 1.5, (B, J))
+        lower = np.array([-np.inf, -0.2, -0.1, 0.0] * 3)
+        upper = np.array([0.0, 0.1, 0.2, np.inf] * 3)
+        stacked = _partition_rows(mean, sd, lower, upper, 0.1, 1.2, 1 / np.sqrt(N), N - 1)
+        assert len(set(stacked[1].tolist())) > 3  # several count pairs, each solved once
+        for b in range(B):
+            row = _partition_rows(mean[b], sd[b], lower, upper, 0.1, 1.2, 1 / np.sqrt(N), N - 1)
+            for got, want in zip(stacked, row):
+                assert np.array_equal(got[b], want) and np.shape(want) == np.shape(got)[1:]
 
     def test_infinite_edges_never_move_and_order_is_checked(self):
         data = Rng(4).generator().standard_normal((30, 6)) + np.array([-9, -9, 0, 0, 9, 9.0])
