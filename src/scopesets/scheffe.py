@@ -106,8 +106,8 @@ def slice_max(w, a, l: float, sign: int = +1, absolute: bool = False) -> float:
     w = np.asarray(w, dtype=float)
     a = np.asarray(a, dtype=float)
     na2 = float(a @ a)
-    if na2 == 0.0:
-        raise ParameterError("a must be nonzero")
+    if not (na2 > 0.0 and l == l):
+        raise ParameterError(f"a must be nonzero and l not NaN, got ||a||^2={na2}, l={l}")
     if l * l > na2 * (1.0 + 1e-12):
         raise InfeasibleSliceError(f"|l|={abs(l)} exceeds ||a||={np.sqrt(na2)}")
     along = l * float(a @ w) / na2
@@ -124,8 +124,8 @@ def scheffe_zero_cdf(q: float, K: int, beta_is_zero: bool) -> float:
     Chi-square with K-1 degrees of freedom for a nonzero coefficient vector,
     K when it vanishes (the zero-contrast slice then fills the whole sphere).
     """
-    if q < 0:
-        raise ParameterError("q must be >= 0")
+    if not q >= 0:
+        raise ParameterError(f"q must be >= 0, got {q}")
     return float(chisq_cdf(q * q, K - 1 + int(beta_is_zero)))
 
 
@@ -136,8 +136,8 @@ def detect_nonzero_contrasts(spec: LinearModelSpec, q: float, beta_hat=None) -> 
     ||limit_matrix^{-1/2} beta_hat|| > tau * xi * q; the maximizing contrast
     is proportional to limit_matrix^{-1} beta_hat.
     """
-    if q < 0:
-        raise ParameterError("q must be >= 0")
+    if not q >= 0:
+        raise ParameterError(f"q must be >= 0, got {q}")
     b = np.asarray(spec.beta if beta_hat is None else beta_hat, dtype=float)
     chol = np.linalg.cholesky(spec.limit_matrix)  # LinearModelSpec checked that it factors
     white = np.linalg.solve(chol, b)  # ||white|| = ||limit_matrix^{-1/2} b||
@@ -270,14 +270,16 @@ def extract_limit_cdf(
     ``single_level`` covers the one level +Delta; ``interval`` covers every
     level in [-Delta, Delta] simultaneously.  With an identity scaling matrix
     the slice maxima collapse to closed forms in one Gaussian coordinate plus
-    an independent chi distributed radius.  A general ``limit_matrix`` takes
-    all slice maxima in batches of replicates, so memory stays bounded in
-    ``reps``; each is the largest value over the slice's stationary points,
-    the roots of one polynomial per replicate (``_slice_ratio_maxima``).
-    ``interval`` mode combines them as in the identity case: the supremum of
-    x'w / ||root x|| with w = root' eps is ||eps|| when the free maximiser
-    M^-1 w lies in the cone |x_0| <= (Delta/||beta||) ||x||, else the larger
-    slice maximum at +-Delta.  One sequential stream feeds both modes, so
+    an independent chi distributed radius.  A general ``limit_matrix`` runs in
+    batches of replicates, so memory stays bounded in ``reps``.  With
+    w = root' eps, x'w / ||root x|| = (root x)'eps / ||root x|| <= ||eps|| for
+    every x (Scheffe's bound), so a replicate with ||eps|| <= q is counted
+    without its slice maximum; only the others take one, the largest value
+    over the slice's stationary points, the roots of one polynomial per
+    replicate (``_slice_ratio_maxima``).  ``interval`` mode combines them as
+    in the identity case: the supremum is ||eps|| itself when the free
+    maximiser M^-1 w lies in the cone |x_0| <= (Delta/||beta||) ||x||, else
+    the larger slice maximum at +-Delta.  One sequential stream feeds both modes, so
     they see the same draws at one seed.  Whenever Delta exceeds ||beta|| the
     level sets are empty and the answer is 1 (single level) or the K-dof
     chi-square tail rule (interval).
@@ -304,12 +306,13 @@ def extract_limit_cdf(
         for start in range(0, reps, rows):
             eps = gen.standard_normal((min(rows, reps - start), K))
             w = eps @ root  # root' eps per replicate: the matrix-square-root transform of the noise
-            if mode == "interval":
+            closed = np.linalg.norm(eps, axis=1) <= q  # x'w / ||root x|| <= ||eps|| (Scheffe)
+            open_ = ~closed
+            if mode == "interval":  # a free row's supremum is ||eps|| itself
                 x = np.linalg.solve(root, eps.T).T  # M^-1 w, the free maximiser
-                free = np.abs(x[:, 0]) <= s * np.linalg.norm(x, axis=1)
-                count += int(np.count_nonzero(np.linalg.norm(eps[free], axis=1) <= q))
-                w = w[~free]
-            count += int(np.count_nonzero(_slice_ratio_maxima(w, root, c) <= q))
+                open_ &= np.abs(x[:, 0]) > s * np.linalg.norm(x, axis=1)
+            count += int(np.count_nonzero(closed))
+            count += int(np.count_nonzero(_slice_ratio_maxima(w[open_], root, c) <= q))
         return count / reps
 
     z = gen.standard_normal(reps)

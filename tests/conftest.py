@@ -8,8 +8,10 @@ bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
 match bit for bit, the earlier simulation loop whose tables ``simulate``
 must reproduce byte for byte, and the earlier SCoPE kernel (field and band
 checks, ``partition3``, ``contour_regions``, the inclusion event) whose results
-and errors the excursion module must reproduce bit for bit, and the earlier
-one-side touch rule that ``preimage._touch_masks`` must match bit for bit."""
+and errors the excursion module must reproduce bit for bit, the earlier
+one-side touch rule that ``preimage._touch_masks`` must match bit for bit, and
+the earlier limit-matrix counting loop whose value ``extract_limit_cdf`` must
+return bit for bit."""
 
 import functools
 import tracemalloc
@@ -26,7 +28,8 @@ from scopesets.excursion import widened_excursions
 from scopesets.hypotests import (Calibration, TestDecision, _solve_q, bh_reject_mask,
                                  hommel_reject_mask)
 from scopesets.preimage import resolve_k
-from scopesets.quantile import QuantileEstimate, _iid_table, _map_chunks
+from scopesets.quantile import QuantileEstimate, _chunk_rows, _iid_table, _map_chunks
+from scopesets.scheffe import _checked_limit_matrix, _slice_ratio_maxima
 from scopesets.sim import (SimTableRow, _draw_tstats, _step_up_cuts, _t_pvalues, model_mu,
                            parse_method)
 
@@ -348,6 +351,27 @@ def reference_contour_regions(mu_hat, levels, bands):
         raise ParameterError("contour levels must be finite")
     below, above = reference_widened_excursions(mu_hat.values, lev, lev, bands.half_width())
     return [np.flatnonzero(row) for row in ~(below | above)]
+
+
+def reference_limit_matrix_cdf(q, K, Delta, beta_norm, reps, rng, mode, limit_matrix):
+    """``extract_limit_cdf``'s limit-matrix branch (0 <= Delta <= beta_norm, beta_norm > 0) as
+    it was before the ||eps|| <= q ceiling: every row that is not free reaches the slice kernel."""
+    root = _checked_limit_matrix(limit_matrix, K)[1]
+    s = Delta / beta_norm
+    gen = rng.generator()
+    c = np.array([s] if mode == "single_level" else [-s, s])
+    rows = _chunk_rows(reps, 30 * K * K)
+    count = 0
+    for start in range(0, reps, rows):
+        eps = gen.standard_normal((min(rows, reps - start), K))
+        w = eps @ root
+        if mode == "interval":
+            x = np.linalg.solve(root, eps.T).T
+            free = np.abs(x[:, 0]) <= s * np.linalg.norm(x, axis=1)
+            count += int(np.count_nonzero(np.linalg.norm(eps[free], axis=1) <= q))
+            w = w[~free]
+        count += int(np.count_nonzero(_slice_ratio_maxima(w, root, c) <= q))
+    return count / reps
 
 
 def record_criterion(line: str) -> None:

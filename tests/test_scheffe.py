@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from conftest import f_cdf, normal_cdf, peak_traced_mb, sphere_grid, zero_inclusion_event
+from conftest import (f_cdf, normal_cdf, peak_traced_mb, reference_limit_matrix_cdf, sphere_grid,
+                      zero_inclusion_event)
 from hypothesis import example, given, settings, strategies as st
 
+from scopesets import scheffe
 from scopesets.dist import Rng, chisq_cdf, quantile
 from scopesets.errors import InfeasibleSliceError, ParameterError, SingularDesignError
 from scopesets.scheffe import (
     LinearModelSpec,
+    _checked_limit_matrix,
     _slice_ratio_maxima,
     detect_nonzero_contrasts,
     extract_limit_cdf,
@@ -53,6 +56,17 @@ class TestOlsFit:
         X = np.ones((10, 2))
         with pytest.raises(SingularDesignError):
             ols_fit(X, np.arange(10.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scheffe_zero_cdf(np.nan, 3, False),
+    lambda: detect_nonzero_contrasts(make_spec([1.0, 0.5, 0.0]), np.nan),
+    lambda: slice_max(np.ones(3), np.array([1.0, 0.0, 0.0]), np.nan),
+], ids=["scheffe_zero_cdf", "detect_nonzero_contrasts", "slice_max"])
+def test_nan_level_or_critical_value_raises_parameter_error(call):
+    # extract_limit_cdf's NaN q is in TestExtractLimitCdf::test_malformed_input_raises_parameter_error
+    with pytest.raises(ParameterError):
+        call()
 
 
 class TestSliceMax:
@@ -404,6 +418,79 @@ class TestDegenerateSlices:
             q = (ordered[j] + ordered[j + 1]) / 2
             assert extract_limit_cdf(q, K, Delta, 1.3, reps, Rng(7), mode=mode,
                                      limit_matrix=lm) == (j + 1) / reps
+
+
+def limit_matrices(K, g):
+    """A well-conditioned matrix, one of condition 40-150 and one with a near-zero eigenvalue
+    (1e-19 to 1e-14, which Cholesky may or may not factor), all K x K."""
+    a = g.standard_normal((K, K))
+    yield a @ a.T + K * np.eye(K)
+    for spectrum in (np.geomspace(1.0, g.uniform(40, 150), K),
+                     np.r_[10 ** g.uniform(-19, -14), g.uniform(0.5, 2.0, K - 1)]):
+        q = np.linalg.qr(g.standard_normal((K, K)))[0]
+        lm = (q * spectrum) @ q.T
+        yield (lm + lm.T) / 2
+
+
+class TestScheffeCeiling:
+    """x'w / ||root x|| <= ||eps|| on every slice, so a row with ||eps|| <= q is counted
+    without the slice kernel; the count must stay the earlier loop's, bit for bit."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_matches_the_reference_loop_bit_for_bit(self, K):
+        g = np.random.default_rng(500 + K)
+        calls = rejected = 0
+        for seed in range(2):
+            for lm in limit_matrices(K, g):
+                try:
+                    _checked_limit_matrix(lm, K)
+                except ParameterError:
+                    rejected += 1
+                    continue
+                for mode in ("single_level", "interval"):
+                    for frac in (0.0, 0.2, 0.5, 1.0):
+                        for q in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf):
+                            args = (q, K, 1.3 * frac, 1.3, 40, Rng(seed))
+                            got = extract_limit_cdf(*args, mode=mode, limit_matrix=lm)
+                            assert got == reference_limit_matrix_cdf(*args, mode, lm), (seed, mode,
+                                                                                       frac, q)
+                            calls += 1
+        assert calls > 0 and rejected < 2  # a near-singular matrix that factors ran too
+
+    @pytest.mark.parametrize("mode", ["single_level", "interval"])
+    @pytest.mark.parametrize("K", [2, 4, 5])
+    def test_only_open_rows_reach_the_kernel(self, monkeypatch, K, mode):
+        seen = []
+
+        def recorder(w, root, c):
+            seen.append(w.copy())
+            return _slice_ratio_maxima(w, root, c)
+
+        monkeypatch.setattr(scheffe, "_slice_ratio_maxima", recorder)
+        g = np.random.default_rng(70 + K)
+        a = g.standard_normal((K, K))
+        lm = a @ a.T + K * np.eye(K)
+        root = _checked_limit_matrix(lm, K)[1]
+        q, s, reps = 2.0, 0.5, 300
+        extract_limit_cdf(q, K, s, 1.0, reps, Rng(9), mode=mode, limit_matrix=lm)
+        eps = Rng(9).generator().standard_normal((reps, K))  # the one chunk of the call
+        open_rows = np.linalg.norm(eps, axis=1) > q
+        if mode == "interval":
+            x = np.linalg.solve(root, eps.T).T
+            open_rows &= np.abs(x[:, 0]) > s * np.linalg.norm(x, axis=1)
+        assert len(seen) == 1 and 0 < len(seen[0]) < reps
+        np.testing.assert_array_equal(seen[0], (eps @ root)[open_rows])
+
+    @pytest.mark.parametrize("mode", ["single_level", "interval"])
+    def test_all_closed_call_is_certain(self, mode):
+        lm = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+        assert extract_limit_cdf(50.0, 3, 0.5, 1.0, 20, Rng(4), mode=mode, limit_matrix=lm) == 1.0
+
+    @pytest.mark.parametrize("levels", [[0.0], [0.5], [-0.5, 0.5], [1.0]])
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_empty_batch_gives_empty_maxima(self, K, levels):
+        root = np.eye(K) + 0.3 * np.triu(np.ones((K, K)), 1)
+        assert _slice_ratio_maxima(np.zeros((0, K)), root, np.array(levels)).shape == (0,)
 
 
 class TestSliceRatioMaxima:
