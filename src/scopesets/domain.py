@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .csvio import read_table, write_csv
 from .errors import DomainMismatchError, ParameterError
@@ -182,6 +181,7 @@ def hausdorff_distance(a: IndexSet, b: IndexSet, dom: Domain) -> float:
         return float("inf")
     if dom.coords is None:
         return 0.0 if a == b else 1.0
+    from scipy.spatial import cKDTree  # loads scipy.spatial (and scipy.sparse) here, not at import
     pa, pb = dom.coords[a.members], dom.coords[b.members]
     return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
 

@@ -4,10 +4,10 @@ Four routes to the same kind of number.  Under iid noise q depends on the
 touch sets only through the counts of points touched from one side (n_one) and
 from both (n_both), so one solver keyed by those counts, ``_iid_exact``, serves
 ``iid_quantile``, ``iid_exact_quantile``, Storey's null-count plugin, the band
-tests and the simulation tables: a closed form when one count is zero, a
-bracketed root otherwise.  A Monte-Carlo oracle and a multiplier bootstrap
-share one solver of the limiting max-sup law, differing only in the square root
-they push standard normals through.
+tests and the simulation tables: q = -F^-1 of a tail sf = 1 - F(q) solved on
+the log scale, in closed form when one count is zero, by safeguarded Newton
+otherwise.  A Monte-Carlo oracle and a multiplier bootstrap share one solver of
+the limiting max-sup law and differ only in the square root normals pass through.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.linalg.blas import dtrmm
 
 from .dist import Rng, _t_quantile, t_cdf
 from .domain import IndexSet
@@ -77,10 +75,9 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     """The iid critical value for ``n_one`` one-sided and ``n_both`` two-sided points.
 
     q solves F(q)^n_one (2F(q) - 1)^n_both = 1 - alpha for the upper tail and
-    = alpha for the lower, with F the t CDF on ``df`` degrees of freedom.  With
-    one count zero, q = -F^-1(sf) for the tail sf of ``_tail_sf``, so a tiny
-    alpha keeps its digits; with both non-zero, bracketed root finding.
-    Both zero gives q = 0 with a flag.
+    = alpha for the lower, with F the t CDF on ``df`` degrees of freedom, as
+    q = -F^-1(sf) for the tail sf = 1 - F(q) of ``_tail_sf``.  Both counts
+    zero gives q = 0 with a flag.
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -90,21 +87,7 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     if not float(df) > 0:
         raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
     m = n_one + n_both
-    target = 1.0 - alpha if tail == "upper" else alpha
-    if m == 0:
-        q = 0.0
-    elif n_one == 0 or n_both == 0:
-        q = 0.0 - float(_t_quantile(_tail_sf(alpha, m, tail, n_both > 0), df))
-    else:
-        def stat_cdf(x):  # 0 on x <= 0, so -1 always brackets the root from below
-            F = t_cdf(x, df)
-            return max(0.0, 2.0 * F - 1.0) ** n_both * F ** n_one
-        hi = 1.0
-        while stat_cdf(hi) < target:
-            hi *= 2.0
-            if hi > 1e10:
-                raise ParameterError("failed to bracket quantile")
-        q = float(optimize.brentq(lambda x: stat_cdf(x) - target, -1.0, hi, xtol=1e-12))
+    q = 0.0 - float(_t_quantile(_tail_sf(alpha, n_one, n_both, tail), df)) if m else 0.0
     return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)
 
 
@@ -118,12 +101,26 @@ def _touch_counts(neg, pos):
     return np.count_nonzero(neg, axis=-1) + np.count_nonzero(pos, axis=-1) - 2 * n_both, n_both
 
 
-def _tail_sf(alpha: float, m: int, tail: str, two_sided: bool) -> float:
-    """1 - F(q) where F(q)^m, or (2F(q) - 1)^m when ``two_sided``, equals 1 - alpha
-    (upper ``tail``) or alpha (lower): -expm1(log(target) / m), halved when two-sided,
-    so a tiny alpha keeps its digits.  q is then 0.0 - F^-1 of it (+0 at the median)."""
+def _tail_sf(alpha: float, n_one: int, n_both: int, tail: str) -> float:
+    """1 - F(q) where F(q)^n_one (2F(q) - 1)^n_both is 1 - alpha (upper ``tail``) or alpha
+    (lower), on the log scale so a tiny alpha keeps its digits; q = 0.0 - F^-1 of it.  With a
+    count zero: -expm1(log(target) / m), halved when two-sided.  Else h(sf) = n_one log1p(-sf)
+    + n_both log1p(-2 sf) - log(target) falls and is concave on (0, 1/2): Newton runs down from
+    the right until sf stops, bisecting steps that leave the bracket of both closed forms at m."""
     log_target = math.log1p(-alpha) if tail == "upper" else math.log(alpha)
-    return -math.expm1(log_target / m) / (2.0 if two_sided else 1.0)
+    m = n_one + n_both
+    if n_one == 0 or n_both == 0:
+        return -math.expm1(log_target / m) / (2.0 if n_both else 1.0)
+    lo, hi = _tail_sf(alpha, 0, m, tail), min(_tail_sf(alpha, m, 0, tail), 0.5)
+    sf, step = None, hi if hi < 0.5 else 0.5 * (lo + hi)  # h(1/2) = -inf
+    while step != sf:
+        sf = step
+        h = n_one * math.log1p(-sf) + n_both * math.log1p(-2.0 * sf) - log_target
+        lo, hi = (sf, hi) if h > 0.0 else (lo, sf)
+        step = sf + h / (n_one / (1.0 - sf) + 2.0 * n_both / (1.0 - 2.0 * sf))
+        if step != sf and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+    return sf
 
 
 def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> QuantileEstimate:
@@ -143,7 +140,8 @@ def _iid_table(J: int, alpha: float, df: float, sided: str) -> np.ndarray:
     """``iid_quantile(m, alpha, df, sided).q`` for m = 0..J, bit for bit, from one t quantile call."""
     q0 = iid_quantile(0, alpha, df, sided).q  # 0.0, once the arguments pass its checks
     # math's expm1 per m, as in _iid_exact, so each tail is the scalar route's to the bit
-    sf = np.array([_tail_sf(alpha, m, "upper", sided == "two_sided") for m in range(1, J + 1)])
+    counts = [(0, m) if sided == "two_sided" else (m, 0) for m in range(1, J + 1)]
+    sf = np.array([_tail_sf(alpha, *c, "upper") for c in counts])
     return np.concatenate([[q0], 0.0 - _t_quantile(sf, df)])
 
 
@@ -217,6 +215,8 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
         return QuantileEstimate(0.0, method, alpha, 0, empty_sets=True)
     union = np.union1d(neg_set.members, pos_set.members)
     root, upper = root_of(union)
+    if upper:  # scipy.linalg loads on the first triangular root of a process, not at import
+        from scipy.linalg.blas import dtrmm
     root *= np.where(np.isin(union, pos_set.members), 1.0, -1.0)
     both = np.searchsorted(union, neg_set.intersection(pos_set).members)
 

@@ -1,9 +1,12 @@
 """The package's internal import graph has no cycles, one module owns the CSV format, every
-public definition is used inside the package or re-exported by it, and every cache is bounded
-and lives inside one call."""
+public definition is used inside the package or re-exported by it, every cache is bounded
+and lives inside one call, and importing the package loads numpy and scipy.special only."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scopesets"
@@ -179,3 +182,27 @@ def test_no_cache_outlives_a_call():
         found = [attr for attr, obj in vars(module).items()
                  if hasattr(obj, "cache_parameters") and obj.__module__ == name]
         assert found == [], name
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+import scopesets, scopesets.cli
+print(sorted(m for m in ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse")
+             if m in sys.modules))
+from scopesets import Domain, IndexSet, Rng, hausdorff_distance, mc_oracle_quantile
+dom = Domain(4, coords=[[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+print(repr(hausdorff_distance(IndexSet([0, 1]), IndexSet([2, 3]), dom)))
+corr = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+print(repr(mc_oracle_quantile(corr, IndexSet([0, 1]), IndexSet([1, 2]), 0.1, 2000, Rng(7)).q))
+"""
+
+
+def test_import_leaves_optimize_spatial_linalg_and_sparse_unloaded():
+    """A fresh ``import scopesets, scopesets.cli`` loads no scipy.optimize, spatial, linalg or
+    sparse; the KD-tree Hausdorff distance and the Cholesky-root oracle load theirs on first
+    use and return the values they returned when both were module-level imports."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["[]", "3.605551275463989", "1.9170683154650543"]

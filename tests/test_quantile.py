@@ -450,7 +450,7 @@ def test_count_keyed_solver_hits_its_product_cdf(n_one, n_both, tail, df):
 
 
 def _iid_exact_root_reference(n_one, n_both, alpha, df, tail):
-    """The bracketed-root branch of ``_iid_exact`` as it was, with two t CDF calls per step."""
+    """q by brentq on the product CDF, as the mixed-count branch of ``_iid_exact`` once was."""
     target = 1.0 - alpha if tail == "upper" else alpha
     stat_cdf = lambda x: (max(0.0, 2.0 * quantile.t_cdf(x, df) - 1.0) ** n_both
                           * quantile.t_cdf(x, df) ** n_one)
@@ -462,17 +462,33 @@ def _iid_exact_root_reference(n_one, n_both, alpha, df, tail):
 
 @pytest.mark.parametrize("df", [4.0, 29.0, np.inf])
 @pytest.mark.parametrize("tail", ["upper", "lower"])
-def test_bracketed_root_reads_the_t_cdf_once_per_step_bit_for_bit(monkeypatch, tail, df):
+def test_mixed_root_matches_the_bracketed_reference_without_a_t_cdf(monkeypatch, tail, df):
+    # the tail-scale Newton solve reaches brentq's root on the product CDF, and reads no
+    # t CDF on the way: only the one t quantile that maps sf to q
+    grid = [((n_one, n_both), alpha) for n_one, n_both in
+            [(1, 1), (3, 1), (1, 40), (6, 10), (25, 25), (200, 3)] for alpha in (0.05, 0.3)]
+    reference = [_iid_exact_root_reference(*counts, alpha, df, tail) for counts, alpha in grid]
     calls = []
     monkeypatch.setattr(quantile, "t_cdf", lambda x, df: calls.append(x) or t_cdf(x, df))
-    for n_one, n_both in [(1, 1), (3, 1), (1, 40), (6, 10), (25, 25), (200, 3)]:
-        for alpha in (0.05, 0.3):
-            del calls[:]
-            q = quantile._iid_exact(n_one, n_both, alpha, df, tail).q
-            new_calls = len(calls)
-            del calls[:]
-            assert q == _iid_exact_root_reference(n_one, n_both, alpha, df, tail)
-            assert 2 * new_calls == len(calls) > 0
+    for ((n_one, n_both), alpha), expected in zip(grid, reference):
+        q = quantile._iid_exact(n_one, n_both, alpha, df, tail).q
+        assert q == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_one, n_both, alpha, df, tail",
+                         [(3, 5, alpha, 29.0, tail) for alpha in (1e-13, 1e-15)
+                          for tail in ("upper", "lower")]
+                         + [(2, 2, 1e-15, 1.0, "upper"), (1, 5000, 1e-8, 1.0, "upper")])
+def test_mixed_law_holds_on_the_tail_scale_at_tiny_alpha(n_one, n_both, alpha, df, tail):
+    # a root of the product CDF misses these: at (3, 5) and 1e-15 it gives q = 17.090 (level
+    # 7.2e-16, root 16.880) and at df = 1 it fails to bracket; sf = 1 - F(q) keeps the digits
+    q = quantile._iid_exact(n_one, n_both, alpha, df, tail).q
+    assert math.isfinite(q) and q > 0.0
+    sf = float(t_cdf(-q, df))
+    log_target = math.log1p(-alpha) if tail == "upper" else math.log(alpha)
+    law = n_one * math.log1p(-sf) + n_both * math.log1p(-2.0 * sf)
+    assert law == pytest.approx(log_target, rel=1e-12, abs=0.0)
 
 
 def test_iid_quantile_is_the_closed_form_bit_for_bit():
