@@ -80,8 +80,6 @@ class Partition3:
 
 def _moved(c, delta):
     """c + delta, except that infinite thresholds never move (nor meet an opposite infinity)."""
-    if isinstance(delta, float) and -np.inf < delta < np.inf:  # then c + delta keeps infinities
-        return c + delta
     return c + np.where(np.isinf(c), 0.0, delta)
 
 

@@ -12,10 +12,11 @@ each is the union of both sides (``preimage._touched``), where the target meets
 the edge (oracle) or the estimate lies within k*tau*sigma of it (plug-in).  The
 decision reads the sets where the estimate lies below the first edge minus
 q*tau*sigma and above the second plus q*tau*sigma: their union for grT and lrT,
-their intersection for leT, their emptiness for eT.  On plain arrays, d reads one
-``_gap`` of the target against both edges, stacked once per ``BandSpec``; each
-shifted edge keeps its own gap (r - (c + s) is not (r - c) - s in floating point);
-``excursion._excursions`` widens each edge by one subtract or add unless q*tau*sigma is infinite.
+their intersection for leT, their emptiness for eT.  On plain arrays, one ``_gap`` of the
+target (plug-in: the estimate) against both edges gives d and the touch sets: a shifted edge
+touches where its gap equals the shift (plug-in: within k*tau*sigma of it), so the oracle touch
+set is exactly where the target attains d.  ``excursion._excursions`` widens each edge by one
+subtract or add unless q*tau*sigma is infinite.
 
 Oracle calibration (target known) is validated for all four tests; plug-in calibration,
 which estimates the touch sets from the data, for lrT and leT only: grT and eT are experimental.
@@ -31,7 +32,7 @@ import numpy as np
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, _excursions, _moved
+from .excursion import ScopeBands, _excursions
 from .preimage import _touched
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        _touch_counts, mc_oracle_quantile)
@@ -45,12 +46,14 @@ class BandSpec:
     b_minus: Field
     b_plus: Field
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         same_domain(self.b_minus, self.b_plus)
         if np.any(self.b_minus.values > self.b_plus.values):
             raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
         object.__setattr__(self, "_edges", np.stack((self.b_minus.values, self.b_plus.values)))
+        object.__setattr__(self, "_finite", bool(np.isfinite(self._edges).all()))
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,13 @@ class Calibration:
     k: float | None = None
 
 
+def _shift(g: np.ndarray, local: bool) -> float:
+    """d off the gaps g = (mu - b_minus, mu - b_plus): the least distance to an edge (local) or
+    the largest signed exceedance (global), where 0.0 - x keeps +0.0 that -x would not."""
+    return float(np.abs(g).min() if local else
+                 max(np.maximum.reduce(g[1]), 0.0 - np.minimum.reduce(g[0])))
+
+
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
     """Smallest distances of the target to each band edge (and their min)."""
     same_domain(mu, band.b_minus)
@@ -90,9 +100,7 @@ def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
 def delta_eqv(mu: Field, band: BandSpec) -> float:
     """Largest signed exceedance of the target over the band (<= 0 inside)."""
     same_domain(mu, band.b_minus)
-    under, over = _gap(mu.values, band._edges)  # mu - b_minus, mu - b_plus; zeros are +0.0
-    # b_minus - mu is -(mu - b_minus), and 0.0 - x keeps a touch at +0.0 where -x would not
-    return float(max(np.maximum.reduce(over), 0.0 - np.minimum.reduce(under)))
+    return _shift(_gap(mu.values, band._edges), False)
 
 
 def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> QuantileEstimate:
@@ -123,10 +131,12 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     local = kind in ("lrT", "leT")
     reference = mu if mu is not None else mu_hat
-    d = delta_rel(reference, band)[0] if local else delta_eqv(reference, band)
-    first, second = (band.b_plus, band.b_minus) if kind == "leT" else (band.b_minus, band.b_plus)
+    same_domain(reference, band.b_minus)
+    g = _gap(reference.values, band._edges)
+    d = _shift(g, local)
     s = d if local else -d
-    same_domain(mu_hat, first, second, bands.sigma)
+    i, j = (1, 0) if kind == "leT" else (0, 1)  # the rows of the first and second edge
+    same_domain(mu_hat, band.b_minus, bands.sigma)
     if quantile is None:
         est = QuantileEstimate(bands.q, "given", float("nan"))
     elif isinstance(quantile, QuantileEstimate):
@@ -135,17 +145,18 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
         raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
     else:
         if mu is not None:
-            ref, tol = mu.values, 0.0
+            tol = 0.0
         elif quantile.k is None:
             raise ParameterError("plug-in calibration needs k")
         elif not quantile.k > 0:
             raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
-            ref, tol = mu_hat.values, quantile.k * bands.tau * bands.sigma.values
-        neg = _touched(ref, (_moved(first.values, s),), tol)
-        pos = _touched(ref, (_moved(second.values, -s),), tol)
+            tol = quantile.k * bands.tau * bands.sigma.values
+        # an edge shifted by t touches where its gap is t; infinite edges never move
+        t = (s, -s) if band._finite else np.where(np.isinf(band._edges[[i, j]]), 0.0, [[s], [-s]])
+        neg, pos = _touched(g[i], (t[0],), tol), _touched(g[j], (t[1],), tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
-    below, above = _excursions(mu_hat.values, first.values, second.values, est.q, bands)
+    below, above = _excursions(mu_hat.values, band._edges[i], band._edges[j], est.q, bands)
     hits = below & above if kind == "leT" else below | above
     if kind == "eT":
         return TestDecision(kind, est, d, global_reject=not hits.any())

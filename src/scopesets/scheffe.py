@@ -96,8 +96,9 @@ def ols_fit(X, y) -> OlsFit:
     return OlsFit(beta_hat, s2, df_resid)
 
 
-def slice_max(w, a, l: float, sign: int = +1, absolute: bool = False) -> float:
-    """Maximum of +-x'w over the sphere slice {||x|| = 1, a'x = l}.
+def slice_max(w, a, l: float, sign: int = +1, absolute: bool = False) -> float | np.ndarray:
+    """Maximum of +-x'w over the sphere slice {||x|| = 1, a'x = l}: a float for a vector ``w``,
+    one per row for an (n, K) array; ``absolute`` takes the larger sign, so the larger level +-l.
 
     Closed form: the slice is a sphere of radius sqrt(1 - l^2/||a||^2) inside
     the affine hyperplane, so the maximum splits into the fixed component
@@ -110,12 +111,12 @@ def slice_max(w, a, l: float, sign: int = +1, absolute: bool = False) -> float:
         raise ParameterError(f"a must be nonzero and l not NaN, got ||a||^2={na2}, l={l}")
     if l * l > na2 * (1.0 + 1e-12):
         raise InfeasibleSliceError(f"|l|={abs(l)} exceeds ||a||={np.sqrt(na2)}")
-    along = l * float(a @ w) / na2
-    w_perp = w - (float(a @ w) / na2) * a
+    aw = w @ a
+    along = l * aw / na2
+    w_perp = w - (aw / na2)[..., None] * a
     radius = np.sqrt(max(0.0, 1.0 - l * l / na2))
-    if absolute:
-        return abs(along) + radius * float(np.linalg.norm(w_perp))
-    return sign * along + radius * float(np.linalg.norm(w_perp))
+    top = (np.abs(along) if absolute else sign * along) + radius * np.linalg.norm(w_perp, axis=-1)
+    return float(top) if w.ndim == 1 else top
 
 
 def scheffe_zero_cdf(q: float, K: int, beta_is_zero: bool) -> float:
@@ -268,29 +269,25 @@ def extract_limit_cdf(
     """Limit probability of level-Delta inclusion events on the sphere.
 
     ``single_level`` covers the one level +Delta; ``interval`` covers every
-    level in [-Delta, Delta] simultaneously.  With an identity scaling matrix
-    the slice maxima collapse to closed forms in one Gaussian coordinate plus
-    an independent chi distributed radius.  A general ``limit_matrix`` runs in
-    batches of replicates, so memory stays bounded in ``reps``.  With
-    w = root' eps, x'w / ||root x|| = (root x)'eps / ||root x|| <= ||eps|| for
-    every x (Scheffe's bound), so a replicate with ||eps|| <= q is counted
-    without its slice maximum; only the others take one, the largest value
-    over the slice's stationary points, the roots of one polynomial per
-    replicate (``_slice_ratio_maxima``).  ``interval`` mode combines them as
-    in the identity case: the supremum is ||eps|| itself when the free
-    maximiser M^-1 w lies in the cone |x_0| <= (Delta/||beta||) ||x||, else
-    the larger slice maximum at +-Delta.  One sequential stream feeds both modes, so
-    they see the same draws at one seed.  Whenever Delta exceeds ||beta|| the
-    level sets are empty and the answer is 1 (single level) or the K-dof
-    chi-square tail rule (interval).
+    level in [-Delta, Delta] simultaneously.  One sequential stream feeds both
+    modes and both scalings in batches of replicates eps, so memory stays
+    bounded in ``reps`` and an identity ``limit_matrix`` sees the draws of None.
+    With w = root' eps, x'w / ||root x|| = (root x)'eps / ||root x|| <= ||eps||
+    for every x (Scheffe's bound), so a replicate with ||eps|| <= q is counted
+    without its slice maximum.  In ``interval`` mode the supremum is ||eps||
+    itself when the free maximiser M^-1 w lies in the cone
+    |x_0| <= (Delta/||beta||) ||x||, else the larger slice maximum at +-Delta.
+    The other rows take one: ``slice_max`` for the identity scaling (w = eps),
+    else the best of the slice's stationary points (``_slice_ratio_maxima``).
+    Whenever Delta exceeds ||beta|| the level sets are empty and the answer is
+    1 (single level) or the K-dof chi-square tail rule (interval).
     """
     if not (K >= 2 and reps >= 1 and Delta >= 0 and beta_norm >= 0) or np.isnan(q):
         raise ParameterError("need K >= 2, reps >= 1, Delta >= 0, beta_norm >= 0 and q not NaN; "
                              f"got K={K}, reps={reps}, Delta={Delta}, beta_norm={beta_norm}, q={q}")
     if mode not in ("single_level", "interval"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if limit_matrix is not None:  # any square root with root' root = the matrix will do
-        root = _checked_limit_matrix(limit_matrix, K)[1]
+    root = None if limit_matrix is None else _checked_limit_matrix(limit_matrix, K)[1]
     if Delta > beta_norm:
         return 1.0 if mode == "single_level" else float(chisq_cdf(q * q, K))
     if beta_norm == 0.0:
@@ -298,32 +295,21 @@ def extract_limit_cdf(
                              "use scheffe_zero_cdf")
 
     s = Delta / beta_norm
+    c = np.array([s] if mode == "single_level" else [-s, s])
     gen = rng.generator()
-    if limit_matrix is not None:
-        c = np.array([s] if mode == "single_level" else [-s, s])
-        rows = _chunk_rows(reps, 30 * K * K)  # _slice_ratio_maxima keeps about 30 K^2 values a row
-        count = 0
-        for start in range(0, reps, rows):
-            eps = gen.standard_normal((min(rows, reps - start), K))
-            w = eps @ root  # root' eps per replicate: the matrix-square-root transform of the noise
-            closed = np.linalg.norm(eps, axis=1) <= q  # x'w / ||root x|| <= ||eps|| (Scheffe)
-            open_ = ~closed
-            if mode == "interval":  # a free row's supremum is ||eps|| itself
-                x = np.linalg.solve(root, eps.T).T  # M^-1 w, the free maximiser
-                open_ &= np.abs(x[:, 0]) > s * np.linalg.norm(x, axis=1)
-            count += int(np.count_nonzero(closed))
-            count += int(np.count_nonzero(_slice_ratio_maxima(w[open_], root, c) <= q))
-        return count / reps
-
-    z = gen.standard_normal(reps)
-    radial = np.linalg.norm(gen.standard_normal((reps, K - 1)), axis=1)
-    if mode == "single_level":
-        stats = s * z + np.sqrt(1.0 - s * s) * radial
-    else:
-        norm_eps = np.sqrt(z * z + radial * radial)
-        inner = Delta * norm_eps < beta_norm * np.abs(z)
-        stats = np.where(
-            inner, s * np.abs(z) + np.sqrt(1.0 - s * s) * radial, norm_eps
-        )
-    return float(np.mean(stats <= q))
-
+    # float values a row keeps alive: a few K for slice_max, about 30 K^2 for _slice_ratio_maxima
+    rows = _chunk_rows(reps, 4 * K if root is None else 30 * K * K)
+    count = 0
+    for start in range(0, reps, rows):
+        eps = gen.standard_normal((min(rows, reps - start), K))
+        w = eps if root is None else eps @ root  # root' eps; any root with root' root = M will do
+        closed = np.linalg.norm(eps, axis=1) <= q  # x'w / ||root x|| <= ||eps|| (Scheffe)
+        open_ = ~closed
+        if mode == "interval":  # a free row's supremum is ||eps|| itself
+            x = eps if root is None else np.linalg.solve(root, eps.T).T  # M^-1 w, free maximiser
+            open_ &= np.abs(x[:, 0]) > s * np.linalg.norm(x, axis=1)
+        count += int(np.count_nonzero(closed))
+        top = (slice_max(w[open_], np.eye(K)[0], s, absolute=mode == "interval") if root is None
+               else _slice_ratio_maxima(w[open_], root, c))
+        count += int(np.count_nonzero(top <= q))
+    return count / reps

@@ -433,6 +433,23 @@ class TestTestsCommand:
                    "--b-minus", "-1", "--b-plus", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["grT", "eT"])
+    def test_global_tests_need_mu_before_reading_data(self, tmp_path, capsys, kind):
+        # plug-in grT and eT do not hold alpha (0.54 / 0.31 and 0.04 / 0.16 familywise at
+        # N = 100 / 1000), so the command line runs them only against a known target
+        rc = main(["tests", "--data", str(tmp_path / "missing.csv"), "--kind", kind,
+                   "--b-minus", "-1", "--b-plus", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} needs --mu: plug-in {kind} does not hold its level\n"
+        assert not (tmp_path / "o").exists()
+        data, mu = tmp_path / "d.csv", tmp_path / "mu.csv"
+        np.savetxt(data, np.random.default_rng(0).normal(size=(30, 4)), delimiter=",")
+        save_field(Field.constant(Domain(4), 0.5), mu)
+        assert main(["tests", "--data", str(data), "--kind", kind, "--b-minus", "-1",
+                     "--b-plus", "1", "--mu", str(mu), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "test_decision.csv").read_text().startswith("kind,")
+
     @pytest.mark.parametrize("kind", ["eT", "leT"])
     def test_zero_width_band_exits_2_before_reading_data(self, tmp_path, capsys, kind):
         # the data path does not exist: the band is rejected before it is opened

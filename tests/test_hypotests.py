@@ -413,6 +413,21 @@ def test_infinite_band_edges_never_meet_an_opposite_infinity(test, mode):
     assert dec.global_reject in (False, None) and len(dec.rejected) == 0
 
 
+@pytest.mark.parametrize("test", [grt, et])
+def test_oracle_global_touch_sets_hold_the_targets_extremes(test):
+    # d is the target's largest exceedance, so its shifted edge meets the target at that point:
+    # read off the gap, the touch set is never empty (shifting the edge by d and comparing
+    # rounded b + d away in about one call in five on these Gaussian targets)
+    gen = np.random.default_rng(26)
+    dom = Domain(80)
+    band = const_band(dom, -0.1, 0.2)
+    bands = unit_bands(dom, tau=0.1)
+    for _ in range(200):
+        mu = Field(dom, gen.normal(0.05, 0.3, 80))
+        est = test(mu, band, bands, quantile=Calibration(cov=("iid_t", 99)), mu=mu).quantile_used
+        assert not est.empty_sets
+
+
 @pytest.mark.parametrize("mode", ["oracle", "plugin"])
 @pytest.mark.parametrize("kind", ["grT", "lrT", "eT", "leT"])
 def test_iid_calibration_builds_only_the_rejected_set(kind, mode, monkeypatch):

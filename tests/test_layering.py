@@ -206,3 +206,15 @@ def test_import_leaves_optimize_spatial_linalg_and_sparse_unloaded():
     out = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out == ["[]", "3.605551275463989", "1.9170683154650543"]
+
+
+def test_band_tests_read_touches_off_the_gap():
+    """The band tests find each shifted edge's touch set on the gap of the target to the edge,
+    where the shift d was read, and never move a threshold to find it: an edge b + d rounds, so
+    the target could miss the edge it attains d at."""
+    tree = ast.parse((PACKAGE / "hypotests.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "_moved" not in imported | used
+    assert "_gap" in imported and "_touched" in used

@@ -323,6 +323,37 @@ class TestExtractLimitCdf:
             assert extract_limit_cdf(stat - 1e-9, K, 0.5, 1.0, 1, Rng(seed), mode="interval",
                                      limit_matrix=lm) == 0.0
 
+    def test_identity_memory_flat_in_reps(self):
+        # at K = 10 a chunk holds 1e5 rows, so 1e5 reps fill one chunk and 1e6 run ten; the
+        # peak grows only by the draws of the next chunk while the last one is still alive
+        # (a closed form over all replicates at once read 17 MB at 1e5 and 168 MB at 1e6)
+        peaks = []
+        for reps in (100_000, 1_000_000):
+            with peak_traced_mb() as peak:
+                val = extract_limit_cdf(2.0, 10, 0.5, 1.0, reps, Rng(2), mode="interval")
+            peaks.append(peak.mb)
+            assert 0.0 < val < 1.0
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("mode", ["single_level", "interval"])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_identity_scaling_sees_the_draws_of_the_identity_matrix(self, K, mode):
+        # one Rng feeds both scalings the same eps; the identity's row-wise closed form and the
+        # stationary-point kernel at root = I agree to a few ulps of ||w||, so the counts match
+        eps = Rng(K).generator().standard_normal((2000, K))
+        for s in (0.0, 0.3, 0.9, 1.0):
+            absolute = mode == "interval"
+            rows = slice_max(eps, np.eye(K)[0], s, absolute=absolute)
+            kernel = _slice_ratio_maxima(eps, np.eye(K), np.array([-s, s] if absolute else [s]))
+            ulp = np.spacing(np.linalg.norm(eps, axis=1))
+            assert np.all(np.abs(rows - kernel) <= 8 * ulp)
+            one = slice_max(eps[7], np.eye(K)[0], s, absolute=absolute)  # a vector gives a float
+            assert isinstance(one, float) and abs(one - rows[7]) <= 2 * ulp[7]
+            for q in (0.5, 1.0, 2.0, 3.0):
+                args = (q, K, 1.3 * s, 1.3, 2000, Rng(K))
+                assert (extract_limit_cdf(*args, mode=mode)
+                        == extract_limit_cdf(*args, mode=mode, limit_matrix=np.eye(K)))
+
     def test_general_matrix_memory_bounded_in_reps(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5))
