@@ -298,56 +298,55 @@ def cmd_tests(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="scopesets",
-        description="Simultaneous excursion-set inference tools",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_policy_flags(sp):
+    sp.add_argument("--kappa", type=float, default=None, help="k = log(N)/kappa")
+    sp.add_argument("--scb-beta", type=float, default=None,
+                    help="k from a (1-beta)-simultaneous band")
+    sp.add_argument("--k", type=float, default=None, help="fixed thickening factor")
 
-    sim = sub.add_parser("simulate", help="run the benchmark simulation harness")
+
+def _add_output_flags(sp, fn):
+    # these commands draw nothing; they accept --seed for a uniform command line
+    sp.add_argument("--out", default=".")
+    sp.add_argument("--seed", type=int, default=0, help="ignored: only simulate reads --seed")
+    sp.set_defaults(fn=fn)
+
+
+def _simulate_flags(sim):
     sim.add_argument("--config", required=True, help="key=value config file")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--seed", type=int, default=None, help="override config seed")
     sim.set_defaults(fn=cmd_simulate)
 
-    def add_policy_flags(sp):
-        sp.add_argument("--kappa", type=float, default=None, help="k = log(N)/kappa")
-        sp.add_argument("--scb-beta", type=float, default=None,
-                        help="k from a (1-beta)-simultaneous band")
-        sp.add_argument("--k", type=float, default=None, help="fixed thickening factor")
 
-    def add_output_flags(sp, fn):
-        # these commands draw nothing; they accept --seed for a uniform command line
-        sp.add_argument("--out", default=".")
-        sp.add_argument("--seed", type=int, default=0, help="ignored: only simulate reads --seed")
-        sp.set_defaults(fn=fn)
-
-    sc = sub.add_parser("scope", help="zero/band threshold partition of sample data")
+def _scope_flags(sc):
     sc.add_argument("--data", required=True, help="N x J numeric CSV (rows = observations)")
     sc.add_argument("--level", type=float, default=None, help="constant threshold")
     sc.add_argument("--lower", default=None, help="lower threshold field CSV")
     sc.add_argument("--upper", default=None, help="upper threshold field CSV")
     sc.add_argument("--alpha", type=float, default=0.1)
     sc.add_argument("--sided", choices=["one_sided", "two_sided"], help="ignored")
-    add_policy_flags(sc)
-    add_output_flags(sc, cmd_scope)
+    _add_policy_flags(sc)
+    _add_output_flags(sc, cmd_scope)
 
-    ins = sub.add_parser("insig", help="insignificance-value report")
+
+def _insig_flags(ins):
     ins.add_argument("--data", required=True)
     ins.add_argument("--alpha", type=float, default=0.1)
     ins.add_argument("--sided", choices=["one_sided", "two_sided"], help="ignored")
-    add_policy_flags(ins)
-    add_output_flags(ins, cmd_insig)
+    _add_policy_flags(ins)
+    _add_output_flags(ins, cmd_insig)
 
-    sch = sub.add_parser("scheffe", help="contrast inference for a linear model")
+
+def _scheffe_flags(sch):
     sch.add_argument("--data", default=None,
                      help="CSV with header; covariate columns then response")
     sch.add_argument("--K", type=int, default=None, help="contrast dimension (analytic mode)")
     sch.add_argument("--alpha", type=float, default=0.05)
-    add_output_flags(sch, cmd_scheffe)
+    _add_output_flags(sch, cmd_scheffe)
 
-    ts = sub.add_parser("tests", help="band relevance/equivalence tests")
+
+def _tests_flags(ts):
     ts.add_argument("--data", required=True)
     ts.add_argument("--kind", required=True, choices=["grT", "lrT", "eT", "leT"])
     ts.add_argument("--b-minus", type=float, required=True, help="lower band edge")
@@ -356,13 +355,38 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("--alpha", type=float, default=0.1)
     ts.add_argument("--kappa", type=float, default=None,
                     help="plug-in thickening kappa (default 3)")
-    add_output_flags(ts, cmd_tests)
+    _add_output_flags(ts, cmd_tests)
 
+
+_COMMANDS = {
+    "simulate": ("run the benchmark simulation harness", _simulate_flags),
+    "scope": ("zero/band threshold partition of sample data", _scope_flags),
+    "insig": ("insignificance-value report", _insig_flags),
+    "scheffe": ("contrast inference for a linear model", _scheffe_flags),
+    "tests": ("band relevance/equivalence tests", _tests_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, whose help, usage and error
+    bytes are the full parser's: a subcommand's parser does not depend on its siblings."""
+    p = argparse.ArgumentParser(
+        prog="scopesets",
+        description="Simultaneous excursion-set inference tools",
+    )
+    # an unrecognized argument prints the top usage line, which lists every command
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_, add_flags = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_))
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own flags; --help and a bad command need every one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

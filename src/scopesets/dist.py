@@ -93,9 +93,18 @@ def _t_quantile(p, df):
     if mid is False or not np.any(mid):  # a float level gives a plain bool: no numpy call
         return q
     p, q = np.asarray(p, dtype=float), np.array(q)
-    y = special.betaincinv(0.5, df / 2.0, np.abs(2.0 * p[mid] - 1.0))
-    q[mid] = np.copysign(np.sqrt(df * y / (1.0 - y)), p[mid] - 0.5)
+    q[mid] = np.copysign(_t_abs_quantile(np.abs(2.0 * p[mid] - 1.0), df), p[mid] - 0.5)
     return q
+
+
+def _t_abs_quantile(c, df):
+    """q >= 0 with 2F(q) - 1 = c for the t CDF F: sqrt(df y / (1 - y)) with y = I^-1_c(1/2, df/2),
+    as 2F(q) - 1 = I_{q^2/(df + q^2)}(1/2, df/2) (A&S 26.7.1), or sqrt(2) erfinv(c) at df = inf;
+    a small c keeps its relative digits, which 1/2 -+ c/2 would not."""
+    if df == np.inf:
+        return np.sqrt(2.0) * special.erfinv(c)
+    y = special.betaincinv(0.5, df / 2.0, c)
+    return np.sqrt(df * y / (1.0 - y))
 
 
 def binom_tail(M: int, p: float, m: int) -> float:

@@ -216,19 +216,16 @@ def _simes_top_rejects(ps: np.ndarray, m: np.ndarray, alpha: float) -> np.ndarra
     return np.any((k >= 1) & (ps <= k * alpha / np.maximum(m, 1)[:, None]), axis=1)
 
 
-def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
-    """Hommel rejection masks at one alpha, rowwise over a (B, J) matrix.
+def _hommel_cut(ps: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row of sorted p-values, the cut c of Hommel's procedure: the row rejects p <= c.
 
     On a sorted row, p_(j) <= alpha (0-based j) makes the Simes test on the
     m largest p-values reject for all m >= max(J-j, ceil((J-1-j) alpha /
     (alpha - p_(j)))), so Hommel's h is the least such m minus one.  The
     Simes comparison itself at h and h + 1 absorbs rounding in the ceil.
-    Rejects p <= alpha / h, or everything when h = 0; O(J log J) per row.
-    P-values outside [0, 1] or NaN raise ``ParameterError``.
+    The cut is alpha / h, or inf (everything) when h = 0; O(J) per sorted row.
     """
-    p = np.atleast_2d(_checked_pvalues(p))
-    n = p.shape[1]
-    ps = np.sort(p, axis=1)
+    n = ps.shape[1]
     above = np.arange(n - 1, -1, -1)  # J - 1 - j; fmax maps its 0/0 to 1
     with np.errstate(divide="ignore", invalid="ignore"):
         need = np.fmax(above + 1, np.ceil(above * alpha / (alpha - ps)))
@@ -236,7 +233,17 @@ def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
     h = np.minimum(least - 1, n).astype(int)
     h = h - _simes_top_rejects(ps, h, alpha)
     h = h + ((h < n) & ~_simes_top_rejects(ps, h + 1, alpha))
-    return p <= np.where(h > 0, alpha / np.maximum(h, 1), np.inf)[:, None]
+    return np.where(h > 0, alpha / np.maximum(h, 1), np.inf)
+
+
+def hommel_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
+    """Hommel rejection masks at one alpha, rowwise over a (B, J) matrix; O(J log J) per row.
+
+    Each row is sorted once and rejects its p-values up to ``_hommel_cut``.
+    P-values outside [0, 1] or NaN raise ``ParameterError``.
+    """
+    p = np.atleast_2d(_checked_pvalues(p))
+    return p <= _hommel_cut(np.sort(p, axis=1), alpha)[:, None]
 
 
 def hommel(pvalues, alpha: float) -> IndexSet:
@@ -245,17 +252,21 @@ def hommel(pvalues, alpha: float) -> IndexSet:
     return IndexSet.from_mask(hommel_reject_mask(pvalues, alpha)[0])
 
 
+def _bh_cut(ps: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row of sorted p-values, the Benjamini-Hochberg cut: the largest p_(k) <= k alpha / J
+    (1-based k), which the row rejects up to, or -1.0 where there is none."""
+    B, n = ps.shape
+    if n == 0:
+        return np.full(B, -1.0)
+    ok = ps <= alpha * np.arange(1, n + 1) / n
+    kstar = np.where(ok.any(axis=1), n - 1 - np.argmax(ok[:, ::-1], axis=1), -1)
+    return np.where(kstar >= 0, ps[np.arange(B), np.maximum(kstar, 0)], -1.0)
+
+
 def bh_reject_mask(p: np.ndarray, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rejection masks, rowwise; p-values are checked as in Hommel."""
     p = np.atleast_2d(_checked_pvalues(p))
-    B, n = p.shape
-    if n == 0:
-        return np.zeros((B, 0), dtype=bool)
-    ps = np.sort(p, axis=1)
-    ok = ps <= alpha * np.arange(1, n + 1) / n
-    kstar = np.where(ok.any(axis=1), n - 1 - np.argmax(ok[:, ::-1], axis=1), -1)
-    cutoff = np.where(kstar >= 0, ps[np.arange(B), np.maximum(kstar, 0)], -1.0)
-    return p <= cutoff[:, None]
+    return p <= _bh_cut(np.sort(p, axis=1), alpha)[:, None]
 
 
 def bh(pvalues, alpha: float) -> IndexSet:

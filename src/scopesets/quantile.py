@@ -6,8 +6,9 @@ from both (n_both), so one solver keyed by those counts, ``_iid_exact``, serves
 ``iid_quantile``, ``iid_exact_quantile``, Storey's null-count plugin, the band
 tests and the simulation tables: q = -F^-1 of a tail sf = 1 - F(q) solved on
 the log scale, in closed form when one count is zero, by safeguarded Newton
-otherwise.  A Monte-Carlo oracle and a multiplier bootstrap share one solver of
-the limiting max-sup law and differ only in the square root normals pass through.
+otherwise; the lower tail with two-sided points solves c = 2F(q) - 1 instead.
+A Monte-Carlo oracle and a multiplier bootstrap share one solver of the
+limiting max-sup law and differ only in the square root normals pass through.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Rng, _t_quantile, t_cdf
+from .dist import Rng, _t_abs_quantile, _t_quantile, t_cdf
 from .domain import IndexSet
 from .errors import DegenerateDataError, ParameterError
 from .excursion import max_sup
@@ -76,8 +77,11 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
 
     q solves F(q)^n_one (2F(q) - 1)^n_both = 1 - alpha for the upper tail and
     = alpha for the lower, with F the t CDF on ``df`` degrees of freedom, as
-    q = -F^-1(sf) for the tail sf = 1 - F(q) of ``_tail_sf``.  Both counts
-    zero gives q = 0 with a flag.
+    q = -F^-1(sf) for the tail sf = 1 - F(q) of ``_tail_sf``.  On the lower
+    tail with two-sided points and alpha <= 2^-m, q is the |T| quantile of
+    c = 2F(q) - 1 of ``_lower_c`` instead: there c <= 1/2, and sf near 1/2
+    would keep only the absolute digits of a small c.  Both counts zero gives
+    q = 0 with a flag.
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -87,7 +91,12 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     if not float(df) > 0:
         raise ParameterError(f"t degrees of freedom must be > 0, got {df}")
     m = n_one + n_both
-    q = 0.0 - float(_t_quantile(_tail_sf(alpha, n_one, n_both, tail), df)) if m else 0.0
+    if m == 0:
+        q = 0.0
+    elif tail == "lower" and n_both and alpha <= 0.5 ** m:  # then c <= alpha^(1/m) <= 1/2
+        q = float(_t_abs_quantile(_lower_c(alpha, n_one, n_both), df))
+    else:
+        q = 0.0 - float(_t_quantile(_tail_sf(alpha, n_one, n_both, tail), df))
     return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)
 
 
@@ -121,6 +130,31 @@ def _tail_sf(alpha: float, n_one: int, n_both: int, tail: str) -> float:
         if step != sf and not lo < step < hi:
             step = 0.5 * (lo + hi)
     return sf
+
+
+def _lower_c(alpha: float, n_one: int, n_both: int) -> float:
+    """c = 2F(q) - 1 where F(q)^n_one (2F(q) - 1)^n_both = alpha and n_both > 0, the lower tail.
+
+    At a tiny alpha c is near 0, where sf = (1 - c)/2 would keep only its absolute digits.
+    c = alpha^(1/n_both) when n_one is 0.  Else g(c) = n_one log1p(c) + n_both log c -
+    log(2^n_one alpha) rises and is concave on (0, 1), with its root between the closed forms
+    at m, 2 alpha^(1/m) - 1 and alpha^(1/m): Newton runs up from the left until c stops,
+    bisecting steps that leave that bracket, as ``_tail_sf`` does on its scale.
+    """
+    root_m = math.exp(math.log(alpha) / (n_one + n_both))
+    if n_one == 0:
+        return root_m
+    lo, hi = max(2.0 * root_m - 1.0, 0.0), root_m
+    log_target = math.log(alpha) + n_one * math.log(2.0)
+    c, step = None, lo if lo > 0.0 else 0.5 * hi  # g(0) = -inf
+    while step != c:
+        c = step
+        g = n_one * math.log1p(c) + n_both * math.log(c) - log_target
+        lo, hi = (lo, c) if g > 0.0 else (c, hi)
+        step = c - g / (n_one / (1.0 + c) + n_both / c)
+        if step != c and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+    return c
 
 
 def iid_quantile(m: int, alpha: float, df: float, sided: str = "one_sided") -> QuantileEstimate:

@@ -299,17 +299,19 @@ def extract_limit_cdf(
     gen = rng.generator()
     # float values a row keeps alive: a few K for slice_max, about 30 K^2 for _slice_ratio_maxima
     rows = _chunk_rows(reps, 4 * K if root is None else 30 * K * K)
-    count = 0
-    for start in range(0, reps, rows):
-        eps = gen.standard_normal((min(rows, reps - start), K))
+
+    def count_chunk(n):
+        eps = gen.standard_normal((n, K))
         w = eps if root is None else eps @ root  # root' eps; any root with root' root = M will do
-        closed = np.linalg.norm(eps, axis=1) <= q  # x'w / ||root x|| <= ||eps|| (Scheffe)
+        r = np.linalg.norm(eps, axis=1)
+        closed = r <= q  # x'w / ||root x|| <= ||eps|| (Scheffe)
         open_ = ~closed
         if mode == "interval":  # a free row's supremum is ||eps|| itself
             x = eps if root is None else np.linalg.solve(root, eps.T).T  # M^-1 w, free maximiser
-            open_ &= np.abs(x[:, 0]) > s * np.linalg.norm(x, axis=1)
-        count += int(np.count_nonzero(closed))
+            open_ &= np.abs(x[:, 0]) > s * (r if root is None else np.linalg.norm(x, axis=1))
         top = (slice_max(w[open_], np.eye(K)[0], s, absolute=mode == "interval") if root is None
                else _slice_ratio_maxima(w[open_], root, c))
-        count += int(np.count_nonzero(top <= q))
-    return count / reps
+        return int(np.count_nonzero(closed)) + int(np.count_nonzero(top <= q))
+
+    # a chunk's arrays are freed when its call returns, before the next chunk draws
+    return sum(count_chunk(min(rows, reps - start)) for start in range(0, reps, rows)) / reps

@@ -5,13 +5,17 @@ empirical probability that both zero-threshold excursion inclusions hold
 (Cov), the mean number of false detections (FD: a null detection or a
 directional error), and the mean number of true detections (TD).  Each method
 and sided convention is one rule whose touch count comes from the library's
-own rules, ``preimage._touched`` and ``quantile._storey_count``.  Hommel and
-Benjamini-Hochberg baselines run on the same samples with FD counting type-I
-errors only.  They and Storey's null count read |t| against cuts in t: one
-per-N table maps each step-up threshold k*alpha/m to its cut, a value far from
-every cut takes a stand-in p between the thresholds around it, and the t CDF
-runs only near a cut (``_step_up_cuts``, ``_t_pvalues``).  The critical values
-q(m) for m = 0..J come from one vector t quantile (``quantile._iid_table``).
+own rules, ``preimage._touched`` and ``quantile._storey_count``, and counts
+its detections on the t columns gathered once per chunk by the sign of mu.
+Hommel and Benjamini-Hochberg baselines run on the same samples with FD
+counting type-I errors only, and read their cuts off one sort and one check of
+the p rows (``hypotests._hommel_cut``, ``hypotests._bh_cut``).  They and
+Storey's null count read |t| against cuts in t: one per-N table maps each
+step-up threshold k*alpha/m to its cut, a value far from every cut takes a
+stand-in p between the thresholds around it, and the t CDF runs only near a
+cut (``_step_up_cuts``, ``_t_pvalues``, which works on flat indices).  The
+critical values q(m) for m = 0..J come from one vector t quantile
+(``quantile._iid_table``).
 
 Each replication's t-statistics are drawn from their sufficient statistics
 (Cochran's theorem), never as an N x J sample, so it costs O(J) whatever N is.
@@ -34,9 +38,9 @@ from .dist import Rng, _t_quantile, t_cdf
 from .domain import Domain, Field, same_domain
 from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
-from .hypotests import bh_reject_mask, hommel_reject_mask
+from .hypotests import _bh_cut, _hommel_cut
 from .preimage import KPolicy, _touch_masks, _touched, resolve_k
-from .quantile import _chunk_rows, _iid_table, _map_chunks, _storey_count
+from .quantile import _checked_pvalues, _chunk_rows, _iid_table, _map_chunks, _storey_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +159,21 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
     instead, and the CDF runs only on the rest.  ``cuts``, if given, returns
     that table, so a caller can build it once for many chunks.  The band is
     searched in ascending order, so each binary search starts from the last
-    one's bound.
+    one's bound.  Values are read and written at flat indices of C-ordered
+    |t| and p arrays, whatever the layout of ``tmat``.
     """
     J = tmat.shape[1]
     lo, hi, s75 = (-_t_quantile(p / 2, df) for p in
                    (alpha * (1 + 1e-6), alpha * (1 - 1e-6) / max(2 * J, 1), 0.5))
-    a = np.abs(tmat)
+    a = np.abs(tmat, order="C")
     near75 = np.abs(a - s75) <= 1e-6 * s75
     one = a < lo
-    exact = ~(one | (a > hi)) | near75
-    pv = one.astype(float)
-    if np.count_nonzero(exact) >= J * (J + 1) // 2:
+    pv = one.astype(float, order="C")
+    flat_a, flat_pv = a.ravel(), pv.ravel()  # views, as both are C-ordered
+    exact = np.flatnonzero(~(one | (a > hi)) | near75)
+    if exact.size >= J * (J + 1) // 2:
         cut, gap_p = cuts() if cuts else _step_up_cuts(df, alpha, J)
-        band = a[exact]
+        band = flat_a.take(exact)
         order = np.argsort(band)
         i = np.empty_like(order)
         # rounding may swap cuts an ulp apart; far values sort alike
@@ -175,10 +181,9 @@ def _t_pvalues(tmat, df, alpha, cuts=None):
         near = np.minimum(np.abs(band - cut[np.maximum(i - 1, 0)]),
                           np.abs(band - cut[np.minimum(i, cut.size - 1)]))
         far = near > 1e-6 * (1.0 + band)  # NaN is never far
-        pv[exact] = gap_p[i]
-        exact[exact] = ~far
-        exact |= near75
-    pv[exact] = 2.0 * t_cdf(-a[exact], df)
+        flat_pv[exact] = gap_p[i]
+        exact = exact[~far | near75.ravel().take(exact)]
+    flat_pv[exact] = 2.0 * t_cdf(-flat_a.take(exact), df)
     return pv, np.where(near75, pv >= 0.5, a <= s75)
 
 
@@ -189,6 +194,11 @@ def _run_chunk(gen, nb, N, mu, rules, baselines, alpha, cuts):
     tmat = _draw_tstats(gen, nb, N, mu)
     if baselines or any(kind == "storey" for kind, _, _ in rules):
         pv, p_half = _t_pvalues(tmat, N - 1, alpha, cuts)
+    # t's columns where mu < 0, = 0 and > 0, in that order: a detection below zero is true
+    # only in the first block and one above zero only in the last
+    neg, pos = np.flatnonzero(mu < 0.0), np.flatnonzero(mu > 0.0)
+    t_by_sign = tmat.take(np.concatenate([neg, np.flatnonzero(is_null), pos]), axis=1)
+    n_neg, n_neg_null = neg.size, t_by_sign.shape[1] - pos.size
     out = np.zeros((len(rules) + len(baselines), 3))
     for row, (kind, k, q_table) in zip(out, rules):
         if kind == "oracle":
@@ -197,12 +207,15 @@ def _run_chunk(gen, nb, N, mu, rules, baselines, alpha, cuts):
             m = _storey_count(p_half)
         else:
             m = np.count_nonzero(_touched(tmat, (0.0,), k), axis=1)
-        lower, upper = widened_excursions(tmat, 0.0, 0.0, q_table[m][:, None])
-        fd = (lower & (mu >= 0.0)).sum(axis=1) + (upper & (mu <= 0.0)).sum(axis=1)
-        td = (lower & (mu < 0.0)).sum(axis=1) + (upper & (mu > 0.0)).sum(axis=1)
-        row[:] = np.count_nonzero(fd == 0), fd.sum(), td.sum()
+        lower, upper = widened_excursions(t_by_sign, 0.0, 0.0, q_table[m][:, None])
+        fd = (np.count_nonzero(lower[:, n_neg:], axis=1)
+              + np.count_nonzero(upper[:, :n_neg_null], axis=1))
+        td = np.count_nonzero(lower[:, :n_neg]) + np.count_nonzero(upper[:, n_neg_null:])
+        row[:] = np.count_nonzero(fd == 0), fd.sum(), td
+    if baselines:  # one sort and one check serve both step-up rules
+        ps = np.sort(_checked_pvalues(pv), axis=1)
     for row, b in zip(out[len(rules):], baselines):
-        rej = (hommel_reject_mask if b == "hommel" else bh_reject_mask)(pv, alpha)
+        rej = pv <= (_hommel_cut if b == "hommel" else _bh_cut)(ps, alpha)[:, None]
         row[1:] = np.count_nonzero(rej & is_null), np.count_nonzero(rej & ~is_null)
     return out
 

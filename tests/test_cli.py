@@ -461,10 +461,14 @@ class TestTestsCommand:
         assert not (tmp_path / "o").exists()
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def test_every_flag_is_read_by_its_own_command():
     # a flag whose value its command never reads changes nothing and should not exist;
     # the one exception is --seed, which only simulate reads (the others draw nothing)
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = _subparsers(cli.build_parser())
     unread = set()
     for name, parser in sub.choices.items():
         source = inspect.getsource(parser.get_default("fn"))
@@ -476,6 +480,52 @@ def test_every_flag_is_read_by_its_own_command():
     assert unread == {(name, "seed") for name in ("scope", "insig", "scheffe", "tests")}
     for name in ("scope", "insig", "scheffe", "tests"):
         assert "only simulate reads --seed" in " ".join(sub.choices[name].format_help().split())
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_one_command_parser_helps_as_the_full_one(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _subparsers(cli.build_parser()).choices[command]
+    alone = _subparsers(cli.build_parser(command)).choices
+    assert list(alone) == [command]
+    assert alone[command].format_help() == full.format_help()
+    assert alone[command].format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["simul"], ["-x", "simulate"],
+    ["simulate"], ["simulate", "-h"], ["simulate", "--config"], ["simulate", "--con", "x.txt"],
+    ["simulate", "--config", "missing.txt", "--bogus"], ["simulate", "--seed", "x"],
+    ["scope", "--help"], ["scope", "--data", "d.csv", "--bogus", "1"],
+    ["scope", "--data", "missing.csv", "--level", "0", "--kappa", "3", "--sided", "two_sided"],
+    ["scope", "--data", "d.csv", "--sided", "three"], ["insig", "-h"],
+    ["insig", "--data", "missing.csv", "--kappa", "3", "--sided", "two_sided"],
+    ["insig", "--kappa", "x"], ["scheffe", "--K", "x"], ["scheffe", "--K", "1"],
+    ["tests", "-h"], ["tests", "--kind", "zz"], ["scope", "simulate"],
+])
+def test_help_usage_and_errors_read_as_from_the_full_parser(monkeypatch, capsys, tmp_path, argv):
+    # main builds only the named command's flags; every byte and exit code stays the full
+    # parser's, including the top usage line that lists every command
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    full, outcomes = cli.build_parser, []
+    for build in (full, lambda command=None: full()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        outcomes.append((main(list(argv)), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][0] == 0) == any(a in ("-h", "--help") for a in argv)
+
+
+def test_a_named_command_builds_only_its_own_flags(monkeypatch, tmp_path):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(real(command))
+                        or built[-1])
+    assert main(["simulate", "--config", str(tmp_path / "missing.txt")]) == 2
+    (parser,) = built
+    (sim,) = _subparsers(parser).choices.values()
+    assert sim.prog == "scopesets simulate"
+    assert {a.dest for a in sim._actions} == {"help", "config", "out", "seed"}
 
 
 @pytest.mark.parametrize("flags", [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 from conftest import normal_cdf, peak_traced_mb
 
 from scopesets import quantile
@@ -489,6 +489,26 @@ def test_mixed_law_holds_on_the_tail_scale_at_tiny_alpha(n_one, n_both, alpha, d
     log_target = math.log1p(-alpha) if tail == "upper" else math.log(alpha)
     law = n_one * math.log1p(-sf) + n_both * math.log1p(-2.0 * sf)
     assert law == pytest.approx(log_target, rel=1e-12, abs=0.0)
+
+
+def _abs_t_cdf(q, df):
+    """2F(q) - 1 with its relative digits: (2/pi) atan q at df = 1, erf(q/sqrt 2) at df = inf."""
+    if df == 1.0:
+        return 2.0 / math.pi * math.atan(q)
+    if df == np.inf:
+        return math.erf(q / math.sqrt(2.0))
+    return float(special.betainc(0.5, df / 2.0, q * q / (df + q * q)))
+
+
+@pytest.mark.parametrize("n_one, n_both, alpha, df", [
+    (2, 2, 1e-15, 1.0), (2, 1, 1e-15, 1.0), (2, 1, 1e-15, 29.0), (2, 1, 1e-15, np.inf),
+    (3, 5, 1e-13, 29.0)])
+def test_lower_tail_law_holds_on_the_c_scale_at_tiny_alpha(n_one, n_both, alpha, df):
+    # q sits near 0, where sf = 1 - F(q) near 1/2 fixed c = 2F(q) - 1 only to about 1e-16
+    # absolute: these cases missed the law by 1.2e-9 to 8.0e-4 relative
+    q = quantile._iid_exact(n_one, n_both, alpha, df, "lower").q
+    c = _abs_t_cdf(q, df)
+    assert ((1.0 + c) / 2.0) ** n_one * c ** n_both == pytest.approx(alpha, rel=1e-12, abs=0.0)
 
 
 def test_iid_quantile_is_the_closed_form_bit_for_bit():

@@ -324,8 +324,8 @@ class TestExtractLimitCdf:
                                      limit_matrix=lm) == 0.0
 
     def test_identity_memory_flat_in_reps(self):
-        # at K = 10 a chunk holds 1e5 rows, so 1e5 reps fill one chunk and 1e6 run ten; the
-        # peak grows only by the draws of the next chunk while the last one is still alive
+        # at K = 10 a chunk holds 1e5 rows, so 1e5 reps fill one chunk and 1e6 run ten; a
+        # chunk's arrays are freed before the next one draws, so the peak is one chunk's
         # (a closed form over all replicates at once read 17 MB at 1e5 and 168 MB at 1e6)
         peaks = []
         for reps in (100_000, 1_000_000):

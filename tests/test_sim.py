@@ -9,7 +9,7 @@ from scipy import stats
 from scopesets.dist import Rng, quantile as dq, t_cdf
 from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
-from scopesets.hypotests import bh_reject_mask, hommel_reject_mask
+from scopesets.hypotests import _bh_cut, _hommel_cut, bh_reject_mask, hommel_reject_mask
 from scopesets import quantile, sim
 from scopesets.quantile import _chunk_rows
 from scopesets.sim import (
@@ -243,6 +243,10 @@ class TestStepUpCuts:
         np.testing.assert_array_equal(p_half, full_half)
         for rule in (hommel_reject_mask, bh_reject_mask):
             np.testing.assert_array_equal(rule(pv, alpha), rule(full, alpha))
+        # the simulation reads both rules' cuts off one sort of the rows
+        ps = np.sort(pv, axis=1)
+        for cut, rule in ((_hommel_cut, hommel_reject_mask), (_bh_cut, bh_reject_mask)):
+            np.testing.assert_array_equal(pv <= cut(ps, alpha)[:, None], rule(full, alpha))
         assert built  # the table decided the values far from every cut
 
     @cut_straddling
@@ -253,6 +257,18 @@ class TestStepUpCuts:
         ref, ref_half = reference_t_pvalues(tmat, df, alpha)
         np.testing.assert_array_equal(pv.view(np.uint64), ref.view(np.uint64))
         np.testing.assert_array_equal(p_half, ref_half)
+
+    @cut_straddling
+    def test_pvalues_do_not_depend_on_the_memory_layout(self, J, df, alpha, seed):
+        tmat = _cut_straddling_tmat(J, df, alpha, seed)
+        tmat.flat[::5] = np.nan
+        ref, ref_half = reference_t_pvalues(tmat, df, alpha)
+        wide = np.zeros((2 * tmat.shape[0], 3 * J))
+        wide[::2, ::3] = tmat
+        for layout in (np.asfortranarray(tmat), np.ascontiguousarray(tmat.T).T, wide[::2, ::3]):
+            pv, p_half = sim._t_pvalues(layout, df, alpha)
+            np.testing.assert_array_equal(pv.view(np.uint64), ref.view(np.uint64))
+            np.testing.assert_array_equal(p_half, ref_half)
 
     def test_nan_still_reaches_the_pvalue_check_past_the_table(self, monkeypatch):
         tmat = np.random.default_rng(5).standard_t(4, size=(40, 10)) * 3.0
