@@ -47,33 +47,42 @@ def line_domain(size: int) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Extended-real-valued function on a finite domain."""
+    """Extended-real-valued function on a finite domain; its values are a read-only copy, and
+    whether all of them are finite is recorded once, here."""
 
     domain: Domain
     values: np.ndarray = field(repr=False)
+    _finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.domain.size,):
             raise DomainMismatchError(
                 f"field length {v.shape} does not match domain size {self.domain.size}"
             )
-        if np.isnan(v).any():
+        lo = np.minimum.reduce(v)  # NaN propagates through minimum
+        if lo != lo:
             raise ParameterError("field values must not be NaN")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_finite", bool(-np.inf < lo and np.maximum.reduce(v) < np.inf))
 
     @classmethod
     def constant(cls, domain: Domain, value: float) -> "Field":
         return cls(domain, np.full(domain.size, float(value)))
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
+        return self._finite
 
 
-def _gap(a, b) -> np.ndarray:
-    """a - b over extended reals, with equal values (equal infinities too) at gap 0."""
+def _gap(a, b, finite: bool = False) -> np.ndarray:
+    """a - b over extended reals, with equal values (equal infinities too) at gap 0.
+
+    ``finite`` says both sides are finite: then a - b is +-0 exactly where a == b, and + 0.0
+    turns -0.0 into the +0.0 the masked form writes there, so one subtraction gives the same bits.
+    """
+    if finite:
+        return a - b + 0.0
     differ = np.not_equal(a, b)  # subtracting only there never forms inf - inf
     return np.subtract(a, b, out=np.zeros(differ.shape), where=differ)
 

@@ -15,7 +15,9 @@ q*tau*sigma and above the second plus q*tau*sigma: their union for grT and lrT,
 their intersection for leT, their emptiness for eT.  On plain arrays, one ``_gap`` of the
 target (plug-in: the estimate) against both edges gives d and the touch sets: a shifted edge
 touches where its gap equals the shift (plug-in: within k*tau*sigma of it), so the oracle touch
-set is exactly where the target attains d.  ``excursion._excursions`` widens each edge by one
+set is exactly where the target attains d.  ``Field`` and ``BandSpec`` record at construction
+whether they are finite and whether the band is open, so a gap between finite sides is one
+subtraction and no call rescans the band.  ``excursion._excursions`` widens each edge by one
 subtract or add unless q*tau*sigma is infinite.
 
 Oracle calibration (target known) is validated for all four tests; plug-in calibration,
@@ -47,13 +49,15 @@ class BandSpec:
     b_plus: Field
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
     _finite: bool = field(init=False, repr=False, compare=False)
+    _open: bool = field(init=False, repr=False, compare=False)  # b_plus > b_minus everywhere
 
     def __post_init__(self):
         same_domain(self.b_minus, self.b_plus)
         if np.any(self.b_minus.values > self.b_plus.values):
             raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
         object.__setattr__(self, "_edges", np.stack((self.b_minus.values, self.b_plus.values)))
-        object.__setattr__(self, "_finite", bool(np.isfinite(self._edges).all()))
+        object.__setattr__(self, "_finite", self.b_minus._finite and self.b_plus._finite)
+        object.__setattr__(self, "_open", bool((self._edges[1] > self._edges[0]).all()))
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,15 @@ def _shift(g: np.ndarray, local: bool) -> float:
 def delta_rel(mu: Field, band: BandSpec) -> tuple[float, float, float]:
     """Smallest distances of the target to each band edge (and their min)."""
     same_domain(mu, band.b_minus)
-    d_minus, d_plus = np.minimum.reduce(np.abs(_gap(mu.values, band._edges)), axis=1).tolist()
+    g = _gap(mu.values, band._edges, mu._finite and band._finite)
+    d_minus, d_plus = np.minimum.reduce(np.abs(g), axis=1).tolist()
     return min(d_minus, d_plus), d_minus, d_plus
 
 
 def delta_eqv(mu: Field, band: BandSpec) -> float:
     """Largest signed exceedance of the target over the band (<= 0 inside)."""
     same_domain(mu, band.b_minus)
-    return _shift(_gap(mu.values, band._edges), False)
+    return _shift(_gap(mu.values, band._edges, mu._finite and band._finite), False)
 
 
 def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> QuantileEstimate:
@@ -127,16 +132,15 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     ``quantile`` itself when it is a ``QuantileEstimate``, and calibrated on ``mu`` (oracle)
     or on ``mu_hat`` (plug-in, needs ``k``) when it is a ``Calibration``.
     """
-    if kind in ("eT", "leT") and not (band.b_plus.values > band.b_minus.values).all():
+    if kind in ("eT", "leT") and not band._open:
         raise ParameterError("equivalence testing needs inf(b_plus - b_minus) > 0")
     local = kind in ("lrT", "leT")
     reference = mu if mu is not None else mu_hat
-    same_domain(reference, band.b_minus)
-    g = _gap(reference.values, band._edges)
+    same_domain(mu_hat, band.b_minus, bands.sigma, reference)
+    g = _gap(reference.values, band._edges, reference._finite and band._finite)
     d = _shift(g, local)
     s = d if local else -d
     i, j = (1, 0) if kind == "leT" else (0, 1)  # the rows of the first and second edge
-    same_domain(mu_hat, band.b_minus, bands.sigma)
     if quantile is None:
         est = QuantileEstimate(bands.q, "given", float("nan"))
     elif isinstance(quantile, QuantileEstimate):
@@ -144,17 +148,17 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     elif not isinstance(quantile, Calibration):
         raise ParameterError("quantile must be None, a QuantileEstimate, or a Calibration")
     else:
-        if mu is not None:
-            tol = 0.0
+        # an edge shifted by t touches where its gap is t; infinite edges never move
+        t = (s, -s) if band._finite else np.where(np.isinf(band._edges[[i, j]]), 0.0, [[s], [-s]])
+        if mu is not None:  # the oracle: exactly where the gap is t (_touched at tol 0.0)
+            neg, pos = np.equal(g[i], t[0]), np.equal(g[j], t[1])
         elif quantile.k is None:
             raise ParameterError("plug-in calibration needs k")
         elif not quantile.k > 0:
             raise ParameterError(f"k must be > 0, got {quantile.k}")
         else:
             tol = quantile.k * bands.tau * bands.sigma.values
-        # an edge shifted by t touches where its gap is t; infinite edges never move
-        t = (s, -s) if band._finite else np.where(np.isinf(band._edges[[i, j]]), 0.0, [[s], [-s]])
-        neg, pos = _touched(g[i], (t[0],), tol), _touched(g[j], (t[1],), tol)
+            neg, pos = _touched(g[i], (t[0],), tol), _touched(g[j], (t[1],), tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
     below, above = _excursions(mu_hat.values, band._edges[i], band._edges[j], est.q, bands)
     hits = below & above if kind == "leT" else below | above

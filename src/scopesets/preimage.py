@@ -69,16 +69,22 @@ class KPolicy:
         return f"k={format(self.k, 'g')}"
 
 
-def _touch_masks(values: np.ndarray, thresholds, tol):
+def _touch_masks(values: np.ndarray, thresholds, tol, finite: bool = False):
     """Plus-side 0 <= values - c <= tol and minus-side -tol <= values - c <= 0 masks, OR-ed over
     ``thresholds``, from one ``_gap`` each: equal values (infinities too) are at distance 0; other
-    differences with an infinity are infinite with their sign: only an infinite tol keeps them."""
-    plus = np.zeros(np.shape(values), dtype=bool)
-    minus = np.zeros(np.shape(values), dtype=bool)
+    differences with an infinity are infinite with their sign: only an infinite tol keeps them.
+    ``finite`` says ``values`` and every threshold are finite (``_gap``'s one subtraction)."""
+    plus = minus = None
     for c in thresholds:
-        d = _gap(values, c)
-        plus |= (d >= 0) & (d <= tol)
-        minus |= (d <= 0) & (d >= -tol)
+        d = _gap(values, c, finite)
+        p, m = (d >= 0) & (d <= tol), (d <= 0) & (d >= -tol)
+        if plus is None:
+            plus, minus = p, m
+        else:
+            plus |= p
+            minus |= m
+    if plus is None:
+        return np.zeros(np.shape(values), dtype=bool), np.zeros(np.shape(values), dtype=bool)
     return plus, minus
 
 
@@ -109,7 +115,8 @@ def oracle_preimage_sets(mu: Field, fam, eta: float = 0.0) -> PreimageSets:
         raise ParameterError(f"eta must be >= 0, got {eta}")
     fam = tuple(fam)
     same_domain(mu, *fam)
-    return _sets(*_touch_masks(mu.values, [c.values for c in fam], eta))
+    finite = mu._finite and all(c._finite for c in fam)
+    return _sets(*_touch_masks(mu.values, [c.values for c in fam], eta, finite))
 
 
 def plugin_preimage_sets(mu_hat: Field, fam, sigma: Field, tau: float, k: float) -> PreimageSets:
@@ -120,7 +127,9 @@ def plugin_preimage_sets(mu_hat: Field, fam, sigma: Field, tau: float, k: float)
         raise ParameterError(f"tau must be > 0, got {tau}")
     fam = tuple(fam)
     same_domain(mu_hat, sigma, *fam)
-    return _sets(*_touch_masks(mu_hat.values, [c.values for c in fam], k * tau * sigma.values))
+    finite = mu_hat._finite and all(c._finite for c in fam)
+    return _sets(*_touch_masks(mu_hat.values, [c.values for c in fam], k * tau * sigma.values,
+                               finite))
 
 
 def resolve_k(policy: KPolicy, N: int, J: int, df: float) -> float:

@@ -6,7 +6,7 @@ from both (n_both), so one solver keyed by those counts, ``_iid_exact``, serves
 ``iid_quantile``, ``iid_exact_quantile``, Storey's null-count plugin, the band
 tests and the simulation tables: q = -F^-1 of a tail sf = 1 - F(q) solved on
 the log scale, in closed form when one count is zero, by safeguarded Newton
-otherwise; the lower tail with two-sided points solves c = 2F(q) - 1 instead.
+otherwise; a lower tail at alpha <= 2^-m solves c = 2F(q) - 1, or F(q) itself, instead.
 A Monte-Carlo oracle and a multiplier bootstrap share one solver of the
 limiting max-sup law and differ only in the square root normals pass through.
 """
@@ -78,10 +78,10 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     q solves F(q)^n_one (2F(q) - 1)^n_both = 1 - alpha for the upper tail and
     = alpha for the lower, with F the t CDF on ``df`` degrees of freedom, as
     q = -F^-1(sf) for the tail sf = 1 - F(q) of ``_tail_sf``.  On the lower
-    tail with two-sided points and alpha <= 2^-m, q is the |T| quantile of
-    c = 2F(q) - 1 of ``_lower_c`` instead: there c <= 1/2, and sf near 1/2
-    would keep only the absolute digits of a small c.  Both counts zero gives
-    q = 0 with a flag.
+    tail with alpha <= 2^-m, q is the |T| quantile of c = 2F(q) - 1 of
+    ``_lower_c`` when some point is two-sided, and F^-1(alpha^(1/m)) when
+    none is: there c and F(q) are <= 1/2, and sf near 1/2 or 1 would keep
+    only their absolute digits.  Both counts zero gives q = 0 with a flag.
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -93,8 +93,9 @@ def _iid_exact(n_one: int, n_both: int, alpha: float, df: float, tail: str) -> Q
     m = n_one + n_both
     if m == 0:
         q = 0.0
-    elif tail == "lower" and n_both and alpha <= 0.5 ** m:  # then c <= alpha^(1/m) <= 1/2
-        q = float(_t_abs_quantile(_lower_c(alpha, n_one, n_both), df))
+    elif tail == "lower" and alpha <= 0.5 ** m:  # then c, F(q) <= alpha^(1/m) <= 1/2
+        q = float(_t_abs_quantile(_lower_c(alpha, n_one, n_both), df) if n_both
+                  else _t_quantile(math.exp(math.log(alpha) / m), df))
     else:
         q = 0.0 - float(_t_quantile(_tail_sf(alpha, n_one, n_both, tail), df))
     return QuantileEstimate(q, "iid_exact", alpha, m, empty_sets=m == 0)

@@ -1,12 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 from conftest import peak_traced_mb
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
 from scopesets.domain import (
     Domain,
     Field,
     IndexSet,
+    _gap,
     hausdorff_distance,
     line_domain,
     load_field,
@@ -60,6 +64,37 @@ class TestField:
             Field(Domain(2), [0.0, np.nan])
         f = Field(Domain(3), [np.inf, -np.inf, 0.0])
         assert not f.is_finite()
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("rest", [(0.0, 1.0, -2.0, 3.0), (np.inf, 1.0, -np.inf, 3.0),
+                                      (-np.inf,) * 4, (np.inf,) * 4])
+    def test_nan_rejected_first_middle_and_last_also_beside_infinities(self, at, rest):
+        values = [*rest[:at], np.nan, *rest[at:]]
+        with pytest.raises(ParameterError, match="NaN"):
+            Field(Domain(5), values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from((0.0, -0.0, 5e-324, -1.5, 1.7976931348623157e308,
+                                     -1.7976931348623157e308, np.inf, -np.inf)),
+                    min_size=1, max_size=6))
+    def test_finite_is_recorded_and_false_whenever_an_infinity_is_present(self, values):
+        f = Field(Domain(len(values)), values)
+        assert f._finite is f.is_finite() is bool(np.isfinite(values).all())
+
+    def test_values_are_a_read_only_copy(self):
+        v = np.array([0.0, 1.0, -2.0])
+        f = Field(Domain(3), v)
+        v[0] = 7.0
+        assert f.values.tolist() == [0.0, 1.0, -2.0] and not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0] = 7.0
+
+    def test_recorded_finiteness_changes_no_signature_repr_or_equality(self):
+        assert str(inspect.signature(Field)) == "(domain: 'Domain', values: 'np.ndarray') -> None"
+        dom = Domain(2)
+        f = Field(dom, [0.0, 1.0])
+        assert repr(f) == "Field(domain=Domain(size=2, coords=None))"
+        assert f == f and f != Field(dom, [0.0, 1.0])  # identity, as before
 
     def test_same_domain(self):
         a = Field.constant(Domain(3), 0.0)
@@ -241,3 +276,24 @@ class TestFieldCsv:
         path = tmp_path / "field.csv"
         path.write_text("index,value\n1.0,2\n\n0,1\n")
         assert load_field(path).values.tolist() == [1.0, 2.0]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_PAIR = st.one_of(st.tuples(_FINITE, _FINITE), _FINITE.map(lambda x: (x, x)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_PAIR, min_size=1, max_size=8))
+@example([(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (0.25, 0.25), (-3.5, -3.5)])
+@example([(5e-324, 5e-324), (5e-324, -5e-324), (-5e-324, 0.0), (2.2250738585072014e-308, 5e-324)])
+@example([(1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7976931348623157e308, -1e308),
+          (-1.7976931348623157e308, 1.7976931348623157e308), (1.7e308, 1.7e308)])
+def test_finite_gap_is_the_masked_gap_bit_for_bit(pairs):
+    # on finite sides a - b is +-0 exactly at a == b, and + 0.0 writes the masked form's +0.0
+    # there; a difference that overflows is the same +-inf on both paths
+    a, b = np.array(pairs).T
+    with np.errstate(over="ignore"):
+        for left, right in ((a, b), (a, np.stack((b, a, -b)))):
+            fast, masked = _gap(left, right, finite=True), _gap(left, right)
+            assert fast.shape == masked.shape
+            assert fast.view(np.uint64).tolist() == masked.view(np.uint64).tolist()

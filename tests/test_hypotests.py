@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from itertools import combinations
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_band_test
+from scopesets import hypotests
 from scopesets.dist import Rng, quantile as dq
 from scopesets.domain import Domain, Field, IndexSet, _gap
 from scopesets.errors import (DegenerateDataError, DomainMismatchError, ParameterError,
@@ -55,6 +57,26 @@ class TestBandSpec:
         )
         np.testing.assert_array_equal(_gap(band.b_plus.values, band.b_minus.values),
                                       [np.inf, np.inf, 1.0])
+
+    @pytest.mark.parametrize("lo, hi, is_open, finite", [
+        ([-1.0, 0.0, 0.5], [1.0, 0.25, 0.75], True, True),
+        ([-1.0, 0.25, 0.5], [1.0, 0.25, 0.75], False, True),
+        ([-np.inf, 0.0, 0.5], [1.0, 0.25, np.inf], True, False),
+        ([0.0, np.inf, -np.inf], [1.0, np.inf, -1.0], False, False)])
+    def test_open_and_finite_are_recorded_at_construction(self, lo, hi, is_open, finite):
+        dom = Domain(3)
+        band = BandSpec(Field(dom, lo), Field(dom, hi))
+        assert band._open is is_open and band._finite is finite
+
+    def test_recorded_facts_change_no_signature_repr_or_equality(self):
+        assert str(inspect.signature(BandSpec)) == "(b_minus: 'Field', b_plus: 'Field') -> None"
+        dom = Domain(2)
+        lo, hi = Field(dom, [0.0, 1.0]), Field(dom, [1.0, 2.0])
+        f = "Field(domain=Domain(size=2, coords=None))"
+        assert repr(BandSpec(lo, hi)) == f"BandSpec(b_minus={f}, b_plus={f})"
+        assert BandSpec(lo, hi) == BandSpec(lo, hi)
+        assert hash(BandSpec(lo, hi)) == hash(BandSpec(lo, hi))
+        assert BandSpec(lo, hi) != BandSpec(lo, Field(dom, [1.0, 2.0]))
 
     def test_equal_infinite_edges_have_zero_gap(self):
         # both edges +inf at index 1: the band is a single point there
@@ -512,8 +534,30 @@ def _band_cases(draw):
     return Field(dom, mu_hat), band, bands, quantile, Field(dom, mu) if pick("oracle") else None
 
 
+def _in_every_kind(*cases):
+    """An ``@example`` of each case for each of the four kinds."""
+    def add(test):
+        for kind in sorted(_KINDS):
+            for case in cases:
+                test = example(kind=kind, case=case)(test)
+        return test
+    return add
+
+
+def _oracle_case(mu, lo, hi):
+    dom = mu.domain
+    return (mu, BandSpec(Field(dom, lo), Field(dom, hi)), unit_bands(dom, tau=0.5),
+            Calibration(cov=("iid_t", 9.0)), mu)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(sorted(_KINDS)), case=_band_cases())
+# finite sides, so the one-subtraction gap: a -0.0 target on an edge at 0.0, and targets tied
+# with an edge shifted by a non-dyadic d; then a finite target against infinite edges, the
+# masked gap
+@_in_every_kind(_oracle_case(fld(-0.0, 0.5, 0.25), [0.0] * 3, [1.0] * 3),
+                _oracle_case(fld(0.15, -0.05, 0.05, 0.3), [-0.1] * 4, [0.2] * 4),
+                _oracle_case(fld(0.3, -0.2, 0.05), [-np.inf, -0.1, -0.1], [0.2, np.inf, 0.2]))
 @example(kind="grT", case=(fld(0.0, 0.25), const_band(Domain(2), 0.0, 1.0),  # d_eqv is +0.0
                            unit_bands(Domain(2)), Calibration(), fld(0.0, 0.25)))
 # plug-in: the estimate meets each shifted edge from both sides within k*tau*sigma, so the
@@ -527,6 +571,32 @@ def test_band_tests_match_the_reference_template_bit_for_bit(kind, case):
     # quantile form, both calibration modes, infinite edges, d = 0 and d = inf,
     # q = 0 and q = inf, and errors raised must all match
     assert _outcome(_KINDS[kind], *case) == _outcome(reference_band_test, kind, *case)
+
+
+@pytest.mark.parametrize("infinite_edge", [False, True])
+def test_finite_oracle_tests_never_reach_the_masked_gap(infinite_edge, monkeypatch):
+    # finiteness is recorded at construction: on a finite target and band each gap is one
+    # subtraction, and only an infinite edge takes the masked form
+    finite_flags = []
+    real = hypotests._gap
+
+    def spy(a, b, finite=False):
+        finite_flags.append(finite)
+        return real(a, b, finite)
+
+    monkeypatch.setattr(hypotests, "_gap", spy)
+    gen = np.random.default_rng(28)
+    dom = Domain(80)
+    hi = np.full(80, 0.2)
+    if infinite_edge:
+        hi[7] = np.inf
+    band = BandSpec(Field.constant(dom, -0.1), Field(dom, hi))
+    mu = Field(dom, gen.normal(0.05, 0.3, 80))
+    mu_hat = Field(dom, mu.values + gen.normal(0.0, 0.1, 80))
+    for test in (lrt, let_):
+        test(mu_hat, band, unit_bands(dom, tau=0.1), quantile=Calibration(cov=("iid_t", 99)),
+             mu=mu)
+    assert finite_flags == [not infinite_edge] * 2
 
 
 # each fault, in the order the band tests check them, with the error it raises

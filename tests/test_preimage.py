@@ -195,6 +195,20 @@ class TestTouchMasks:
             np.testing.assert_array_equal(plus, want_plus)
             np.testing.assert_array_equal(minus, want_minus)
 
+    def test_no_thresholds_give_two_all_false_masks(self):
+        values = np.array([0.0, np.inf, -1.0])
+        plus, minus = _touch_masks(values, [], 0.5)
+        assert plus.dtype == minus.dtype == bool and plus.shape == minus.shape == values.shape
+        assert not plus.any() and not minus.any() and plus is not minus
+
+    @pytest.mark.parametrize("tol", [0.0, 0.25, np.inf])
+    def test_finite_sides_take_one_subtraction_bit_for_bit(self, tol):
+        # signed zeros, ties and subnormals: the finite gap's masks are the masked gap's
+        values = np.array([0.0, -0.0, 0.25, 5e-324, -5e-324, 1.0, -0.5])
+        thresholds = [np.roll(values, r) for r in range(values.size)] + [np.zeros(values.size)]
+        np.testing.assert_array_equal(_touch_masks(values, thresholds, tol, True),
+                                      _touch_masks(values, thresholds, tol))
+
 
 class TestResolveK:
     def test_log_over_kappa(self):

@@ -511,9 +511,20 @@ def test_lower_tail_law_holds_on_the_c_scale_at_tiny_alpha(n_one, n_both, alpha,
     assert ((1.0 + c) / 2.0) ** n_one * c ** n_both == pytest.approx(alpha, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n_one, alpha, df", [
+    (1, 1e-15, 4.0), (1, 1e-15, np.inf), (1, 1e-12, 29.0), (2, 1e-15, 4.0)])
+def test_lower_tail_law_holds_with_every_point_one_sided(n_one, alpha, df):
+    # F(q) = alpha^(1/n_one) is tiny: read off sf = 1 - F(q) near 1 it kept only its
+    # absolute digits, and these cases missed the law by 1.1e-9 to 8.0e-4 relative
+    q = quantile._iid_exact(n_one, 0, alpha, df, "lower").q
+    F = special.ndtr(q) if df == np.inf else special.stdtr(df, q)
+    assert F ** n_one == pytest.approx(alpha, rel=1e-12, abs=0.0)
+
+
 def test_iid_quantile_is_the_closed_form_bit_for_bit():
     # q = -F^-1(sf) on the tail sf = 1 - 0.9^(1/m), halved when two-sided: the level
-    # form F^-1(0.9^(1/m)) up to the rounding of a level near 1
+    # form F^-1(0.9^(1/m)) up to the rounding of a level near 1; the lower tail at
+    # alpha = 0.1 <= 2^-m (m = 1) is the level form F^-1(0.1^(1/m)) itself
     for m in (1, 5, 80):
         for df in (np.inf, 39.0):
             sf = -math.expm1(math.log1p(-0.1) / m)
@@ -524,7 +535,10 @@ def test_iid_quantile_is_the_closed_form_bit_for_bit():
             assert one == pytest.approx(dq("t", base, df=df), rel=1e-12)
             assert two == pytest.approx(dq("t", (1.0 + base) / 2.0, df=df), rel=1e-12)
             lower = quantile._iid_exact(m, 0, 0.1, df, "lower").q
-            assert lower == -dq("t", -math.expm1(math.log(0.1) / m), df=df)
+            if m == 1:
+                assert lower == dq("t", math.exp(math.log(0.1) / m), df=df)
+            else:
+                assert lower == -dq("t", -math.expm1(math.log(0.1) / m), df=df)
 
 
 class TestMultiplierBootstrap:
