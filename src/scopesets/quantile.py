@@ -14,6 +14,7 @@ limiting max-sup law and differ only in the square root normals pass through.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,15 +222,22 @@ def _chunk_rows(reps: int, width: int) -> int:
     return max(1, min(reps, 4_000_000 // max(1, width)))
 
 
-def _map_chunks(fn, reps: int, width: int, rng: Rng) -> list:
+def _map_chunks(fn, reps: int, width: int, rng: Rng, workers: int = 1) -> list:
     """``fn(gen, n)`` per chunk of ``reps`` rows, in chunk order; chunk i draws from child stream i.
 
     ``width`` is the float values a chunk keeps alive per row, so chunk sizes
-    depend on the problem size alone and results are bit-reproducible.
+    depend on the problem size alone and results are bit-reproducible.  ``workers`` >= 2 runs
+    them on a pool made and joined here, where a failing chunk cancels those not yet started;
+    simulate passes no count and runs serially.
     """
     rows = _chunk_rows(reps, width)
-    return [fn(rng.child(i).generator(), min(rows, reps - start))
-            for i, start in enumerate(range(0, reps, rows))]
+    sizes = [min(rows, reps - start) for start in range(0, reps, rows)]
+    gens = [rng.child(i).generator() for i in range(len(sizes))]
+    if workers < 2:
+        return list(map(fn, gens, sizes))
+    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, gens, sizes))
 
 
 def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet, alpha,
@@ -242,6 +250,8 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
     are negated once, so a draw is max(row max, negated max over points in both sets).
     Both sets empty gives q = 0 with a flag.  The upper tail returns the order statistic at
     ceil((1-alpha)*reps), the lower tail (for the equivalence test) the one at floor(alpha*reps).
+    Chunks run on min(2, chunks, usable CPUs) threads, each streaming blocks of half a chunk
+    through its worker's buffer pair: memory stays one chunk's and q the same on any CPU count.
     """
     _check_alpha(alpha)
     if tail not in ("upper", "lower"):
@@ -255,12 +265,27 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
     root *= np.where(np.isin(union, pos_set.members), 1.0, -1.0)
     both = np.searchsorted(union, neg_set.intersection(pos_set).members)
 
-    def draw(gen, n):
-        z = gen.standard_normal((n, root.shape[0]))  # C-ordered: z.T is a Fortran view
-        x = dtrmm(1.0, root, z.T, trans_a=1, overwrite_b=1).T if upper else z @ root
-        return max_sup(x, both, slice(None))
     width = max(root.shape[0], union.size + both.size)
-    stats = np.sort(np.concatenate(_map_chunks(draw, reps, width, rng)))
+    rows = _chunk_rows(reps, width)
+    block = -(-rows // 2)
+    workers = min(2, len(range(0, reps, rows)), len(os.sched_getaffinity(0)))
+    # allocated here: buffers allocated in worker threads grow glibc's per-thread arenas
+    free = [(np.empty((block, root.shape[0])), None if upper else np.empty((block, union.size)))
+            for _ in range(workers)]
+
+    def draw(gen, n):
+        z, x = free.pop()
+        try:
+            out = np.empty(n)
+            for s in range(0, n, block):
+                zb = gen.standard_normal(out=z[:min(block, n - s)])  # zb.T is a Fortran view
+                xb = (dtrmm(1.0, root, zb.T, trans_a=1, overwrite_b=1).T if upper
+                      else np.matmul(zb, root, out=x[:len(zb)]))
+                out[s:s + len(zb)] = max_sup(xb, both, slice(None))
+            return out
+        finally:
+            free.append((z, x))
+    stats = np.sort(np.concatenate(_map_chunks(draw, reps, width, rng, workers)))
     if tail == "upper":
         q = stats[min(reps, int(np.ceil((1.0 - alpha) * reps))) - 1]
     else:

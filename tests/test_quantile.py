@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -359,6 +362,99 @@ def test_oracle_memory_at_the_benchmark_shape():
     assert peak.mb < 64
 
 
+def test_bootstrap_memory_at_the_benchmark_shape():
+    # N = 100, 667 + 667 disjoint points of J = 2,000, R = 5,000: chunks of 2,998 replicates,
+    # run as blocks of 1,499 on two workers; the serial solver peaked at 35.5 MB here
+    data = np.random.default_rng(1).normal(size=(100, 2000))
+    chosen = np.random.default_rng(0).permutation(2000)[:1334]
+    neg, pos = IndexSet(chosen[:667]), IndexSet(chosen[667:])
+    with peak_traced_mb() as peak:
+        multiplier_bootstrap_quantile(data, PreimageSets(neg, pos, neg.union(pos)), 0.1, 5000,
+                                      Rng(0))
+    assert peak.mb < 40
+
+
+class TestChunkPool:
+    """The two Monte-Carlo routes run their chunks on a per-call pool of up to two workers."""
+
+    @staticmethod
+    def _oracle_three_chunks():
+        # neg = pos = 101 points: 202 signed columns, chunks of 19,801 draws, so 50,000 take 3
+        s = IndexSet(range(101))
+        ref = _signed_gemm_reference(_oracle_root(_ar1(101, 0.5), s.members), s.members,
+                                     s.members, s.members, 0.1, 50_000, Rng(4))
+        return lambda: mc_oracle_quantile(_ar1(101, 0.5), s, s, 0.1, 50_000, Rng(4)), ref
+
+    @staticmethod
+    def _bootstrap_three_chunks():
+        # neg = pos = 2,000 columns: 4,000 signed columns, chunks of 1,000 replicates
+        data = np.random.default_rng(10).normal(size=(30, 2000))
+        s = IndexSet.full(2000)
+        ref = _signed_gemm_reference(_bootstrap_root(data, s.members), s.members, s.members,
+                                     s.members, 0.1, 3000, Rng(19))
+        return lambda: multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 3000,
+                                                     Rng(19)), ref
+
+    @pytest.mark.parametrize("case", ["_oracle_three_chunks", "_bootstrap_three_chunks"])
+    def test_worker_count_does_not_change_q(self, monkeypatch, case):
+        solve, ref = getattr(self, case)()
+        workers, real = [], quantile._map_chunks
+
+        def spy(fn, reps, width, rng, n=1):
+            workers.append(n)
+            return real(fn, reps, width, rng, n)
+
+        monkeypatch.setattr(quantile, "_map_chunks", spy)
+        qs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            qs.append(solve().q)
+        assert workers == [1, 2]
+        assert np.float64(qs[0]).view(np.int64) == np.float64(qs[1]).view(np.int64)
+        assert abs(qs[0] - ref) <= 1e-12
+
+    def test_buffers_stay_with_their_worker_under_frequent_thread_switches(self, monkeypatch):
+        # N = 5, 20,000 + 20,000 disjoint columns: 20 chunks of 100 replicates on two workers,
+        # switching threads every microsecond; a buffer handed to both workers mixes their blocks
+        data = np.random.default_rng(11).normal(size=(5, 40_000))
+        sets = PreimageSets(IndexSet(range(20_000)), IndexSet(range(20_000, 40_000)),
+                            IndexSet.full(40_000))
+        solve = lambda: multiplier_bootstrap_quantile(data, sets, 0.1, 2000, Rng(12)).q
+        _cpus(monkeypatch, 1)
+        serial = solve()
+        _cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = [solve() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        bits = [np.float64(q).view(np.int64) for q in pooled]
+        assert bits == [np.float64(serial).view(np.int64)] * 3
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_chunk_raises_promptly_and_leaves_no_thread(self, monkeypatch, failing):
+        solve, _ = self._oracle_three_chunks()
+        _cpus(monkeypatch, 2)
+        real = Rng.generator
+        monkeypatch.setattr(Rng, "generator", lambda self: _FailingDraw()
+                            if self.spawn_key == (failing,) else real(self))
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                solve()
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "the call hung on a failed chunk"
+        assert len(raised) == 1
+        assert threading.active_count() == before
+
+
 def _eigh_root_quantile_reference(corr, neg_idx, pos_idx, alpha, reps, seed):
     """Upper (1 - alpha) quantile of max_sup over draws z @ (V sqrt(w)).T, corr = V diag(w) V.T."""
     w, v = np.linalg.eigh(corr)
@@ -367,26 +463,27 @@ def _eigh_root_quantile_reference(corr, neg_idx, pos_idx, alpha, reps, seed):
     return stats[int(np.ceil((1 - alpha) * reps)) - 1]
 
 
-class _RecordedDraw(np.ndarray):
-    """A normal draw that records the size of its product with a matrix."""
+class _DrawRecorder:
+    """A generator stand-in that records every normal draw, a view of the buffer it fills."""
 
-    def __matmul__(self, other):
-        out = np.asarray(self) @ other
-        self.sizes.append(out.size)
-        return out
+    def __init__(self, gen, draws):
+        self.gen, self.draws = gen, draws
+
+    def standard_normal(self, size=None, out=None):
+        self.draws.append(out)
+        return self.gen.standard_normal(size, out=out)
 
 
-class _SizeRecorder:
-    """A generator stand-in that records the size of every normal draw and of its product."""
+class _FailingDraw:
+    """A generator stand-in whose draws raise, as a chunk that fails mid-call."""
 
-    def __init__(self, gen, sizes):
-        self.gen, self.sizes = gen, sizes
+    def standard_normal(self, size=None, out=None):
+        raise FloatingPointError("chunk draw failed")
 
-    def standard_normal(self, size):
-        out = self.gen.standard_normal(size).view(_RecordedDraw)
-        out.sizes = self.sizes
-        self.sizes.append(out.size)
-        return out
+
+def _cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable as far as the solver's worker rule can tell."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def _bootstrap(data, tail="upper"):
@@ -581,17 +678,34 @@ class TestMultiplierBootstrap:
         assert est.q == pytest.approx(ref.q, abs=0.1)
 
     def test_chunk_arrays_bounded_when_union_exceeds_n(self, monkeypatch):
-        # N = 3, |union| = 40,000: chunks of 100 replicates, so R = 250 takes 3
-        sizes = []
-        real = quantile._map_chunks
+        # N = 3, |union| = 40,000: chunks of 100 replicates, so R = 250 takes 3 on two workers,
+        # each streaming blocks of 50 through its own buffer pair
+        chunks, draws, products = [], [], []
+        real, real_matmul = quantile._map_chunks, np.matmul
 
         def spy(fn, *args):
-            return real(lambda gen, n: fn(_SizeRecorder(gen, sizes), n), *args)
+            def recorded(gen, n):
+                chunks.append(n)
+                return fn(_DrawRecorder(gen, draws), n)
+            return real(recorded, *args)
+
+        def matmul(a, b, out=None):
+            products.append(out)
+            return real_matmul(a, b, out=out)
 
         monkeypatch.setattr(quantile, "_map_chunks", spy)
+        monkeypatch.setattr(np, "matmul", matmul)
+        _cpus(monkeypatch, 2)
         data = np.random.default_rng(3).normal(size=(3, 40_000))
         sets = PreimageSets(IndexSet(range(20_000)), IndexSet(range(20_000, 40_000)),
                             IndexSet.full(40_000))
         multiplier_bootstrap_quantile(data, sets, 0.1, 250, Rng(0))
-        assert len(sizes) == 6  # a multiplier draw and a product per chunk
-        assert max(sizes) <= 4_000_000
+        assert sorted(chunks) == [50, 100, 100]
+        assert [d.shape for d in draws] == [(50, 3)] * 5
+        assert [p.shape for p in products] == [(50, 40_000)] * 5
+        # every draw and product fills a block of one of at most two buffers, one per worker
+        # (one worker may take every chunk), so both workers hold at most 4e6 values together
+        for blocks in (draws, products):
+            buffers = {id(b.base): b.base for b in blocks}
+            assert len(buffers) <= 2 and all(b.base is None for b in buffers.values())
+            assert 2 * max(b.size for b in buffers.values()) <= 4_000_000
