@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +236,6 @@ def _map_chunks(fn, reps: int, width: int, rng: Rng, workers: int = 1) -> list:
     gens = [rng.child(i).generator() for i in range(len(sizes))]
     if workers < 2:
         return list(map(fn, gens, sizes))
-    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, gens, sizes))
 
@@ -268,10 +268,10 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
     width = max(root.shape[0], union.size + both.size)
     rows = _chunk_rows(reps, width)
     block = -(-rows // 2)
-    workers = min(2, len(range(0, reps, rows)), len(os.sched_getaffinity(0)))
-    # allocated here: buffers allocated in worker threads grow glibc's per-thread arenas
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(2, len(range(0, reps, rows)), cpus or 1)
     free = [(np.empty((block, root.shape[0])), None if upper else np.empty((block, union.size)))
-            for _ in range(workers)]
+            for _ in range(workers)]  # made here: worker-thread buffers grow glibc's arenas
 
     def draw(gen, n):
         z, x = free.pop()

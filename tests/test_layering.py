@@ -208,24 +208,6 @@ def test_import_leaves_optimize_spatial_linalg_and_sparse_unloaded():
     assert out == ["[]", "3.605551275463989", "1.9170683154650543"]
 
 
-def test_concurrent_futures_is_imported_only_on_the_pooled_branch():
-    """The Monte-Carlo chunk pool imports ``concurrent.futures`` inside ``_map_chunks`` and no
-    module imports it at module level, so the import path never pays for it.  A fresh-process
-    check like ``IMPORT_GUARD`` cannot show this: scipy.special loads concurrent.futures itself,
-    through numpy.testing."""
-    importers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
-                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
-            if any(n.split(".")[0] == "concurrent" for n in names):
-                owners = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                          and any(inner is node for inner in ast.walk(f))]
-                importers.add((path.stem, tuple(owners)))
-    assert importers == {("quantile", ("_map_chunks",))}
-
-
 def test_band_tests_read_touches_off_the_gap():
     """The band tests find each shifted edge's touch set on the gap of the target to the edge,
     where the shift d was read, and never move a threshold to find it: an edge b + d rounds, so

@@ -395,9 +395,8 @@ class TestChunkPool:
         return lambda: multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 3000,
                                                      Rng(19)), ref
 
-    @pytest.mark.parametrize("case", ["_oracle_three_chunks", "_bootstrap_three_chunks"])
-    def test_worker_count_does_not_change_q(self, monkeypatch, case):
-        solve, ref = getattr(self, case)()
+    @staticmethod
+    def _record_workers(monkeypatch):
         workers, real = [], quantile._map_chunks
 
         def spy(fn, reps, width, rng, n=1):
@@ -405,6 +404,12 @@ class TestChunkPool:
             return real(fn, reps, width, rng, n)
 
         monkeypatch.setattr(quantile, "_map_chunks", spy)
+        return workers
+
+    @pytest.mark.parametrize("case", ["_oracle_three_chunks", "_bootstrap_three_chunks"])
+    def test_worker_count_does_not_change_q(self, monkeypatch, case):
+        solve, ref = getattr(self, case)()
+        workers = self._record_workers(monkeypatch)
         qs = []
         for cpus in (1, 2):
             _cpus(monkeypatch, cpus)
@@ -412,6 +417,18 @@ class TestChunkPool:
         assert workers == [1, 2]
         assert np.float64(qs[0]).view(np.int64) == np.float64(qs[1]).view(np.int64)
         assert abs(qs[0] - ref) <= 1e-12
+
+    @pytest.mark.parametrize("count", [None, 1, 2])
+    def test_cpu_count_stands_in_where_affinity_is_unavailable(self, monkeypatch, count):
+        # os.sched_getaffinity exists on Linux only; elsewhere the worker rule reads
+        # os.cpu_count(), which may be None
+        solve, _ = self._oracle_three_chunks()
+        q = solve().q
+        workers = self._record_workers(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert np.float64(solve().q).view(np.int64) == np.float64(q).view(np.int64)
+        assert workers == [min(2, count or 1)]
 
     def test_buffers_stay_with_their_worker_under_frequent_thread_switches(self, monkeypatch):
         # N = 5, 20,000 + 20,000 disjoint columns: 20 chunks of 100 replicates on two workers,
