@@ -99,6 +99,12 @@ def _from_flags(fn, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _policy_from_args(args) -> KPolicy:
     if args.sided is not None:  # scope and insig still parse it, so old command lines run
         print("warning: --sided is ignored: the touch sets fix each point's law", file=sys.stderr)
@@ -149,8 +155,7 @@ def cmd_simulate(args) -> int:
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_sim_table(rows, out / f"model{model}_table.csv")
     write_plot_data(rows, out / f"model{model}_plotdata.csv")
     resolved = {
@@ -191,8 +196,7 @@ def cmd_scope(args) -> int:
     # distance of a detection to the edge it crossed, in standard errors
     height = np.sqrt(N) * np.abs(part.mean - np.where(below, lower, upper)) / part.sd
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     meta = [f"alpha={_fmt(args.alpha)}", f"k={_fmt(part.k)}", f"m_hat={part.m_hat}",
             f"q_hat={_fmt(part.q_hat)}"]
     cls = ["below" if b else ("above" if a else "middle")
@@ -209,8 +213,7 @@ def cmd_insig(args) -> int:
     policy = _policy_from_args(args)
     data = _load_matrix(args.data)
     report = insig_report(data, args.alpha, policy)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_insig_report(report, out / "insig_report.csv", J=data.shape[1])
     print(
         f"k={_fmt(report.k_used)} q_hat={_fmt(report.q_hat)} "
@@ -220,7 +223,6 @@ def cmd_insig(args) -> int:
 
 
 def cmd_scheffe(args) -> int:
-    out = Path(args.out)
     if args.data is None:
         if args.K is None:
             raise UsageError("analytic mode needs --K (no --data given)")
@@ -229,7 +231,7 @@ def cmd_scheffe(args) -> int:
         K = args.K
         q = np.sqrt(dist_quantile("chisq", 1.0 - args.alpha, k=K - 1))
         insig = 1.0 - chisq_cdf(q * q, K)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         print(f"q={_fmt(q)} zero-vector insignificance={_fmt(insig)}")
         write_csv(out / "scheffe_analytic.csv", ["K", "alpha", "q", "insignificance_if_beta_zero"],
                   [[K, _fmt(args.alpha), _fmt(q), _fmt(insig)]])
@@ -253,7 +255,7 @@ def cmd_scheffe(args) -> int:
         lo, hi = scheffe_band(np.eye(K)[i], fit, xtx, args.alpha)
         rows.append([name, _fmt(fit.beta_hat[i]), _fmt(lo), _fmt(hi)])
     rows.append(["__detected__", int(det["detected"]), _fmt(det["stat"]), _fmt(det["threshold"])])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_csv(out / "scheffe_fit.csv", ["coef", "estimate", "band_lo", "band_hi"], rows)
     print(f"detected_nonzero_contrast={det['detected']} stat={_fmt(det['stat'])} "
           f"threshold={_fmt(det['threshold'])}")
@@ -285,8 +287,7 @@ def cmd_tests(args) -> int:
     fn = {"grT": grt, "lrT": lrt, "eT": et, "leT": let_}[args.kind]
     decision = fn(mu_hat, band, bands, quantile=cal, mu=mu)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     reject = "" if decision.global_reject is None else int(decision.global_reject)
     write_csv(out / "test_decision.csv", ["kind", "q", "delta", "global_reject", "rejected"],
               [[decision.kind, _fmt(decision.quantile_used.q), _fmt(decision.delta), reject,
@@ -400,10 +401,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ScopeSetsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ScopeSetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

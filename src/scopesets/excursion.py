@@ -105,16 +105,14 @@ def widened_excursions(values, lower, upper, w):
 
 
 def inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
-    """Batched inclusion event over the last axis.
+    """Batched inclusion event over the last axis, every length-J threshold in one stacked pass.
 
     True where, for every lower-control threshold c in ``lower_vals``,
     {mu_hat < c - w} lies inside {mu < c}, and dually for ``upper_vals``.
     """
-    broken = np.zeros(np.shape(mu_hat)[:-1], dtype=bool)
-    for c in lower_vals:
-        broken |= ((mu_hat < _moved(c, -w)) & ~(mu < c)).any(axis=-1)
-    for c in upper_vals:
-        broken |= ((mu_hat > _moved(c, w)) & ~(mu > c)).any(axis=-1)
+    lower, upper = (np.reshape(cs, (len(cs), np.shape(mu)[-1])) for cs in (lower_vals, upper_vals))
+    below, above = widened_excursions(np.expand_dims(mu_hat, -2), lower, upper, w)
+    broken = (below & ~(mu < lower)).any(axis=(-2, -1)) | (above & ~(mu > upper)).any(axis=(-2, -1))
     return ~broken
 
 

@@ -69,7 +69,7 @@ class TestDecision:
     rejected: IndexSet = field(default_factory=IndexSet)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Calibration:
     """How to solve for the critical value.
 
@@ -85,6 +85,17 @@ class Calibration:
     reps: int = 200_000
     rng: Rng | None = None
     k: float | None = None
+    _df: float | None = field(init=False, repr=False, compare=False)  # cov parsed; None: a matrix
+
+    def __post_init__(self):
+        cov = self.cov
+        named = isinstance(cov, tuple) and len(cov) > 0 and isinstance(cov[0], str)
+        iid_t = named and cov[0] == "iid_t" and len(cov) == 2 and isinstance(cov[1], Real)
+        if (named or isinstance(cov, str)) and not (iid_t or cov == "iid_normal"):
+            raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation '
+                                 f"matrix, got {cov!r}")
+        object.__setattr__(self, "_df", float(cov[1]) if iid_t else
+                           np.inf if isinstance(cov, str) else None)
 
 
 def _shift(g: np.ndarray, local: bool) -> float:
@@ -109,21 +120,11 @@ def delta_eqv(mu: Field, band: BandSpec) -> float:
 
 
 def _solve_q(neg: np.ndarray, pos: np.ndarray, cal: Calibration, tail: str) -> QuantileEstimate:
-    """The one parser of ``Calibration.cov``.  iid noise reads only how many points the touch
-    masks ``neg`` and ``pos`` hold alone or together; a correlation matrix reads their members.
-    """
-    cov = cal.cov
-    named = isinstance(cov, tuple) and len(cov) > 0 and isinstance(cov[0], str)
-    if not (named or isinstance(cov, str)):
-        rng = cal.rng if cal.rng is not None else Rng(0)
-        return mc_oracle_quantile(cov, IndexSet.from_mask(neg), IndexSet.from_mask(pos),
-                                  cal.alpha, cal.reps, rng, tail=tail)
-    iid_t = named and cov[0] == "iid_t" and len(cov) == 2 and isinstance(cov[1], Real)
-    if not (iid_t or cov == "iid_normal"):
-        raise ParameterError(f'cov must be "iid_normal", ("iid_t", df) or a correlation matrix, '
-                             f"got {cov!r}")
-    return _iid_exact(*_touch_counts(neg, pos), cal.alpha, float(cov[1]) if iid_t else np.inf,
-                      tail)
+    """iid noise reads the counts of the touch masks ``neg`` and ``pos``, a matrix their members."""
+    if cal._df is not None:
+        return _iid_exact(*_touch_counts(neg, pos), cal.alpha, cal._df, tail)
+    return mc_oracle_quantile(cal.cov, IndexSet.from_mask(neg), IndexSet.from_mask(pos),
+                              cal.alpha, cal.reps, cal.rng or Rng(0), tail=tail)
 
 
 def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quantile,

@@ -211,6 +211,7 @@ def consistency_probe(
     dom = same_domain(mu, *fam)
     thresholds = [c.values for c in fam]
     target = IndexSet.from_mask(_touched(mu.values, thresholds, 0.0))
+    draw = sampler or (lambda g, N: column_summary(g.standard_normal((N, dom.size)) + mu.values))
     out = []
     for ni, N in enumerate(n_list):
         k = resolve_k(policy, N, dom.size, df=N - 1)
@@ -219,13 +220,8 @@ def consistency_probe(
         dh_sum = 0.0
         incl = 0
         for _ in range(reps):
-            if sampler is None:
-                y = gen.standard_normal((N, dom.size)) + mu.values
-                mu_hat = y.mean(axis=0)
-                sigma_hat = y.std(axis=0, ddof=1)
-            else:
-                # a field checks the sampler's output: length J, no NaN
-                mu_hat, sigma_hat = (Field(dom, v).values for v in sampler(gen, N))
+            # a field checks the sampler's output: length J, no NaN
+            mu_hat, sigma_hat = (Field(dom, v).values for v in draw(gen, N))
             est = IndexSet.from_mask(_touched(mu_hat, thresholds, k * tau * sigma_hat))
             dh_sum += hausdorff_distance(est, target, dom)
             incl += target.issubset(est)

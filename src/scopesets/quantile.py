@@ -218,21 +218,21 @@ def iid_exact_quantile(
     return _iid_exact(len(neg_set) + len(pos_set) - 2 * n_both, n_both, alpha, df, tail)
 
 
-def _chunk_rows(reps: int, width: int) -> int:
-    """Rows per chunk such that a chunk array of ``width`` columns holds at most 4e6 values."""
-    return max(1, min(reps, 4_000_000 // max(1, width)))
+def _chunk_sizes(reps: int, width: int):
+    """Lazily, the sizes of the chunks of ``reps`` rows: at most 4e6 values of ``width`` each."""
+    rows = max(1, min(reps, 4_000_000 // max(1, width)))
+    return (min(rows, reps - start) for start in range(0, reps, rows))
 
 
 def _map_chunks(fn, reps: int, width: int, rng: Rng, workers: int = 1) -> list:
     """``fn(gen, n)`` per chunk of ``reps`` rows, in chunk order; chunk i draws from child stream i.
 
-    ``width`` is the float values a chunk keeps alive per row, so chunk sizes
+    ``width`` is the float values a chunk keeps alive per row, so chunk sizes (``_chunk_sizes``)
     depend on the problem size alone and results are bit-reproducible.  ``workers`` >= 2 runs
     them on a pool made and joined here, where a failing chunk cancels those not yet started;
     simulate passes no count and runs serially.
     """
-    rows = _chunk_rows(reps, width)
-    sizes = [min(rows, reps - start) for start in range(0, reps, rows)]
+    sizes = list(_chunk_sizes(reps, width))
     gens = [rng.child(i).generator() for i in range(len(sizes))]
     if workers < 2:
         return list(map(fn, gens, sizes))
@@ -266,10 +266,10 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
     both = np.searchsorted(union, neg_set.intersection(pos_set).members)
 
     width = max(root.shape[0], union.size + both.size)
-    rows = _chunk_rows(reps, width)
+    rows = next(_chunk_sizes(reps, width))
     block = -(-rows // 2)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(2, len(range(0, reps, rows)), cpus or 1)
+    workers = min(2 if reps > rows else 1, cpus or 1)  # two chunks or more: two workers
     free = [(np.empty((block, root.shape[0])), None if upper else np.empty((block, union.size)))
             for _ in range(workers)]  # made here: worker-thread buffers grow glibc's arenas
 
@@ -277,7 +277,7 @@ def _gaussian_max_quantile(method, root_of, neg_set: IndexSet, pos_set: IndexSet
         z, x = free.pop()
         try:
             out = np.empty(n)
-            for s in range(0, n, block):
+            for s in range(0, n, block):  # half a chunk at a time: at most two blocks
                 zb = gen.standard_normal(out=z[:min(block, n - s)])  # zb.T is a Fortran view
                 xb = (dtrmm(1.0, root, zb.T, trans_a=1, overwrite_b=1).T if upper
                       else np.matmul(zb, root, out=x[:len(zb)]))

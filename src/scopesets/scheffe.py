@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     SingularDesignError,
 )
-from .quantile import _chunk_rows, _symmetric_block
+from .quantile import _check_alpha, _chunk_sizes, _symmetric_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +166,7 @@ def scheffe_band(a, fit: OlsFit, xtx, alpha: float) -> tuple[float, float]:
     p is the number of fitted coefficients; the interval half width scales
     with the estimated error s and the contrast leverage a' (X'X)^{-1} a.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=float)
     xtx = np.asarray(xtx, dtype=float)
     p = fit.beta_hat.size
@@ -298,7 +297,7 @@ def extract_limit_cdf(
     c = np.array([s] if mode == "single_level" else [-s, s])
     gen = rng.generator()
     # float values a row keeps alive: a few K for slice_max, about 30 K^2 for _slice_ratio_maxima
-    rows = _chunk_rows(reps, 4 * K if root is None else 30 * K * K)
+    sizes = _chunk_sizes(reps, 4 * K if root is None else 30 * K * K)
 
     def count_chunk(n):
         eps = gen.standard_normal((n, K))
@@ -314,4 +313,4 @@ def extract_limit_cdf(
         return int(np.count_nonzero(closed)) + int(np.count_nonzero(top <= q))
 
     # a chunk's arrays are freed when its call returns, before the next chunk draws
-    return sum(count_chunk(min(rows, reps - start)) for start in range(0, reps, rows)) / reps
+    return sum(map(count_chunk, sizes)) / reps

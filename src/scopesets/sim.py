@@ -40,7 +40,8 @@ from .errors import ParameterError
 from .excursion import inclusion_event, max_sup, widened_excursions
 from .hypotests import _bh_cut, _hommel_cut
 from .preimage import KPolicy, _touch_masks, _touched, resolve_k
-from .quantile import _checked_pvalues, _chunk_rows, _iid_table, _map_chunks, _storey_count
+from .quantile import (_check_alpha, _checked_pvalues, _chunk_sizes, _iid_table, _map_chunks,
+                       _storey_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +62,7 @@ class SimConfig:
             raise ParameterError("reps must be >= 1")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.sided not in ("two_sided", "one_sided", "both"):
             raise ParameterError(f"unknown sided convention {self.sided!r}")
         if min(self.N_list, default=2) < 2:
@@ -317,10 +317,9 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
 
     # one sequential stream: the counts do not depend on the chunk size
     gen = rng.generator()
-    n_event = n_lower = n_upper = 0
-    rows = _chunk_rows(reps, 2 * mu.domain.size)  # g and mu_hat per row
-    for start in range(0, reps, rows):
-        g = gen.standard_normal((min(rows, reps - start), mu.domain.size))
+    counts = np.zeros(3, dtype=np.int64)  # event, lower, upper
+    for n in _chunk_sizes(reps, 2 * mu.domain.size):  # g and mu_hat per row
+        g = gen.standard_normal((n, mu.domain.size))
         mu_hat = mu.values + tau * sigma.values * g
 
         event = inclusion_event(mu_hat, mu.values, lower_vals, upper_vals, w)
@@ -331,10 +330,8 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
             raise AssertionError("lower bound event without inclusion event")
         if np.any(event & ~upper):
             raise AssertionError("inclusion event without upper bound event")
-        n_event += int(event.sum())
-        n_lower += int(lower.sum())
-        n_upper += int(upper.sum())
-    return n_event / reps, n_lower / reps, n_upper / reps
+        counts += np.count_nonzero([event, lower, upper], axis=1)
+    return tuple((counts / reps).tolist())
 
 
 def write_sim_table(rows, path) -> None:

@@ -28,7 +28,7 @@ from scopesets.excursion import widened_excursions
 from scopesets.hypotests import (Calibration, TestDecision, _solve_q, bh_reject_mask,
                                  hommel_reject_mask)
 from scopesets.preimage import resolve_k
-from scopesets.quantile import QuantileEstimate, _chunk_rows, _iid_table, _map_chunks
+from scopesets.quantile import QuantileEstimate, _chunk_sizes, _iid_table, _map_chunks
 from scopesets.scheffe import _checked_limit_matrix, _slice_ratio_maxima
 from scopesets.sim import (SimTableRow, _draw_tstats, _step_up_cuts, _t_pvalues, model_mu,
                            parse_method)
@@ -360,10 +360,9 @@ def reference_limit_matrix_cdf(q, K, Delta, beta_norm, reps, rng, mode, limit_ma
     s = Delta / beta_norm
     gen = rng.generator()
     c = np.array([s] if mode == "single_level" else [-s, s])
-    rows = _chunk_rows(reps, 30 * K * K)
     count = 0
-    for start in range(0, reps, rows):
-        eps = gen.standard_normal((min(rows, reps - start), K))
+    for n in _chunk_sizes(reps, 30 * K * K):
+        eps = gen.standard_normal((n, K))
         w = eps @ root
         if mode == "interval":
             x = np.linalg.solve(root, eps.T).T

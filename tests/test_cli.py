@@ -176,6 +176,19 @@ class TestScopeCommand:
         assert rc == 2 and err.count("\n") == 1 and "not both" in err
         assert not (tmp_path / "o").exists()
 
+    def test_a_lower_edge_above_the_upper_edge_exits_2(self, tmp_path, capsys):
+        data_path = tmp_path / "d.csv"
+        write_data(data_path, Rng(3))
+        save_field(Field(Domain(8), np.r_[np.zeros(7), 1.0]), tmp_path / "lo.csv")
+        save_field(Field(Domain(8), np.full(8, 0.5)), tmp_path / "hi.csv")
+        rc = main(["scope", "--data", str(data_path), "--lower", str(tmp_path / "lo.csv"),
+                   "--upper", str(tmp_path / "hi.csv"), "--kappa", "3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: lower threshold exceeds upper threshold "
+                                           "somewhere\n")
+        assert not (tmp_path / "o").exists()
+
 
 class TestInsigCommand:
     def test_report_row(self, tmp_path):
@@ -225,8 +238,9 @@ class TestScheffeCommand:
             ("", "at least two rows"),
             ("x1,y\n", "at least two rows"),
             ("x1,y\n1.0,2.0\n3.0,nan\n4.0,5.0\n", "non-finite value at row 1, column 1"),
+            ("y\n1.0\n2.0\n4.0\n", "scheffe data must have >= 2 columns"),
         ],
-        ids=["non_numeric", "ragged", "empty", "header_only", "nan"],
+        ids=["non_numeric", "ragged", "empty", "header_only", "nan", "one_column"],
     )
     def test_malformed_data_exits_2_naming_the_line(self, tmp_path, capsys, text, expected):
         path = tmp_path / "lm.csv"
@@ -361,6 +375,7 @@ SIM_CONFIG_ERRORS = [
     ("methods=log_kappa(inf)", "finite kappa"),
     ("baselines=bh,bh,hommel", "duplicate method or baseline 'bh'"),
     ("alpha=1e-17", "config key 'alpha' must be >= 2**-52, got 1e-17"),
+    ("=5", "line 10: empty key"),
 ]
 
 
@@ -375,6 +390,30 @@ def test_bad_simulate_config_value_exits_2_naming_it(tmp_path, capsys, line, exp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and expected in err
     assert not (tmp_path / "o").exists()
+
+
+OUT_RUNS = {
+    "simulate": ["--config", "sim.cfg"],
+    "scope": ["--data", "d.csv", *SAMPLE_ARGS["scope"]],
+    "insig": ["--data", "d.csv", *SAMPLE_ARGS["insig"]],
+    "scheffe": ["--K", "3"],
+    "scheffe_fit": ["--data", "lm.csv"],
+    "tests": ["--data", "d.csv", *SAMPLE_ARGS["tests"]],
+}
+
+
+@pytest.mark.parametrize("run", sorted(OUT_RUNS))
+def test_out_under_a_regular_file_exits_1_with_one_line(tmp_path, capsys, run):
+    # the output directory cannot be made, which is a runtime failure, not a usage error
+    write_data(tmp_path / "d.csv", Rng(4), N=20, J=5)
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG.replace("reps=120", "reps=10"))
+    (tmp_path / "lm.csv").write_text("x1,x2,y\n1,0,1\n0,1,2\n1,1,2\n2,1,4\n")
+    (tmp_path / "file").write_text("")
+    flags = [str(tmp_path / f) if f.endswith((".csv", ".cfg")) else f for f in OUT_RUNS[run]]
+    rc = main([run.split("_")[0], *flags, "--out", str(tmp_path / "file" / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "file" in err
 
 
 def test_every_output_file_has_lf_line_endings(tmp_path):

@@ -49,6 +49,7 @@ class TestExcursionSets:
         f = fld(-1.0, 0.0, 2.0)
         zero = Field.constant(f.domain, 0.0)
         assert upper_excursion(f, zero) == IndexSet([2])
+        assert upper_excursion(f, zero, closed=True) == IndexSet([1, 2])
         assert upper_excursion(f, Field.constant(f.domain, -np.inf)) == IndexSet.full(3)
         assert upper_excursion(f, f) == IndexSet()
 
@@ -450,6 +451,12 @@ class TestBandInclusionDuality:
         mu = fld(0.0, 1.0, -1.0)
         s = Field.constant(mu.domain, 1.0)
         assert scb_scope_equivalence(mu, mu, s, 0.5, 1.0, []) == (True, True)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_a_non_positive_sigma_hat_is_rejected(self, bad):
+        mu = fld(0.0, 1.0, -1.0)
+        with pytest.raises(ParameterError, match="sigma_hat must be positive"):
+            scb_scope_equivalence(mu, mu, fld(1.0, bad, 1.0), 0.5, 1.0, [])
 
     def test_violation_detected_via_target_probe(self):
         mu = fld(0.0, 0.0, 0.0)

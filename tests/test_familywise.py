@@ -2,7 +2,9 @@
 ``tests`` run by default: the SCoPE partition, whose law comes from each edge's union touch set,
 and the plug-in band tests.  Gaussian data with sigma = 1, J = 80, alpha = 0.1, k = log(N)/3;
 each cell draws 1,000 replications from its own child stream of one seed, fixed before any rate
-was read.  The N = 1000 cells are gated at alpha + 3 SE; the others are reported beside them."""
+was read.  The N = 1000 cells are gated at alpha + 3 SE; the others are reported beside them.
+On the same draws the partition also runs at the SCB-level k (beta = 0.05), a candidate
+finite-sample factor, with its power on model B beside that of log(N)/3: reported, not gated."""
 
 import numpy as np
 from conftest import record_rate
@@ -11,13 +13,14 @@ from scopesets.dist import Rng
 from scopesets.domain import Domain, Field
 from scopesets.excursion import ScopeBands
 from scopesets.hypotests import BandSpec, Calibration, et, grt, let_, lrt
-from scopesets.preimage import _partition_rows
+from scopesets.preimage import KPolicy, _partition_rows, resolve_k
 from scopesets.sim import model_mu
 
 SEED = 2023
 ALPHA, REPS, J = 0.1, 1000, 80
 BOUND = ALPHA + 3 * np.sqrt(ALPHA * (1 - ALPHA) / REPS)  # 0.128
 GATED_N = 1000
+SCB = KPolicy("scb_level", beta=0.05)
 
 
 def _summaries(gen, reps, N, mu):
@@ -44,13 +47,23 @@ def test_the_partition_law_holds_the_familywise_rate():
              "B on a field band": (b, np.where(j < 40, b, -np.inf), np.where(j >= 40, b, np.inf))}
     failed = []
     for i, (name, (mu, lower, upper)) in enumerate(nulls.items()):
+        alternatives = np.count_nonzero((mu < lower) | (mu > upper))
         for N in (30, 100, GATED_N):
             mean, sd = _summaries(Rng(SEED).child(i).child(N).generator(), REPS, N, mu)
-            _, _, below, above = _partition_rows(mean, sd, lower, upper, ALPHA, np.log(N) / 3,
-                                                 1 / np.sqrt(N), N - 1)
-            wrong = (below & ~(mu < lower)).any(axis=1) | (above & ~(mu > upper)).any(axis=1)
-            if not _report(f"partition, {name}", N, wrong.mean(), N == GATED_N):
-                failed.append((name, N, wrong.mean()))
+            scb_k = resolve_k(SCB, N, J, N - 1)
+            for what, k, gated in ((f"partition, {name}", np.log(N) / 3, N == GATED_N),
+                                   (f"partition at the SCB-level k = {scb_k:.2f}, {name}", scb_k,
+                                    False)):
+                _, _, below, above = _partition_rows(mean, sd, lower, upper, ALPHA, k,
+                                                     1 / np.sqrt(N), N - 1)
+                wrong = (below & ~(mu < lower)).any(axis=1) | (above & ~(mu > upper)).any(axis=1)
+                if not _report(what, N, wrong.mean(), gated):
+                    failed.append((name, N, wrong.mean()))
+                if alternatives:  # power: the mean number of true discoveries
+                    true = np.count_nonzero(below & (mu < lower), axis=1) + np.count_nonzero(
+                        above & (mu > upper), axis=1)
+                    record_rate(f"{what}, N={N}: {true.mean():.2f} of {alternatives} true "
+                                "discoveries (power, reported)")
     assert not failed
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -734,11 +735,18 @@ def _lrt_with_cov(cov):
         pytest.param(lambda: _lrt_with_cov("iid_nromal"), id="misspelled_normal_spec"),
         pytest.param(lambda: _lrt_with_cov(("iid_T", 3)), id="misspelled_t_spec"),
         pytest.param(lambda: _lrt_with_cov(("iid_t", "3")), id="non_numeric_t_df"),
+        pytest.param(lambda: Calibration(cov=("iid_t", 3, 4)), id="spec_checked_at_construction"),
     ],
 )
 def test_malformed_pvalues_and_noise_specs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_a_calibration_is_frozen_once_its_noise_law_is_parsed():
+    cal = Calibration(cov=("iid_t", 9))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cal.cov = "not a law"
 
 
 class TestHommel:
@@ -875,6 +883,10 @@ def test_step_up_masks_ignore_p_beyond_their_thresholds(J, alpha, seed):
 class TestBh:
     def test_nothing_below_alpha(self):
         assert bh([0.2, 0.9, 0.4], 0.05) == IndexSet()
+
+    def test_no_pvalues_reject_nothing(self):
+        assert bh([], 0.1) == IndexSet()
+        assert bh_reject_mask(np.empty((3, 0)), 0.1).shape == (3, 0)
 
     def test_hand_step_up(self):
         p = np.array([0.01, 0.03, 0.04, 0.9])

@@ -218,3 +218,42 @@ def test_band_tests_read_touches_off_the_gap():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "_moved" not in imported | used
     assert "_gap" in imported and "_touched" in used
+
+
+def chunk_cuts(source: str) -> list[str]:
+    """The dotted path of the function around each row cut in ``source``: a stepped
+    ``range(start, stop, step)`` or a ``min(rows, stop - start)``, the two halves of cutting
+    rows into chunks by hand."""
+    cuts = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                stepped = child.func.id == "range" and len(child.args) == 3
+                clipped = child.func.id == "min" and any(
+                    isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub) for a in child.args)
+                if stepped or clipped:
+                    cuts.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return cuts
+
+
+def test_chunk_cuts_flags_stepped_ranges_and_min_cuts():
+    source = ("def a(reps, rows):\n    return [min(rows, reps - s) for s in range(0, reps, rows)]\n"
+              "\ndef b(n, k):\n    def inner():\n        return range(0, n, k)\n"
+              "    return min(n, k), range(n), range(1, n), inner\n")
+    assert chunk_cuts(source) == ["a", "a", "b.inner"]
+
+
+def test_rows_are_cut_into_chunks_in_one_place():
+    """Every Monte-Carlo loop takes its chunk sizes from ``quantile._chunk_sizes``, so chunk
+    sizes, and with them the random streams, follow one rule.  The one other cut splits an
+    oracle chunk into two half-chunk blocks, so that two workers hold one chunk's memory."""
+    found = {f"{p.stem}.{path}" for p in sorted(PACKAGE.glob("*.py"))
+             for path in chunk_cuts(p.read_text())}
+    assert found == {"quantile._chunk_sizes", "quantile._gaussian_max_quantile.draw"}

@@ -11,7 +11,7 @@ from scopesets.domain import Domain, Field
 from scopesets.errors import ParameterError
 from scopesets.hypotests import _bh_cut, _hommel_cut, bh_reject_mask, hommel_reject_mask
 from scopesets import quantile, sim
-from scopesets.quantile import _chunk_rows
+from scopesets.quantile import _chunk_sizes
 from scopesets.sim import (
     SandwichInstance,
     SimConfig,
@@ -113,7 +113,7 @@ class TestDrawTstats:
 
     @pytest.mark.parametrize("J", [1, 3, 80, 1000, 12_345, 10**6, 3 * 10**6])
     def test_chunk_bounds_values_per_array(self, J):
-        nb = _chunk_rows(10**9, 4 * J)
+        nb = next(_chunk_sizes(10**9, 4 * J))  # lazy: a billion one-row chunks are not listed
         assert nb >= 1
         assert nb * J <= 10**6 or nb == 1
 
@@ -334,11 +334,10 @@ class TestRunSimulation:
         (row,) = run_simulation(cfg)
         q_table = np.array([quantile._iid_exact(0, m, 0.1, 39, "upper").q for m in range(81)])
         rules = [("oracle", None, q_table)]
-        B = _chunk_rows(30_000, 4 * 80)
         parts = [
-            sim._run_chunk(Rng(22).child(0).child(ci).generator(), min(B, 30_000 - start), 40,
+            sim._run_chunk(Rng(22).child(0).child(ci).generator(), nb, 40,
                            model_mu("B").values, rules, (), 0.1, None)
-            for ci, start in enumerate(range(0, 30_000, B))
+            for ci, nb in enumerate(_chunk_sizes(30_000, 4 * 80))
         ]
         assert len(parts) == 3 and all(p.shape == (1, 3) for p in parts)
         cov, fd, td = (parts[0] + parts[1] + parts[2])[0]
