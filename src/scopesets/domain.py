@@ -48,10 +48,12 @@ def line_domain(size: int) -> Domain:
 @dataclass(frozen=True, eq=False)
 class Field:
     """Extended-real-valued function on a finite domain; its values are a read-only copy, and
-    whether all of them are finite is recorded once, here."""
+    their min and max, and whether all of them are finite, are recorded once, here."""
 
     domain: Domain
     values: np.ndarray = field(repr=False)
+    _min: float = field(init=False, repr=False, compare=False)
+    _max: float = field(init=False, repr=False, compare=False)
     _finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,12 +62,14 @@ class Field:
             raise DomainMismatchError(
                 f"field length {v.shape} does not match domain size {self.domain.size}"
             )
-        lo = np.minimum.reduce(v)  # NaN propagates through minimum
+        lo, hi = float(np.minimum.reduce(v)), float(np.maximum.reduce(v))  # NaN propagates
         if lo != lo:
             raise ParameterError("field values must not be NaN")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_finite", bool(-np.inf < lo and np.maximum.reduce(v) < np.inf))
+        object.__setattr__(self, "_min", lo)
+        object.__setattr__(self, "_max", hi)
+        object.__setattr__(self, "_finite", -np.inf < lo and hi < np.inf)
 
     @classmethod
     def constant(cls, domain: Domain, value: float) -> "Field":

@@ -11,12 +11,13 @@ over a finite family of thresholds.  The statistic calibrating that event is
 
     t_stat(f, A, B) = max( sup_{s in A} -f(s),  sup_{s in B} f(s) ),
 
-with sup over the empty set equal to -inf.
+with sup over the empty set equal to -inf.  ``ScopeBands`` and ``ThresholdFamily`` fix
+their margin q*tau*sigma and threshold stacks at construction, and the kernel reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +31,17 @@ class ThresholdFamily:
 
     lower: tuple
     upper: tuple
+    _stacks: tuple = field(init=False, repr=False, compare=False)  # read-only (L, J) lower, upper
 
     def __init__(self, lower=(), upper=()):
         object.__setattr__(self, "lower", tuple(lower))
         object.__setattr__(self, "upper", tuple(upper))
         fields = self.lower + self.upper
-        if fields:
-            same_domain(*fields)
+        J = same_domain(*fields).size if fields else 1  # no domain: (0, 1) broadcasts to any J
+        lower, upper = (np.array([c.values for c in cs]).reshape(len(cs), J)
+                        for cs in (self.lower, self.upper))
+        lower.flags.writeable = upper.flags.writeable = False
+        object.__setattr__(self, "_stacks", (lower, upper))
 
     @classmethod
     def symmetric(cls, fields) -> "ThresholdFamily":
@@ -51,6 +56,7 @@ class ScopeBands:
     q: float
     tau: float
     sigma: Field
+    _w: np.ndarray | None = field(init=False, repr=False, compare=False)  # q*tau*sigma; None: inf
 
     def __post_init__(self):
         # a NaN margin would silently decide nothing; a float shows NaN without a ufunc
@@ -60,10 +66,14 @@ class ScopeBands:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
         if not self.tau < np.inf:  # an infinite rate makes every margin NaN or infinite
             raise ParameterError(f"tau must be finite, got {self.tau}")
-        v = self.sigma.values  # NaN-free (``Field``): its min and max bound every value
-        object.__setattr__(self, "_sigma_max", np.maximum.reduce(v))  # for ``_excursions``
-        if not (np.minimum.reduce(v) > 0 and self._sigma_max < np.inf):
+        s = self.sigma  # NaN-free (``Field``): its min and max bound every value
+        if not (s._min > 0 and s._max < np.inf):
             raise ParameterError("sigma must be strictly positive and finite")
+        scale = self.q * self.tau  # as ``half_width`` forms w; a float product never warns
+        w = scale * s.values if -np.inf < float(scale) * s._max < np.inf else None
+        if w is not None:
+            w.setflags(write=False)
+        object.__setattr__(self, "_w", w)
 
     def half_width(self) -> np.ndarray:
         return self.q * self.tau * self.sigma.values
@@ -90,9 +100,17 @@ def _excursions(values, lower, upper, q, bands):
     c fixed by itself: bit for bit ``_moved``, whose guard only an infinite or NaN w needs.
     """
     w = q * bands.tau * bands.sigma.values
-    if -np.inf < q * bands.tau * bands._sigma_max < np.inf:
+    if -np.inf < q * bands.tau * bands.sigma._max < np.inf:
         return values < lower - w, values > upper + w
     return widened_excursions(values, lower, upper, w)
+
+
+def _bands_excursions(values, lower, upper, bands):
+    """``_excursions`` at ``bands.q`` on the margin of ``bands`` (formed here if it overflows)."""
+    w = bands._w
+    if w is None:
+        return widened_excursions(values, lower, upper, bands.half_width())
+    return values < lower - w, values > upper + w
 
 
 def widened_excursions(values, lower, upper, w):
@@ -126,17 +144,13 @@ def max_sup(g, neg_idx, pos_idx):
 def lower_excursion(f: Field, c: Field, closed: bool = False) -> IndexSet:
     """{s : f(s) < c(s)}, or <= when ``closed``."""
     same_domain(f, c)
-    if closed:
-        return IndexSet.from_mask(f.values <= c.values)
-    return IndexSet.from_mask(f.values < c.values)
+    return IndexSet.from_mask((np.less_equal if closed else np.less)(f.values, c.values))
 
 
 def upper_excursion(f: Field, c: Field, closed: bool = False) -> IndexSet:
     """{s : f(s) > c(s)}, or >= when ``closed``."""
     same_domain(f, c)
-    if closed:
-        return IndexSet.from_mask(f.values >= c.values)
-    return IndexSet.from_mask(f.values > c.values)
+    return IndexSet.from_mask((np.greater_equal if closed else np.greater)(f.values, c.values))
 
 
 def t_stat(f: Field, neg_set: IndexSet, pos_set: IndexSet) -> float:
@@ -152,10 +166,8 @@ def scope_event(mu_hat: Field, mu: Field, bands: ScopeBands, fam: ThresholdFamil
     for every upper-control threshold.
     """
     same_domain(mu_hat, mu, bands.sigma, *fam.lower, *fam.upper)
-    m = mu.values  # ``inclusion_event`` on one realization, thresholds stacked as rows
-    lower, upper = (np.asarray([c.values for c in cs]).reshape(len(cs), m.size)
-                    for cs in (fam.lower, fam.upper))
-    below, above = _excursions(mu_hat.values, lower, upper, bands.q, bands)
+    m, (lower, upper) = mu.values, fam._stacks  # ``inclusion_event`` on one realization
+    below, above = _bands_excursions(mu_hat.values, lower, upper, bands)
     return not ((below & ~(m < lower)).any() or (above & ~(m > upper)).any())
 
 
@@ -169,7 +181,7 @@ def partition3(mu_hat: Field, b_minus: Field, b_plus: Field, bands: ScopeBands) 
         raise ParameterError("partition3 needs a nonnegative critical value")
     if b_minus is not b_plus and (b_minus.values > b_plus.values).any():
         raise ThresholdOrderError("b_minus must be <= b_plus pointwise")
-    below, above = _excursions(mu_hat.values, b_minus.values, b_plus.values, bands.q, bands)
+    below, above = _bands_excursions(mu_hat.values, b_minus.values, b_plus.values, bands)
     return Partition3(
         IndexSet.from_mask(below), IndexSet.from_mask(~(below | above)), IndexSet.from_mask(above)
     )
@@ -183,7 +195,7 @@ def contour_regions(mu_hat: Field, levels, bands: ScopeBands) -> list[IndexSet]:
     lev = np.asarray(levels, dtype=float).reshape(-1, 1)
     if not np.isfinite(lev).all():
         raise ParameterError("contour levels must be finite")
-    below, above = _excursions(mu_hat.values, lev, lev, bands.q, bands)
+    below, above = _bands_excursions(mu_hat.values, lev, lev, bands)
     return [IndexSet.from_mask(row) for row in ~(below | above)]
 
 
@@ -194,9 +206,7 @@ def roi_adapt(b: Field, roi: IndexSet) -> tuple[Field, Field]:
     so that every excursion against them stays inside the region.
     """
     mask = roi.mask(b.domain.size)
-    c_plus = np.where(mask, b.values, np.inf)
-    c_minus = np.where(mask, b.values, -np.inf)
-    return Field(b.domain, c_plus), Field(b.domain, c_minus)
+    return tuple(Field(b.domain, np.where(mask, b.values, edge)) for edge in (np.inf, -np.inf))
 
 
 def scb_scope_equivalence(
@@ -217,8 +227,7 @@ def scb_scope_equivalence(
     same_domain(mu_hat, mu, sigma_hat)
     if not np.all(sigma_hat.values > 0):
         raise ParameterError("sigma_hat must be positive")
-    w = q * tau * sigma_hat.values
-    band_covers = bool(np.all(np.abs(mu_hat.values - mu.values) <= w))
-    fam = ThresholdFamily.symmetric(tuple(probe_thresholds) + (mu,))
     bands = ScopeBands(q, tau, sigma_hat)
+    band_covers = bool(np.all(np.abs(mu_hat.values - mu.values) <= bands.half_width()))
+    fam = ThresholdFamily.symmetric(tuple(probe_thresholds) + (mu,))
     return band_covers, scope_event(mu_hat, mu, bands, fam)

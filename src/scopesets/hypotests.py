@@ -69,7 +69,7 @@ class TestDecision:
     rejected: IndexSet = field(default_factory=IndexSet)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Calibration:
     """How to solve for the critical value.
 
@@ -77,7 +77,7 @@ class Calibration:
     (experimental) estimates them from the data via the thickened preimage
     estimator with factor ``k``.  ``cov`` is "iid_normal", ("iid_t", df) or a
     correlation matrix; iid noise uses the exact product-CDF solver, a
-    correlation matrix ``reps`` Monte-Carlo draws from ``rng``.
+    correlation matrix ``reps`` Monte-Carlo draws from ``rng``.  Compared by identity.
     """
 
     alpha: float = 0.1

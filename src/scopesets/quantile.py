@@ -51,10 +51,10 @@ def _checked_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def column_summary(data) -> tuple[np.ndarray, np.ndarray]:
+def column_summary(data, *, columns=None) -> tuple[np.ndarray, np.ndarray]:
     """Column means and sample standard deviations of an N x J matrix.
 
-    Needs N >= 2; a zero-variance column raises, naming the first (0-based).
+    Needs N >= 2; zero-variance columns raise, each named by its entry of ``columns`` (0..J-1).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -62,7 +62,8 @@ def column_summary(data) -> tuple[np.ndarray, np.ndarray]:
     sd = data.std(axis=0, ddof=1)
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
-        raise DegenerateDataError(f"zero-variance column {zero[0]}")
+        named = zero if columns is None else np.asarray(columns)[zero]
+        raise DegenerateDataError(f"zero-variance column {', '.join(map(str, named.tolist()))}")
     return data.mean(axis=0), sd
 
 
@@ -371,11 +372,8 @@ def multiplier_bootstrap_quantile(
         if not finite.all():
             raise ParameterError(f"non-finite value(s) in touched column(s): "
                                  f"{union[~finite].tolist()}")
-        sd = y.std(axis=0, ddof=1)
-        if np.any(sd == 0.0):
-            bad = union[np.flatnonzero(sd == 0.0)]
-            raise DegenerateDataError(f"zero-variance column(s): {bad.tolist()}")
-        return (y - y.mean(axis=0)) / (sd * np.sqrt(data.shape[0])), False
+        mean, sd = column_summary(y, columns=union)
+        return (y - mean) / (sd * np.sqrt(data.shape[0])), False
 
     return _gaussian_max_quantile("multiplier_bootstrap", root_of, sets.plus, sets.minus, alpha,
                                   R, rng, tail)

@@ -311,8 +311,7 @@ def sandwich_check(instance: SandwichInstance, reps: int, rng: Rng):
     _, pos_thick = _touch_masks(mu.values, upper_vals, eta)
     neg_exact = _touched(mu.values, lower_vals, 0.0)
     pos_exact = _touched(mu.values, upper_vals, 0.0)
-    sig_max = float(np.max(sigma.values))
-    slack = q + eta / (tau * sig_max)
+    slack = q + eta / (tau * sigma._max)
     w = q * tau * sigma.values
 
     # one sequential stream: the counts do not depend on the chunk size

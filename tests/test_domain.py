@@ -81,6 +81,20 @@ class TestField:
         f = Field(Domain(len(values)), values)
         assert f._finite is f.is_finite() is bool(np.isfinite(values).all())
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from((0.0, -0.0, 5e-324, -1.5, 1.7976931348623157e308,
+                                     -1.7976931348623157e308, np.inf, -np.inf)),
+                    min_size=1, max_size=6))
+    def test_min_and_max_are_recorded_as_plain_floats(self, values):
+        f = Field(Domain(len(values)), values)
+        assert type(f._min) is float and type(f._max) is float
+        assert f._min == np.min(f.values) == min(values)
+        assert f._max == np.max(f.values) == max(values)
+
+    def test_recorded_facts_keep_identity_hashing(self):
+        f = Field(Domain(2), [0.0, 1.0])
+        assert hash(f) == object.__hash__(f) and len({f, Field(Domain(2), [0.0, 1.0])}) == 2
+
     def test_values_are_a_read_only_copy(self):
         v = np.array([0.0, 1.0, -2.0])
         f = Field(Domain(3), v)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +372,110 @@ class TestKernelMatchesReference:
         assert partition3(one, down, up, ScopeBands(-0.0, 1.0, one)).middle == IndexSet([])
         for args in ((other, [0.0], good), (one, [np.inf], good), (one, [0.0, np.nan], good)):
             _same_error(lambda: contour_regions(*args), lambda: reference_contour_regions(*args))
+
+
+class _ValuesSpy:
+    """Stands in for a field once a family or bands are built: the same domain, and a count of
+    the reads of ``values``."""
+
+    def __init__(self, f):
+        self.domain, self._field, self.reads = f.domain, f, 0
+
+    @property
+    def values(self):
+        self.reads += 1
+        return self._field.values
+
+
+class TestRecordedFacts:
+    """``ScopeBands`` fixes its margin and ``ThresholdFamily`` stacks its thresholds once, at
+    construction; the kernel reads them and changes no bit."""
+
+    def test_recorded_arrays_are_read_only(self):
+        dom = Domain(3)
+        b, c = Field(dom, [0.0, 1.0, -1.0]), Field.constant(dom, 0.5)
+        bands = ScopeBands(1.5, 0.5, Field(dom, [1.0, 2.0, 0.5]))
+        fam = ThresholdFamily([b], [b, c])
+        assert bands._w.tobytes() == bands.half_width().tobytes()
+        assert [s.shape for s in fam._stacks] == [(1, 3), (2, 3)]
+        assert fam._stacks[1].tolist() == [b.values.tolist(), c.values.tolist()]
+        assert [s.shape for s in ThresholdFamily([], [b])._stacks] == [(0, 3), (1, 3)]
+        assert [s.shape for s in ThresholdFamily()._stacks] == [(0, 1), (0, 1)]
+        for array in (bands._w, *fam._stacks):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[..., 0] = 7.0
+
+    def test_recorded_facts_change_no_signature_repr_or_equality(self):
+        assert str(inspect.signature(ScopeBands)) == \
+            "(q: 'float', tau: 'float', sigma: 'Field') -> None"
+        assert str(inspect.signature(ThresholdFamily)) == "(lower=(), upper=())"
+        dom = Domain(2)
+        f = "Field(domain=Domain(size=2, coords=None))"
+        sigma, b = Field.constant(dom, 1.0), Field(dom, [0.0, 1.0])
+        bands = ScopeBands(1.5, 0.5, sigma)
+        assert repr(bands) == f"ScopeBands(q=1.5, tau=0.5, sigma={f})"
+        assert bands == bands and bands != ScopeBands(1.5, 0.5, sigma)  # identity, as before
+        assert hash(bands) == object.__hash__(bands)
+        assert repr(ThresholdFamily([b])) == f"ThresholdFamily(lower=({f},), upper=())"
+        assert ThresholdFamily([b], [b]) == ThresholdFamily([b], [b])
+        assert hash(ThresholdFamily([b], [b])) == hash(ThresholdFamily([b], [b]))
+        assert ThresholdFamily([b], [b]) != ThresholdFamily([b], [Field(dom, [0.0, 1.0])])
+        assert ThresholdFamily() == ThresholdFamily() and hash(ThresholdFamily()) == hash(
+            ThresholdFamily())
+
+    @pytest.mark.parametrize("q", [np.inf, -np.inf, 1e300, -1e300, 1.5, 0.0, -0.0])
+    def test_edge_families_and_margins_match_the_references(self, q):
+        # sigma is 1e10 at every fourth point, so q = +-1e300 overflows the margin there
+        rng = np.random.default_rng(31)
+        J = 12
+        dom = Domain(J)
+        bands = ScopeBands(q, 0.5, Field(dom, np.where(np.arange(J) % 4 == 0, 1e10, 0.75)))
+        assert (bands._w is None) is (abs(q) > 1e299)
+        mu = Field(dom, rng.normal(size=J))
+        b = Field(dom, np.round(rng.normal(size=J), 1))
+        c_plus, c_minus = roi_adapt(b, IndexSet(range(0, J, 3)))
+        families = (ThresholdFamily(), ThresholdFamily([b, c_minus]),
+                    ThresholdFamily([], [b, c_plus]), ThresholdFamily([c_minus], [c_plus]))
+        with np.errstate(over="ignore"):  # the references form the overflowing margin
+            for values in (mu.values + rng.normal(size=J), b.values, mu.values,
+                           np.full(J, np.inf), np.full(J, -np.inf)):
+                mu_hat = Field(dom, values)
+                for fam in families:
+                    assert scope_event(mu_hat, mu, bands, fam) is reference_scope_event(
+                        mu_hat, mu, bands, fam)
+                if q < 0:
+                    continue
+                got = partition3(mu_hat, c_minus, c_plus, bands)
+                want = reference_partition3(mu_hat, c_minus, c_plus, bands)
+                assert [c.members.tolist() for c in (got.lower, got.middle, got.upper)] == \
+                    [m.tolist() for m in want]
+                levels = [0.0, float(b.values[0])]
+                assert [r.members.tolist() for r in contour_regions(mu_hat, levels, bands)] == \
+                    [m.tolist() for m in reference_contour_regions(mu_hat, levels, bands)]
+
+    def test_kernel_calls_never_rebuild_the_stack_or_the_margin(self):
+        dom = Domain(5)
+        sigma = Field(dom, [1.0, 0.5, 2.0, 1.5, 1.0])
+        bands = ScopeBands(1.5, 0.5, sigma)
+        b = Field(dom, [0.0, 0.2, -0.1, 0.3, 0.0])
+        fam = ThresholdFamily([b], [b, Field.constant(dom, 0.1)])
+        mu_hat, mu = Field(dom, [-1.0, 0.2, 0.9, 2.0, 0.0]), Field(dom, [-0.5, 0.2, 0.5, 1.0, 0.0])
+        event = scope_event(mu_hat, mu, bands, fam)
+        part = reference_partition3(mu_hat, b, b, bands)
+        regions = reference_contour_regions(mu_hat, [0.0, 0.5], bands)
+        spies = [_ValuesSpy(f) for f in (sigma, *fam.lower, *fam.upper)]
+        object.__setattr__(bands, "sigma", spies[0])
+        object.__setattr__(fam, "lower", tuple(spies[1:2]))
+        object.__setattr__(fam, "upper", tuple(spies[2:]))
+        for _ in range(3):
+            assert scope_event(mu_hat, mu, bands, fam) is event
+            got = partition3(mu_hat, b, b, bands)
+            assert [c.members.tolist() for c in (got.lower, got.middle, got.upper)] == \
+                [m.tolist() for m in part]
+            assert [r.members.tolist() for r in contour_regions(mu_hat, [0.0, 0.5], bands)] == \
+                [m.tolist() for m in regions]
+        assert [spy.reads for spy in spies] == [0, 0, 0, 0]
 
 
 class TestRoiAdapt:

@@ -749,6 +749,15 @@ def test_a_calibration_is_frozen_once_its_noise_law_is_parsed():
         cal.cov = "not a law"
 
 
+@pytest.mark.parametrize("cov", ["iid_normal", ("iid_t", 9), np.eye(3)],
+                         ids=["iid_normal", "iid_t", "matrix"])
+def test_calibrations_compare_and_hash_by_identity(cov):
+    # a matrix cov made the generated __eq__ raise ValueError and __hash__ TypeError
+    a, b = Calibration(cov=cov), Calibration(cov=cov)
+    assert a == a and a != b and not a == b
+    assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+
+
 class TestHommel:
     def test_nothing_below_alpha(self):
         assert hommel([0.2, 0.9, 0.4], 0.05) == IndexSet()

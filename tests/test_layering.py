@@ -257,3 +257,40 @@ def test_rows_are_cut_into_chunks_in_one_place():
     found = {f"{p.stem}.{path}" for p in sorted(PACKAGE.glob("*.py"))
              for path in chunk_cuts(p.read_text())}
     assert found == {"quantile._chunk_sizes", "quantile._gaussian_max_quantile.draw"}
+
+
+def undeclared_recorded_facts(source: str) -> list[str]:
+    """``Class.name`` for each ``object.__setattr__(self, name, ...)`` inside a class of
+    ``source`` whose name is not a string literal naming an annotated field of that class, so
+    every fact a frozen class records at construction shows in ``dataclasses.fields``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        declared = {node.target.id for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        for call in ast.walk(cls):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "__setattr__" and _callee(call.func.value) == "object"):
+                name = call.args[1] if len(call.args) > 1 else None
+                if not (isinstance(name, ast.Constant) and name.value in declared):
+                    found.append(f"{cls.name}.{getattr(name, 'value', '<computed>')}")
+    return found
+
+
+def test_undeclared_recorded_facts_flags_undeclared_and_computed_names():
+    source = ("class A:\n    x: int\n    _y: float = field(init=False)\n\n"
+              "    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "        object.__setattr__(self, '_y', 2.0)\n"
+              "        object.__setattr__(self, '_z', 3.0)\n"
+              "        for n in ('x',):\n            object.__setattr__(self, n, 0)\n\n"
+              "class B:\n    def __init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "        setattr(self, 'w', 1)\n")
+    assert undeclared_recorded_facts(source) == ["A._z", "A.<computed>", "B.x"]
+
+
+def test_every_recorded_fact_is_a_declared_field():
+    """A fact set with ``object.__setattr__`` but not declared would be missing from
+    ``dataclasses.fields`` and would escape each field's repr/compare settings."""
+    found = {p.stem: undeclared_recorded_facts(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == {}

@@ -15,6 +15,7 @@ from scopesets.errors import DegenerateDataError, ParameterError
 from scopesets.excursion import max_sup
 from scopesets.preimage import PreimageSets
 from scopesets.quantile import (
+    column_summary,
     iid_exact_quantile,
     iid_quantile,
     mc_oracle_quantile,
@@ -685,6 +686,13 @@ class TestMultiplierBootstrap:
         with pytest.raises(DegenerateDataError):
             multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 200, Rng(0))
 
+    def test_zero_columns_are_named_by_their_data_index(self):
+        data = np.random.default_rng(0).normal(size=(30, 6))
+        data[:, [2, 5]] = 1.0
+        s = IndexSet([1, 2, 5])
+        with pytest.raises(DegenerateDataError, match=r"^zero-variance column 2, 5$"):
+            multiplier_bootstrap_quantile(data, PreimageSets(s, s, s), 0.1, 200, Rng(0))
+
     def test_converges_to_oracle_for_gaussian_data(self):
         rng = np.random.default_rng(100)
         data = rng.normal(size=(1000, 5))
@@ -726,3 +734,14 @@ class TestMultiplierBootstrap:
             buffers = {id(b.base): b.base for b in blocks}
             assert len(buffers) <= 2 and all(b.base is None for b in buffers.values())
             assert 2 * max(b.size for b in buffers.values()) <= 4_000_000
+
+
+def test_column_summary_names_every_zero_column_by_the_callers_index():
+    data = np.zeros((4, 4))
+    data[:, 1] = [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(DegenerateDataError, match=r"^zero-variance column 0, 2, 3$"):
+        column_summary(data)
+    with pytest.raises(DegenerateDataError, match=r"^zero-variance column 10, 30, 40$"):
+        column_summary(data, columns=np.array([10, 20, 30, 40]))
+    mean, sd = column_summary(data[:, 1:2], columns=[20])
+    assert mean.tolist() == [1.5] and sd.tolist() == [np.std([0.0, 1.0, 2.0, 3.0], ddof=1)]
