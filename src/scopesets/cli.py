@@ -269,8 +269,8 @@ def cmd_tests(args) -> int:
         raise UsageError(f"need --b-minus <= --b-plus, got {args.b_minus} and {args.b_plus}")
     if args.kind in ("eT", "leT") and not args.b_minus < args.b_plus:
         raise UsageError(f"{args.kind} needs --b-minus < --b-plus, got {args.b_minus} twice")
-    if args.kind in ("grT", "eT") and not args.mu:  # their plug-in route does not hold alpha yet
-        raise UsageError(f"{args.kind} needs --mu: plug-in {args.kind} does not hold its level")
+    if args.kind == "eT" and not args.mu:  # its plug-in route does not hold alpha yet
+        raise UsageError("eT needs --mu: plug-in eT does not hold its level")
     data = _load_matrix(args.data)
     N, J = data.shape
     dom = Domain(J)
@@ -352,7 +352,7 @@ def _tests_flags(ts):
     ts.add_argument("--kind", required=True, choices=["grT", "lrT", "eT", "leT"])
     ts.add_argument("--b-minus", type=float, required=True, help="lower band edge")
     ts.add_argument("--b-plus", type=float, required=True, help="upper band edge")
-    ts.add_argument("--mu", default=None, help="known target field CSV (oracle; grT/eT need it)")
+    ts.add_argument("--mu", default=None, help="known target field CSV (oracle; eT needs it)")
     ts.add_argument("--alpha", type=float, default=0.1)
     ts.add_argument("--kappa", type=float, default=None,
                     help="plug-in thickening kappa (default 3)")

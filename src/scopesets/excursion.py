@@ -88,16 +88,11 @@ class Partition3:
     upper: IndexSet
 
 
-def _moved(c, delta):
-    """c + delta, except that infinite thresholds never move (nor meet an opposite infinity)."""
-    return c + np.where(np.isinf(c), 0.0, delta)
-
-
 def _excursions(values, lower, upper, q, bands):
     """``widened_excursions`` at the margin w = q*tau*sigma of ``bands``; arrays broadcast.
 
-    Finite tau and sigma make w finite when q*tau*max(sigma) is, and then c -/+ w keeps infinite
-    c fixed by itself: bit for bit ``_moved``, whose guard only an infinite or NaN w needs.
+    Finite tau and sigma make w finite when q*tau*max(sigma) is, so only an overflowing margin
+    pays ``widened_excursions``' finiteness check and reaches its guard.
     """
     w = q * bands.tau * bands.sigma.values
     if -np.inf < q * bands.tau * bands.sigma._max < np.inf:
@@ -114,12 +109,14 @@ def _bands_excursions(values, lower, upper, bands):
 
 
 def widened_excursions(values, lower, upper, w):
-    """Masks {values < lower - w} and {values > upper + w}.
-
-    Infinite thresholds stay fixed.  All arguments broadcast, so a (B, J)
-    batch of estimates against (J,) thresholds gives two (B, J) masks.
+    """Masks {values < lower - w} and {values > upper + w}; all arguments broadcast, so a (B, J)
+    batch of estimates against (J,) thresholds gives two (B, J) masks.  Infinite thresholds stay
+    fixed: by themselves under a finite w, else by a guard that never forms inf - inf.
     """
-    return values < _moved(lower, -w), values > _moved(upper, w)
+    if np.isfinite(w).all():
+        return values < lower - w, values > upper + w
+    return (values < lower + np.where(np.isinf(lower), 0.0, -w),
+            values > upper + np.where(np.isinf(upper), 0.0, w))
 
 
 def inclusion_event(mu_hat, mu, lower_vals, upper_vals, w):
@@ -225,8 +222,6 @@ def scb_scope_equivalence(
     ``mu``, which is the crux of the band/threshold duality.
     """
     same_domain(mu_hat, mu, sigma_hat)
-    if not np.all(sigma_hat.values > 0):
-        raise ParameterError("sigma_hat must be positive")
     bands = ScopeBands(q, tau, sigma_hat)
     band_covers = bool(np.all(np.abs(mu_hat.values - mu.values) <= bands.half_width()))
     fam = ThresholdFamily.symmetric(tuple(probe_thresholds) + (mu,))

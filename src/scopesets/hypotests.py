@@ -21,7 +21,9 @@ subtraction and no call rescans the band.  ``excursion._excursions`` widens each
 subtract or add unless q*tau*sigma is infinite.
 
 Oracle calibration (target known) is validated for all four tests; plug-in calibration,
-which estimates the touch sets from the data, for lrT and leT only: grT and eT are experimental.
+which estimates the touch sets from the data, for grT, lrT and leT (eT is experimental): plug-in
+grT clips its shift at 0, -min(d, 0), so it rejects exactly where ``preimage.scope_partition``
+on (b_minus, b_plus) flags a point, and still reports d.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ class Calibration:
     """How to solve for the critical value.
 
     Oracle mode reads the touching sets off the known target; plug-in mode
-    (experimental) estimates them from the data via the thickened preimage
-    estimator with factor ``k``.  ``cov`` is "iid_normal", ("iid_t", df) or a
+    estimates them from the data via the thickened preimage estimator with
+    factor ``k`` (experimental for eT).  ``cov`` is "iid_normal", ("iid_t", df) or a
     correlation matrix; iid noise uses the exact product-CDF solver, a
     correlation matrix ``reps`` Monte-Carlo draws from ``rng``.  Compared by identity.
     """
@@ -140,7 +142,7 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
     same_domain(mu_hat, band.b_minus, bands.sigma, reference)
     g = _gap(reference.values, band._edges, reference._finite and band._finite)
     d = _shift(g, local)
-    s = d if local else -d
+    s = d if local else -(min(d, 0.0) if kind == "grT" and mu is None else d)
     i, j = (1, 0) if kind == "leT" else (0, 1)  # the rows of the first and second edge
     if quantile is None:
         est = QuantileEstimate(bands.q, "given", float("nan"))

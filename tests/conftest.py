@@ -148,7 +148,7 @@ def reference_band_test(kind, mu_hat, band, bands, quantile, mu):
     reference = mu if mu is not None else mu_hat
     d = _ref_delta_rel(reference, band)[0] if local else _ref_delta_eqv(reference, band)
     first, second = (band.b_plus, band.b_minus) if kind == "leT" else (band.b_minus, band.b_plus)
-    s = d if local else -d
+    s = d if local else -min(d, 0.0) if kind == "grT" and mu is None else -d  # plug-in grT clips
     same_domain(mu_hat, first, second, bands.sigma)
     if quantile is None:
         est = QuantileEstimate(bands.q, "given", float("nan"))

@@ -12,8 +12,11 @@ from scopesets import cli
 from scopesets.cli import main, parse_config, UsageError
 from scopesets.dist import Rng
 from scopesets.domain import Domain, Field, save_field
+from scopesets.excursion import ScopeBands
+from scopesets.hypotests import BandSpec, Calibration, grt
 from scopesets.insig import insig_report
 from scopesets.preimage import KPolicy
+from scopesets.quantile import column_summary
 
 
 SIM_CONFIG = """\
@@ -472,22 +475,40 @@ class TestTestsCommand:
                    "--b-minus", "-1", "--b-plus", "1"])
         assert rc == 2
 
-    @pytest.mark.parametrize("kind", ["grT", "eT"])
-    def test_global_tests_need_mu_before_reading_data(self, tmp_path, capsys, kind):
-        # plug-in grT and eT do not hold alpha (0.54 / 0.31 and 0.04 / 0.16 familywise at
-        # N = 100 / 1000), so the command line runs them only against a known target
-        rc = main(["tests", "--data", str(tmp_path / "missing.csv"), "--kind", kind,
+    def test_et_needs_mu_before_reading_data(self, tmp_path, capsys):
+        # plug-in eT does not hold alpha (0.04 / 0.16 familywise at N = 100 / 1000), so the
+        # command line runs it only against a known target
+        rc = main(["tests", "--data", str(tmp_path / "missing.csv"), "--kind", "eT",
                    "--b-minus", "-1", "--b-plus", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == f"error: {kind} needs --mu: plug-in {kind} does not hold its level\n"
+        assert err == "error: eT needs --mu: plug-in eT does not hold its level\n"
         assert not (tmp_path / "o").exists()
         data, mu = tmp_path / "d.csv", tmp_path / "mu.csv"
         np.savetxt(data, np.random.default_rng(0).normal(size=(30, 4)), delimiter=",")
         save_field(Field.constant(Domain(4), 0.5), mu)
-        assert main(["tests", "--data", str(data), "--kind", kind, "--b-minus", "-1",
+        assert main(["tests", "--data", str(data), "--kind", "eT", "--b-minus", "-1",
                      "--b-plus", "1", "--mu", str(mu), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "test_decision.csv").read_text().startswith("kind,")
+
+    def test_plugin_grt_runs_without_mu(self, tmp_path, capsys):
+        # plug-in grT reads the partition's touch sets, which hold alpha, so it needs no --mu;
+        # the row is the library's plug-in decision on the column summaries
+        N, J = 30, 4
+        data = np.random.default_rng(0).normal(size=(N, J))
+        data[:, 1] += 1.5  # one column well above the band
+        np.savetxt(tmp_path / "d.csv", data, delimiter=",")
+        assert main(["tests", "--data", str(tmp_path / "d.csv"), "--kind", "grT",
+                     "--b-minus", "-0.5", "--b-plus", "0.5", "--out", str(tmp_path / "o")]) == 0
+        dom = Domain(J)
+        mean, sd = column_summary(data)
+        band = BandSpec(Field.constant(dom, -0.5), Field.constant(dom, 0.5))
+        dec = grt(Field(dom, mean), band, ScopeBands(0.0, 1 / np.sqrt(N), Field(dom, sd)),
+                  quantile=Calibration(cov=("iid_t", N - 1), k=np.log(N) / 3))
+        assert dec.global_reject is True
+        row = (tmp_path / "o" / "test_decision.csv").read_text().splitlines()[1].split(",")
+        assert row == ["grT", cli._fmt(dec.quantile_used.q), cli._fmt(dec.delta), "1",
+                       ";".join(str(i) for i in dec.rejected)]
 
     @pytest.mark.parametrize("kind", ["eT", "leT"])
     def test_zero_width_band_exits_2_before_reading_data(self, tmp_path, capsys, kind):

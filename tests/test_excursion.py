@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (peak_traced_mb, reference_check_bands, reference_contour_regions,
-                      reference_field_values, reference_inclusion_event, reference_partition3,
-                      reference_scope_event, reference_widened_excursions)
+from conftest import (_ref_moved, peak_traced_mb, reference_check_bands,
+                      reference_contour_regions, reference_field_values,
+                      reference_inclusion_event, reference_partition3, reference_scope_event,
+                      reference_widened_excursions)
+from scopesets import excursion
 from scopesets.domain import Domain, Field, IndexSet
 from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrderError
 from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
     _excursions,
-    _moved,
     contour_regions,
     inclusion_event,
     lower_excursion,
@@ -506,10 +507,41 @@ class TestRoiAdapt:
             assert lower_excursion(f, cm).issubset(roi)
 
 
+class _IsinfSpy:
+    """numpy as ``excursion`` sees it, counting the calls of ``np.isinf``: the guard's test."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isinf(self, x):
+        self.calls += 1
+        return np.isinf(x)
+
+
 class TestMoved:
     def test_infinite_thresholds_never_move(self):
-        np.testing.assert_array_equal(_moved(np.array([np.inf, -np.inf, 1.0]), 5.0),
-                                      [np.inf, -np.inf, 6.0])
+        values = np.array([[-1e308, 5.0, 7.0], [1e308, 7.0, 5.0]])
+        c = np.array([np.inf, -np.inf, 1.0])
+        below, above = widened_excursions(values, c, c, 5.0)
+        np.testing.assert_array_equal(_ref_moved(c, 5.0), [np.inf, -np.inf, 6.0])
+        np.testing.assert_array_equal(below, [[True, False, False], [True, False, False]])
+        np.testing.assert_array_equal(above, [[False, True, True], [False, True, False]])
+
+    @pytest.mark.parametrize("w", [0.0, -0.0, 0.5, np.array([0.25, 1e300, -2.0]),
+                                   np.array([[0.5], [1.0]]), np.inf, -np.inf, np.nan,
+                                   np.array([0.5, np.inf, 0.5]), np.array([[0.5], [np.nan]])])
+    def test_only_a_margin_that_is_not_finite_reaches_the_guard(self, w, monkeypatch):
+        spy = _IsinfSpy()
+        monkeypatch.setattr(excursion, "np", spy)
+        c = np.array([np.inf, -np.inf, 0.5])
+        values = np.array([0.0, np.inf, -np.inf])
+        got = widened_excursions(values, c, c, w)  # the guard never forms inf - inf: no warning
+        assert spy.calls == (0 if np.isfinite(w).all() else 2)  # the guard: once per side
+        want = reference_widened_excursions(values, c, c, w)
+        assert all(np.array_equal(g, r) for g, r in zip(got, want))
 
     @pytest.mark.parametrize("q", [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, 1e300, -1e300])
     def test_the_bands_margin_rule_is_the_guarded_form_bit_for_bit(self, q):
@@ -528,10 +560,10 @@ class TestMoved:
     def _check_margin_rule(q, lo, hi, dom, bands, w):
         if np.isfinite(w).all():  # then the guard changes no bit of a moved edge
             for c in (lo, hi):
-                assert (c - w).tobytes() == _moved(c, -w).tobytes()
-                assert (c + w).tobytes() == _moved(c, w).tobytes()
-        at_edges = [np.where(np.isfinite(m), m, 0.0) for c in (lo, hi) for m in (_moved(c, -w),
-                                                                                 _moved(c, w))]
+                assert (c - w).tobytes() == _ref_moved(c, -w).tobytes()
+                assert (c + w).tobytes() == _ref_moved(c, w).tobytes()
+        at_edges = [np.where(np.isfinite(m), m, 0.0) for c in (lo, hi)
+                    for m in (_ref_moved(c, -w), _ref_moved(c, w))]
         values = np.array(at_edges + [np.full(lo.size, v) for v in (-np.inf, -1.0, 1.0, np.inf)])
         want = reference_widened_excursions(values, lo, hi, w)
         for got in (_excursions(values, lo, hi, q, bands), widened_excursions(values, lo, hi, w)):
@@ -561,7 +593,7 @@ class TestBandInclusionDuality:
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_a_non_positive_sigma_hat_is_rejected(self, bad):
         mu = fld(0.0, 1.0, -1.0)
-        with pytest.raises(ParameterError, match="sigma_hat must be positive"):
+        with pytest.raises(ParameterError, match="sigma must be strictly positive and finite"):
             scb_scope_equivalence(mu, mu, fld(1.0, bad, 1.0), 0.5, 1.0, [])
 
     def test_violation_detected_via_target_probe(self):
@@ -595,7 +627,7 @@ class TestBandInclusionDuality:
         dom = Domain(8)
         f = Field(dom, rng.normal(size=8))
         c = Field(dom, rng.normal(size=8))
-        moved = lambda delta: Field(dom, _moved(c.values, delta))
+        moved = lambda delta: Field(dom, _ref_moved(c.values, delta))
         for q, q_hi in ((0.0, 0.5), (0.5, 1.5)):
             assert lower_excursion(f, moved(-q_hi)).issubset(lower_excursion(f, moved(-q)))
             assert upper_excursion(f, moved(q_hi)).issubset(upper_excursion(f, moved(q)))

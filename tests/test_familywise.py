@@ -84,8 +84,9 @@ def _band_error_rate(kind, mu, b_minus, b_plus, N, stream):
 
 
 def test_plugin_local_band_tests_hold_the_familywise_rate():
-    # lrT and leT read the union of both touch sides of each shifted edge; grT and eT are
-    # reported beside them, ungated: their plug-in construction is not yet valid
+    # lrT and leT read the union of both touch sides of each shifted edge, and grT the
+    # partition's touch sets; eT is reported beside them, ungated: its plug-in construction is
+    # not yet valid
     mu = {m: model_mu(m, J).values for m in "ABC"}
     cells = [("lrT", "A", 0.0, 0.0), ("lrT", "B", 0.0, 0.0), ("lrT", "C", 0.0, 0.0),
              ("lrT", "B", -0.3, 0.2), ("leT", "B", -0.3, 0.2), ("grT", "A", 0.0, 0.0)]
@@ -95,7 +96,7 @@ def test_plugin_local_band_tests_hold_the_familywise_rate():
         for N in (100, GATED_N):
             rate = _band_error_rate(kind, mu[model], lo, hi, N, Rng(SEED).child(10 + i).child(N))
             if not _report(f"plug-in {kind}, model {model} on [{lo}, {hi}]", N, rate,
-                           kind in ("lrT", "leT") and N == GATED_N):
+                           kind in ("grT", "lrT", "leT") and N == GATED_N):
                 failed.append((cell, N, rate))
     for N in (100, GATED_N):
         # eT at its boundary null: half the target on b_plus = 2 tau, half at tau

@@ -30,7 +30,9 @@ from scopesets.hypotests import (
     lrt,
     t_pvalues,
 )
+from scopesets.preimage import _partition_rows
 from scopesets.quantile import QuantileEstimate, iid_exact_quantile, storey_m0
+from scopesets.sim import model_mu
 
 
 def fld(*values):
@@ -374,9 +376,10 @@ def _hand_decision(kind, mu_hat, mu, bm, bp, sd, tau, k, alpha, df):
     ref = mu if mu is not None else mu_hat
     d_rel = min(np.abs(ref - bm).min(), np.abs(ref - bp).min())
     d_eqv = max((ref - bp).max(), (bm - ref).max())
+    d_grt = min(d_eqv, 0.0) if mu is None else d_eqv  # plug-in grT clips its shift at 0
     # the edges the negated and the plain sup run along; each touch set is the union of both
     # sides of its edge, which the target meets exactly (oracle) or the estimate within tol
-    c_neg, c_pos = {"grT": (bm - d_eqv, bp + d_eqv), "lrT": (bm + d_rel, bp - d_rel),
+    c_neg, c_pos = {"grT": (bm - d_grt, bp + d_grt), "lrT": (bm + d_rel, bp - d_rel),
                     "eT": (bm - d_eqv, bp + d_eqv), "leT": (bp + d_rel, bm - d_rel)}[kind]
     tol = 0.0 if mu is not None else k * tau * sd
     neg = np.abs(ref - c_neg) <= tol
@@ -421,6 +424,39 @@ def test_calibrated_decision_matches_hand_masks(kind, mode):
     assert dec.quantile_used == est
     assert dec.global_reject == global_reject
     assert dec.rejected == IndexSet.from_mask(rejected)
+
+
+def test_plugin_grt_rejects_exactly_where_the_partition_flags_a_point():
+    # on the same (mean, sd) rows: where the estimate leaves the band, plug-in grT's clipped
+    # touch sets are the partition's on (b_minus, b_plus), so q is too; inside it neither rejects
+    J, alpha = 80, 0.1
+    dom = Domain(J)
+    j = np.arange(J)
+    edges = [(np.zeros(J), np.zeros(J)), (np.full(J, -0.3), np.full(J, 0.2)),
+             (np.full(J, -0.2), np.full(J, 0.1)),
+             (np.where(j < 40, 0.0, -np.inf), np.where(j >= 40, 0.0, np.inf))]
+    outcomes = set()
+    for i, model in enumerate("ABD"):
+        mu = model_mu(model, J).values
+        for N in (30, 100, 1000):
+            gen = Rng(32).child(i).child(N).generator()
+            mean = mu + gen.standard_normal((100, J)) / np.sqrt(N)
+            sd = np.sqrt(gen.chisquare(N - 1, (100, J)) / (N - 1))
+            tau, k = 1 / np.sqrt(N), np.log(N) / 3
+            cal = Calibration(alpha=alpha, cov=("iid_t", N - 1), k=k)
+            for lo, hi in edges:
+                band = BandSpec(Field(dom, lo), Field(dom, hi))
+                _, q, below, above = _partition_rows(mean, sd, lo, hi, alpha, k, tau, N - 1)
+                for row in range(100):
+                    mu_hat = Field(dom, mean[row])
+                    dec = grt(mu_hat, band, ScopeBands(0.0, tau, Field(dom, sd[row])), quantile=cal)
+                    flagged = bool((below[row] | above[row]).any())
+                    assert dec.global_reject is flagged
+                    assert dec.delta == delta_eqv(mu_hat, band)  # d, unclipped
+                    if dec.delta > 0:
+                        assert dec.quantile_used.q == q[row]
+                    outcomes.add(flagged)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["oracle", "plugin"])
@@ -567,6 +603,10 @@ def _oracle_case(mu, lo, hi):
                            unit_bands(Domain(3), tau=0.5), Calibration(k=2.0), None))
 @example(kind="leT", case=(fld(0.25, -0.25, 0.5), const_band(Domain(3), 0.0, 1.0),
                            unit_bands(Domain(3), tau=0.5), Calibration(k=2.0), None))
+# plug-in grT with the estimate 0.5 outside the band: its clipped shift calibrates on the
+# unshifted edges, and the unclipped one would count the touch sets differently
+@example(kind="grT", case=(fld(0.25, 1.5), const_band(Domain(2), 0.0, 1.0),
+                           unit_bands(Domain(2), tau=0.5), Calibration(k=2.0), None))
 def test_band_tests_match_the_reference_template_bit_for_bit(kind, case):
     # the reference is the template before it moved onto plain arrays; every
     # quantile form, both calibration modes, infinite edges, d = 0 and d = inf,

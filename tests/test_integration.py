@@ -16,7 +16,7 @@ from scopesets.excursion import (
     widened_excursions,
 )
 from scopesets.hypotests import BandSpec, Calibration, et, grt
-from scopesets.preimage import PreimageSets
+from scopesets.preimage import KPolicy, PreimageSets, scope_partition
 from scopesets.quantile import (
     iid_exact_quantile,
     mc_oracle_quantile,
@@ -144,7 +144,10 @@ class TestPluginCalibrationSmoke:
         assert rel.global_reject is True  # 1.6 sits well outside [-1, 1]
         eqv = et(mu_hat, band, bands, quantile=cal)
         assert eqv.global_reject is False  # cannot claim the band holds
-        assert rel.quantile_used.q > 0
+        # the estimate leaves the band, so grT calibrates on the partition's touch sets: no
+        # column lies within k*tau*sigma of an edge, so both read q = 0
+        part = scope_partition(data, -1.0, 1.0, 0.1, KPolicy("fixed", k=2.0))
+        assert rel.quantile_used.q == part.q_hat == 0.0 and rel.quantile_used.empty_sets
 
 
 class TestFieldCsvThroughCli:

@@ -220,27 +220,37 @@ def test_band_tests_read_touches_off_the_gap():
     assert "_gap" in imported and "_touched" in used
 
 
-def chunk_cuts(source: str) -> list[str]:
-    """The dotted path of the function around each row cut in ``source``: a stepped
-    ``range(start, stop, step)`` or a ``min(rows, stop - start)``, the two halves of cutting
-    rows into chunks by hand."""
-    cuts = []
+def call_sites(source: str, match) -> list[str]:
+    """The dotted path of the function around each call in ``source`` that ``match`` accepts."""
+    sites = []
 
     def visit(node, path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
-                stepped = child.func.id == "range" and len(child.args) == 3
-                clipped = child.func.id == "min" and any(
-                    isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub) for a in child.args)
-                if stepped or clipped:
-                    cuts.append(".".join(path))
+            if isinstance(child, ast.Call) and match(child):
+                sites.append(".".join(path))
             visit(child, path)
 
     visit(ast.parse(source), [])
-    return cuts
+    return sites
+
+
+def _cuts_rows(call: ast.Call) -> bool:
+    if not isinstance(call.func, ast.Name):
+        return False
+    stepped = call.func.id == "range" and len(call.args) == 3
+    clipped = call.func.id == "min" and any(
+        isinstance(a, ast.BinOp) and isinstance(a.op, ast.Sub) for a in call.args)
+    return stepped or clipped
+
+
+def chunk_cuts(source: str) -> list[str]:
+    """The dotted path of the function around each row cut in ``source``: a stepped
+    ``range(start, stop, step)`` or a ``min(rows, stop - start)``, the two halves of cutting
+    rows into chunks by hand."""
+    return call_sites(source, _cuts_rows)
 
 
 def test_chunk_cuts_flags_stepped_ranges_and_min_cuts():
@@ -257,6 +267,26 @@ def test_rows_are_cut_into_chunks_in_one_place():
     found = {f"{p.stem}.{path}" for p in sorted(PACKAGE.glob("*.py"))
              for path in chunk_cuts(p.read_text())}
     assert found == {"quantile._chunk_sizes", "quantile._gaussian_max_quantile.draw"}
+
+
+def isinf_callers(source: str) -> list[str]:
+    """The dotted path of the function around each ``isinf`` call in ``source``, by any name:
+    ``np.isinf``, ``numpy.isinf`` or a bare imported ``isinf``."""
+    return call_sites(source, lambda call: _callee(call.func) == "isinf")
+
+
+def test_isinf_callers_finds_every_spelling():
+    source = ("import numpy\nfrom numpy import isinf\n\nA = np.isinf(1.0)\n\n"
+              "def f(w):\n    def g():\n        return numpy.isinf(w)\n"
+              "    return isinf(w), np.isfinite(w), g\n")
+    assert isinf_callers(source) == ["", "f.g", "f"]
+
+
+def test_the_infinity_guard_has_one_home():
+    """Every ``isinf`` call of the excursion module sits in ``widened_excursions``: it alone
+    decides whether a margin needs the guard that keeps an infinite threshold fixed, so no
+    other excursion path pays or repeats it."""
+    assert set(isinf_callers((PACKAGE / "excursion.py").read_text())) == {"widened_excursions"}
 
 
 def undeclared_recorded_facts(source: str) -> list[str]:
