@@ -25,11 +25,15 @@ from .insig import insig_report, write_insig_report
 from .preimage import KPolicy, resolve_k, scope_partition
 from .quantile import _check_alpha, column_summary
 from .scheffe import LinearModelSpec, detect_nonzero_contrasts, ols_fit, scheffe_band
-from .sim import SimConfig, run_simulation, write_plot_data, write_sim_table
+from .sim import SimConfig, model_mu, run_simulation, write_plot_data, write_sim_table
 
 
 class UsageError(Exception):
     """Bad flags, bad config, malformed input files: exit code 2."""
+
+
+# the keys ``simulate`` reads, each of which ``resolved_config.txt`` writes back
+_SIM_KEYS = {"model", "J", "N_list", "alpha", "methods", "baselines", "reps", "seed", "sided"}
 
 
 def _fmt(x) -> str:
@@ -123,6 +127,9 @@ def cmd_simulate(args) -> int:
     if not cfg_path.exists():
         raise UsageError(f"config file {cfg_path} does not exist")
     raw = parse_config(cfg_path.read_text())
+    unknown = [key for key in raw if key not in _SIM_KEYS]
+    if unknown:  # a mistyped key would silently fall back to its default
+        raise UsageError(f"unknown config key {', '.join(map(repr, unknown))}")
 
     model = _require(raw, "model")
     alpha = _config_value(raw, "alpha", float)
@@ -160,7 +167,7 @@ def cmd_simulate(args) -> int:
     write_plot_data(rows, out / f"model{model}_plotdata.csv")
     resolved = {
         "model": model,
-        "J": str(J if J is not None else "default"),
+        "J": str(model_mu(model, J).domain.size),
         "N_list": ",".join(str(n) for n in n_list),
         "alpha": _fmt(alpha),
         "methods": ",".join(methods),

@@ -88,32 +88,22 @@ class Partition3:
     upper: IndexSet
 
 
-def _excursions(values, lower, upper, q, bands):
-    """``widened_excursions`` at the margin w = q*tau*sigma of ``bands``; arrays broadcast.
-
-    Finite tau and sigma make w finite when q*tau*max(sigma) is, so only an overflowing margin
-    pays ``widened_excursions``' finiteness check and reaches its guard.
-    """
-    w = q * bands.tau * bands.sigma.values
-    if -np.inf < q * bands.tau * bands.sigma._max < np.inf:
-        return values < lower - w, values > upper + w
-    return widened_excursions(values, lower, upper, w)
-
-
 def _bands_excursions(values, lower, upper, bands):
-    """``_excursions`` at ``bands.q`` on the margin of ``bands`` (formed here if it overflows)."""
+    """``widened_excursions`` on the margin of ``bands``: the recorded w, finite by construction,
+    or ``half_width()`` where that overflowed."""
     w = bands._w
     if w is None:
         return widened_excursions(values, lower, upper, bands.half_width())
-    return values < lower - w, values > upper + w
+    return widened_excursions(values, lower, upper, w, finite=True)
 
 
-def widened_excursions(values, lower, upper, w):
+def widened_excursions(values, lower, upper, w, finite=False):
     """Masks {values < lower - w} and {values > upper + w}; all arguments broadcast, so a (B, J)
     batch of estimates against (J,) thresholds gives two (B, J) masks.  Infinite thresholds stay
     fixed: by themselves under a finite w, else by a guard that never forms inf - inf.
+    ``finite=True`` is the caller's promise that every entry of w is finite: it skips the check.
     """
-    if np.isfinite(w).all():
+    if finite or np.isfinite(w).all():
         return values < lower - w, values > upper + w
     return (values < lower + np.where(np.isinf(lower), 0.0, -w),
             values > upper + np.where(np.isinf(upper), 0.0, w))
@@ -216,13 +206,13 @@ def scb_scope_equivalence(
 ) -> tuple[bool, bool]:
     """Band coverage versus all-threshold excursion inclusions.
 
-    ``band_covers`` is the event |mu_hat - mu| <= q*tau*sigma_hat everywhere;
-    ``inclusions_hold`` evaluates the inclusion event over the probe
-    thresholds plus ``mu`` itself.  The two agree whenever the probes include
-    ``mu``, which is the crux of the band/threshold duality.
+    ``band_covers`` is the event |mu_hat - mu| <= q*tau*sigma_hat everywhere, read as the
+    inclusion event at the one threshold ``mu``; ``inclusions_hold`` evaluates it over the probe
+    thresholds plus ``mu`` itself.  The two agree, which is the crux of the band/threshold
+    duality, and in floating point too, since c - w and c + w round monotonically in c.
     """
     same_domain(mu_hat, mu, sigma_hat)
     bands = ScopeBands(q, tau, sigma_hat)
-    band_covers = bool(np.all(np.abs(mu_hat.values - mu.values) <= bands.half_width()))
+    band_covers = scope_event(mu_hat, mu, bands, ThresholdFamily.symmetric((mu,)))
     fam = ThresholdFamily.symmetric(tuple(probe_thresholds) + (mu,))
     return band_covers, scope_event(mu_hat, mu, bands, fam)

@@ -17,8 +17,8 @@ target (plug-in: the estimate) against both edges gives d and the touch sets: a 
 touches where its gap equals the shift (plug-in: within k*tau*sigma of it), so the oracle touch
 set is exactly where the target attains d.  ``Field`` and ``BandSpec`` record at construction
 whether they are finite and whether the band is open, so a gap between finite sides is one
-subtraction and no call rescans the band.  ``excursion._excursions`` widens each edge by one
-subtract or add unless q*tau*sigma is infinite.
+subtraction and no call rescans the band.  ``excursion.widened_excursions`` widens the edges,
+told by the margin q*tau*max(sigma) whether it may skip its finiteness check.
 
 Oracle calibration (target known) is validated for all four tests; plug-in calibration,
 which estimates the touch sets from the data, for grT, lrT and leT (eT is experimental): plug-in
@@ -36,7 +36,7 @@ import numpy as np
 from .dist import Rng
 from .domain import Field, IndexSet, _gap, same_domain
 from .errors import ParameterError, ThresholdOrderError
-from .excursion import ScopeBands, _excursions
+from .excursion import ScopeBands, widened_excursions
 from .preimage import _touched
 from .quantile import (QuantileEstimate, _check_alpha, _checked_pvalues, _iid_exact,
                        _touch_counts, mc_oracle_quantile)
@@ -163,7 +163,9 @@ def _band_test(kind: str, mu_hat: Field, band: BandSpec, bands: ScopeBands, quan
             tol = quantile.k * bands.tau * bands.sigma.values
             neg, pos = _touched(g[i], (t[0],), tol), _touched(g[j], (t[1],), tol)
         est = _solve_q(neg, pos, quantile, "lower" if kind == "eT" else "upper")
-    below, above = _excursions(mu_hat.values, band._edges[i], band._edges[j], est.q, bands)
+    w = est.q * bands.tau * bands.sigma.values  # finite iff its entry at max(sigma) is
+    below, above = widened_excursions(mu_hat.values, band._edges[i], band._edges[j], w,
+                                      -np.inf < est.q * bands.tau * bands.sigma._max < np.inf)
     hits = below & above if kind == "leT" else below | above
     if kind == "eT":
         return TestDecision(kind, est, d, global_reject=not hits.any())

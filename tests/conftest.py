@@ -1,7 +1,8 @@
 """Shared pytest hooks and helpers: collect acceptance-criterion outcomes and
 Monte-Carlo familywise rates and print them as summary sections at the end of
 the run; measure the traced
-memory peak of a block; draw fixed direction grids on the sphere
+memory peak of a block; expect an exception by its exact message
+(``raises_exactly``); draw fixed direction grids on the sphere
 (``sphere_grid``); reference functions that only the tests call, among
 them the earlier band-test template that ``hypotests._band_test`` must match
 bit for bit, the earlier step-up p-value layer that ``sim._t_pvalues`` must
@@ -14,11 +15,13 @@ the earlier limit-matrix counting loop whose value ``extract_limit_cdf`` must
 return bit for bit."""
 
 import functools
+import re
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy import special
 
 from scopesets.dist import Rng, _t_quantile, quantile as dist_quantile, t_cdf
@@ -51,6 +54,11 @@ def peak_traced_mb():
     finally:
         peak.mb = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.stop()
+
+
+def raises_exactly(exc, message: str):
+    """``pytest.raises(exc)`` whose message must be ``message`` in full."""
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
 
 
 def sphere_grid(K: int, n: int, rng: Rng) -> np.ndarray:

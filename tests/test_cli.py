@@ -76,16 +76,20 @@ class TestSimulateCommand:
         out1 = tmp_path / "o1"
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
         cfg2 = tmp_path / "resolved.cfg"
-        resolved = (out1 / "resolved_config.txt").read_text()
-        resolved = "\n".join(
-            line for line in resolved.splitlines() if not line.startswith("J=")
-        )
-        cfg2.write_text(resolved)
+        cfg2.write_text((out1 / "resolved_config.txt").read_text())
         out2 = tmp_path / "o2"
         main(["simulate", "--config", str(cfg2), "--out", str(out2)])
         assert (out1 / "modelC_table.csv").read_bytes() == (
             out2 / "modelC_table.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("model,J", [("C", 80), ("D", 100)])
+    def test_resolved_config_names_the_models_J(self, tmp_path, model, J):
+        cfg = tmp_path / "sim.cfg"
+        text = SIM_CONFIG.replace("model=C", f"model={model}").replace("reps=120", "reps=5")
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert f"J={J}" in (tmp_path / "resolved_config.txt").read_text().splitlines()
 
 
 class TestScopeCommand:
@@ -379,6 +383,8 @@ SIM_CONFIG_ERRORS = [
     ("baselines=bh,bh,hommel", "duplicate method or baseline 'bh'"),
     ("alpha=1e-17", "config key 'alpha' must be >= 2**-52, got 1e-17"),
     ("=5", "line 10: empty key"),
+    ("baseline=hommel,bh", "unknown config key 'baseline'"),
+    ("sead=3", "unknown config key 'sead'"),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from conftest import f_cdf, normal_cdf
+from conftest import f_cdf, normal_cdf, raises_exactly
 
 from scopesets.dist import (
     Rng,
@@ -228,3 +228,25 @@ class TestSamplers:
     def test_clt_mean(self):
         x = Rng(2024).generator().standard_normal(10**6)
         assert abs(x.mean()) < 4e-3
+
+
+BAD_INPUTS = {
+    "chisq_cdf dof": (lambda: chisq_cdf(1.0, 0), "chi-square dof must be > 0, got 0"),
+    "t quantile without df": (lambda: quantile("t", 0.5), "t quantile needs df"),
+    "t quantile dof": (lambda: quantile("t", 0.5, df=-1),
+                       "t degrees of freedom must be > 0, got -1.0"),
+    "chisq quantile dof": (lambda: quantile("chisq", 0.5, k=None),
+                           "chi-square dof must be > 0, got None"),
+    "F quantile dof": (lambda: quantile("f", 0.5, d1=2, d2=0),
+                       "F degrees of freedom must be positive"),
+    "unknown family": (lambda: quantile("gamma", 0.5), "unknown distribution 'gamma'"),
+    "binom_tail p": (lambda: binom_tail(5, 1.5, 2),
+                     "success probability must be in [0, 1], got 1.5"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_raises_naming_it(name):
+    call, message = BAD_INPUTS[name]
+    with raises_exactly(ParameterError, message):
+        call()

@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from conftest import peak_traced_mb
+from conftest import peak_traced_mb, raises_exactly
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
@@ -311,3 +311,8 @@ def test_finite_gap_is_the_masked_gap_bit_for_bit(pairs):
             fast, masked = _gap(left, right, finite=True), _gap(left, right)
             assert fast.shape == masked.shape
             assert fast.view(np.uint64).tolist() == masked.view(np.uint64).tolist()
+
+
+def test_a_negative_index_is_rejected():
+    with raises_exactly(ParameterError, "indices must be nonnegative"):
+        IndexSet([3, -1, 0])

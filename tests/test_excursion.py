@@ -14,7 +14,6 @@ from scopesets.errors import DomainMismatchError, ParameterError, ThresholdOrder
 from scopesets.excursion import (
     ScopeBands,
     ThresholdFamily,
-    _excursions,
     contour_regions,
     inclusion_event,
     lower_excursion,
@@ -566,7 +565,9 @@ class TestMoved:
                     for m in (_ref_moved(c, -w), _ref_moved(c, w))]
         values = np.array(at_edges + [np.full(lo.size, v) for v in (-np.inf, -1.0, 1.0, np.inf)])
         want = reference_widened_excursions(values, lo, hi, w)
-        for got in (_excursions(values, lo, hi, q, bands), widened_excursions(values, lo, hi, w)):
+        finite = bands._w is not None  # the fact the band tests and ``partition3`` pass on
+        for got in (widened_excursions(values, lo, hi, w, finite=finite),
+                    widened_excursions(values, lo, hi, w)):
             assert all(g.dtype == r.dtype and np.array_equal(g, r) for g, r in zip(got, want))
         ordered = lo <= hi  # partition3 needs b_minus <= b_plus and q >= 0
         sub = Domain(int(ordered.sum()))
@@ -602,6 +603,21 @@ class TestBandInclusionDuality:
         s = Field.constant(mu.domain, 1.0)
         covers, inclusions = scb_scope_equivalence(mu_hat, mu, s, 1.0, 1.0, [])
         assert covers is False and inclusions is False
+
+    def test_a_rounding_tie_keeps_the_duality(self):
+        # |mu_hat - mu| rounds one ulp above w while mu - w rounds onto mu_hat, so coverage read
+        # as |mu_hat - mu| <= w said False where the inclusion at threshold mu held
+        mu, sigma, mu_hat = -0.5369532353602852, 0.15162782255445725, -0.6885810579147424
+        assert scb_scope_equivalence(fld(mu_hat), fld(mu), fld(sigma), 1.0, 1.0, []) == \
+            (True, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(0.01, 10.0), st.sampled_from([-1.0, 1.0]))
+    def test_an_estimate_on_the_band_edge_is_covered(self, mu, sigma, side):
+        # at tau = q = 1 the margin is sigma itself, and mu -+ sigma lies on the edge
+        mu_hat = mu + side * sigma
+        assert scb_scope_equivalence(fld(mu_hat), fld(mu), fld(sigma), 1.0, 1.0, []) == \
+            (True, True)
 
     def test_equivalence_on_random_instances(self):
         rng = np.random.default_rng(42)

@@ -220,8 +220,8 @@ def test_band_tests_read_touches_off_the_gap():
     assert "_gap" in imported and "_touched" in used
 
 
-def call_sites(source: str, match) -> list[str]:
-    """The dotted path of the function around each call in ``source`` that ``match`` accepts."""
+def node_sites(source: str, match) -> list[str]:
+    """The dotted path of the function around each node in ``source`` that ``match`` accepts."""
     sites = []
 
     def visit(node, path):
@@ -229,12 +229,17 @@ def call_sites(source: str, match) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call) and match(child):
+            if match(child):
                 sites.append(".".join(path))
             visit(child, path)
 
     visit(ast.parse(source), [])
     return sites
+
+
+def call_sites(source: str, match) -> list[str]:
+    """The dotted path of the function around each call in ``source`` that ``match`` accepts."""
+    return node_sites(source, lambda node: isinstance(node, ast.Call) and match(node))
 
 
 def _cuts_rows(call: ast.Call) -> bool:
@@ -287,6 +292,30 @@ def test_the_infinity_guard_has_one_home():
     decides whether a margin needs the guard that keeps an infinite threshold fixed, so no
     other excursion path pays or repeats it."""
     assert set(isinf_callers((PACKAGE / "excursion.py").read_text())) == {"widened_excursions"}
+
+
+def margin_compares(source: str) -> list[str]:
+    """The dotted path of the function around each comparison in ``source`` with a sum or a
+    difference on its right, a threshold moved by a margin as in ``values < lower - w``."""
+    moved = lambda r: isinstance(r, ast.BinOp) and isinstance(r.op, (ast.Add, ast.Sub))
+    return node_sites(source, lambda node: isinstance(node, ast.Compare)
+                      and any(map(moved, node.comparators)))
+
+
+def test_margin_compares_finds_sums_and_differences_on_the_right():
+    source = ("def f(v, c, w):\n    def g():\n        return v > c + w\n"
+              "    return v < c - w, v < c, v - w < c, v * 2 < c, g\n\nA = 0 <= 1 < 2 + 3\n")
+    assert margin_compares(source) == ["f.g", "f", ""]
+
+
+def test_one_comparison_widens_a_threshold():
+    """Every comparison against a threshold moved by a margin sits in
+    ``excursion.widened_excursions``, the kernel that keeps infinite thresholds fixed: the band
+    tests, ``partition3``, ``contour_regions``, ``scope_event``, ``scb_scope_equivalence``,
+    ``scope``, ``insig``, ``inclusion_event`` and ``simulate`` all widen through it."""
+    found = {f"{p.stem}.{path}" for p in sorted(PACKAGE.glob("*.py"))
+             for path in margin_compares(p.read_text())}
+    assert found == {"excursion.widened_excursions"}
 
 
 def undeclared_recorded_facts(source: str) -> list[str]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import peak_traced_mb, reference_touch_side
+from conftest import peak_traced_mb, raises_exactly, reference_touch_side
 from hypothesis import example, given, strategies as st
 
 from scopesets.dist import Rng, t_cdf
@@ -382,3 +382,9 @@ class TestConsistencyProbe:
             # keeps points with mu <= (k + noise) * tau, noise under 5 sd here
             assert 0.0 < rec["mean_hausdorff"] < 20.0 * (rec["k"] + 5.0) / np.sqrt(rec["N"])
             assert 0.0 <= rec["inclusion_freq"] <= 1.0
+
+
+def test_consistency_probe_needs_a_replication():
+    mu = fld(0.0, 1.0)
+    with raises_exactly(ParameterError, "reps must be >= 1"):
+        consistency_probe(mu, [fld(0.0, 0.0)], KPolicy("fixed", k=1.0), [20], reps=0, rng=Rng(0))

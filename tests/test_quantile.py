@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 from scipy import optimize, special
-from conftest import normal_cdf, peak_traced_mb
+from conftest import normal_cdf, peak_traced_mb, raises_exactly
 
 from scopesets import quantile
 from scopesets.dist import Rng, quantile as dq, t_cdf
@@ -745,3 +745,22 @@ def test_column_summary_names_every_zero_column_by_the_callers_index():
         column_summary(data, columns=np.array([10, 20, 30, 40]))
     mean, sd = column_summary(data[:, 1:2], columns=[20])
     assert mean.tolist() == [1.5] and sd.tolist() == [np.std([0.0, 1.0, 2.0, 3.0], ddof=1)]
+
+
+SETS = PreimageSets(IndexSet([0]), IndexSet([1]), IndexSet([0, 1]))
+NOT_A_SAMPLE = "data must be an N x J matrix with N >= 2"
+BAD_INPUTS = {
+    "column_summary vector": (lambda: column_summary(np.ones(5)), NOT_A_SAMPLE),
+    "column_summary one row": (lambda: column_summary(np.ones((1, 3))), NOT_A_SAMPLE),
+    "bootstrap vector": (lambda: multiplier_bootstrap_quantile(np.ones(5), SETS, 0.1, 200, Rng(0)),
+                         NOT_A_SAMPLE),
+    "bootstrap R": (lambda: multiplier_bootstrap_quantile(np.eye(3), SETS, 0.1, 99, Rng(0)),
+                    "need R >= 100, got 99"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_raises_naming_it(name):
+    call, message = BAD_INPUTS[name]
+    with raises_exactly(ParameterError, message):
+        call()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (f_cdf, normal_cdf, peak_traced_mb, reference_limit_matrix_cdf, sphere_grid,
-                      zero_inclusion_event)
+from conftest import (f_cdf, normal_cdf, peak_traced_mb, raises_exactly,
+                      reference_limit_matrix_cdf, sphere_grid, zero_inclusion_event)
 from hypothesis import example, given, settings, strategies as st
 
 from scopesets import scheffe
@@ -9,6 +9,7 @@ from scopesets.dist import Rng, chisq_cdf, quantile
 from scopesets.errors import InfeasibleSliceError, ParameterError, SingularDesignError
 from scopesets.scheffe import (
     LinearModelSpec,
+    OlsFit,
     _checked_limit_matrix,
     _slice_ratio_maxima,
     detect_nonzero_contrasts,
@@ -753,3 +754,31 @@ class TestZeroInclusionEvent:
             hits += zero_inclusion_event(spec, beta_hat, q)
         ref = scheffe_zero_cdf(q, K, beta_is_zero=False)
         assert abs(hits / reps - ref) <= 0.025
+
+
+FIT = OlsFit(np.array([1.0, 2.0]), 1.0, 3)
+NO_DF = OlsFit(FIT.beta_hat, 1.0, 0)
+NOT_A_DESIGN = "X must be N x K and y length N"
+MISMATCH = "contrast/Gram dimensions do not match the fit"
+BAD_INPUTS = {
+    "beta length": (lambda: LinearModelSpec(2, [1.0, 2.0, 3.0], 1.0, np.eye(2), 1.0),
+                    "beta must have length K=2"),
+    "xi": (lambda: make_spec([1.0, 2.0], xi=0.0), "xi must be > 0"),
+    "tau": (lambda: make_spec([1.0, 2.0], tau=-1.0), "tau must be > 0"),
+    "ols_fit y length": (lambda: ols_fit(np.ones((4, 2)), np.ones(3)), NOT_A_DESIGN),
+    "ols_fit X vector": (lambda: ols_fit(np.ones(4), np.ones(4)), NOT_A_DESIGN),
+    "scheffe_band contrast": (lambda: scheffe_band([1.0, 0.0, 0.0], FIT, np.eye(2), 0.05),
+                              MISMATCH),
+    "scheffe_band Gram": (lambda: scheffe_band([1.0, 0.0], FIT, np.eye(3), 0.05), MISMATCH),
+    "scheffe_band df": (lambda: scheffe_band([1.0, 0.0], NO_DF, np.eye(2), 0.05),
+                        "fit has no residual degrees of freedom"),
+    "extract_limit_cdf mode": (lambda: extract_limit_cdf(1.0, 2, 0.1, 1.0, 10, Rng(0), "both"),
+                               "unknown mode 'both'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_raises_naming_it(name):
+    call, message = BAD_INPUTS[name]
+    with raises_exactly(ParameterError, message):
+        call()

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_run_simulation, reference_t_pvalues
+from conftest import raises_exactly, reference_run_simulation, reference_t_pvalues
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
@@ -498,3 +498,32 @@ class TestSandwichCheck:
             inst = random_sandwich_instance(rng)
             event, lower, upper = sandwich_check(inst, 20_000, Rng(5))
             assert lower <= event <= upper
+
+
+def _sandwich(**changes):
+    dom = Domain(2)
+    zero = (Field.constant(dom, 0.0),)
+    fields = dict(mu=Field(dom, [0.0, 1.0]), lower_fam=zero, upper_fam=zero,
+                  sigma=Field.constant(dom, 1.0), tau=0.5, q=1.0, eta=0.1)
+    return SandwichInstance(**{**fields, **changes})
+
+
+BAD_INPUTS = {
+    "SimConfig reps": (lambda: SimConfig("A", (30,), reps=0), "reps must be >= 1"),
+    "SimConfig sided": (lambda: SimConfig("A", (30,), sided="three"),
+                        "unknown sided convention 'three'"),
+    "unknown baseline": (lambda: run_simulation(SimConfig("A", (30,), baselines=("holm",), reps=1)),
+                         "unknown baseline 'holm'"),
+    "sandwich reps": (lambda: sandwich_check(_sandwich(), 0, Rng(0)), "reps must be >= 1"),
+    "sandwich no threshold": (lambda: sandwich_check(_sandwich(lower_fam=(), upper_fam=()), 10,
+                                                     Rng(0)), "need at least one threshold"),
+    "sandwich eta": (lambda: sandwich_check(_sandwich(eta=-0.5), 10, Rng(0)),
+                     "eta must be >= 0, got -0.5"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_input_raises_naming_it(name):
+    call, message = BAD_INPUTS[name]
+    with raises_exactly(ParameterError, message):
+        call()
